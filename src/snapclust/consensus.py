@@ -2,9 +2,12 @@
 
 Fusion concatenates the m member affinities column-wise and scales by
 1/sqrt(m), so the fused Gram matrix is the average of the member Grams.
-The k leading left singular vectors are recovered through the small
-(m*p x m*p) Gram eigendecomposition and a single sparse back-multiply,
-never by densifying the n x m*p matrix.
+The k leading left singular vectors come from the top k+1 eigenpairs of
+G = Z^T Z and a single sparse back-multiply, never from densifying the
+n x m*p matrix. G itself is formed only when it is tiny (at most
+max(2k+3, 20) columns, where ARPACK's Lanczos basis would fill the whole
+space). Otherwise ARPACK's Lanczos solver (scipy eigsh) applies
+v -> Z^T (Z v) at O(nnz) per step from a fixed start vector.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .affinity import SparseAffinity
 from .errors import ConfigError, DataError, NumericalError
-from .sparse import GRAM_COLS_CAP, SparseRowMatrix, hstack_scaled
+from .rng import STAGE_SPECTRAL, SeedStream
+from .sparse import SparseRowMatrix, hstack_scaled
 
 RANK_TOL = 1e-10
 FUSED_ROW_SUM_TOL = 1e-9
@@ -114,34 +120,68 @@ def _degree_scale(M: SparseRowMatrix) -> SparseRowMatrix:
     )
 
 
+def _top_eigenpairs(M: SparseRowMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Largest min(k+1, width) eigenpairs of Z^T Z, largest first, plus solver facts."""
+    count = min(k + 1, M.cols)
+    # ARPACK's Lanczos basis holds max(2*count + 1, 20) vectors (scipy's
+    # default ncv). When that reaches the width, ARPACK either cannot run
+    # (count >= width) or spans the whole space, so solve the small G exactly.
+    if M.cols <= max(2 * count + 1, 20):
+        w, V = np.linalg.eigh(M.gram())
+        # eigh orders ascending
+        meta = {"solver": "eigh", "operator_applications": 0}
+        return w[::-1][:count], V[:, ::-1][:, :count], meta
+
+    Z = csr_array((M.values, M.col_indices, M.row_offsets), shape=(M.rows, M.cols))
+    applications = 0
+
+    def apply_gram(v):
+        nonlocal applications
+        applications += 1
+        return Z.T @ (Z @ v)
+
+    op = LinearOperator((M.cols, M.cols), matvec=apply_gram, dtype=np.float64)
+    v0 = SeedStream(0).child(STAGE_SPECTRAL).generator().uniform(-1.0, 1.0, M.cols)
+    try:
+        w, V = eigsh(op, k=count, which="LA", tol=0, v0=v0)
+    except ArpackNoConvergence:
+        raise NumericalError(
+            f"Lanczos eigensolver did not converge on the fused Gram (width {M.cols}, "
+            f"k={k}); use a smaller k, or check the fused affinity for a "
+            "degenerate spectrum"
+        ) from None
+    order = np.argsort(-w, kind="stable")
+    return w[order], V[:, order], {"solver": "eigsh", "operator_applications": applications}
+
+
 def left_singular_vectors(
     fused: FusedAffinity | SparseRowMatrix,
     k: int,
     degree_normalize: bool = False,
     row_normalize: bool = False,
 ) -> SpectralEmbedding:
-    """Top-k left singular vectors of the fused matrix, via its Gram matrix.
+    """Top-k left singular vectors of the fused matrix Z, via its Gram matrix.
 
-    Eigendecomposing G = Z^T Z (small, m*p wide) and back-substituting
-    u_i = Z v_i / s_i costs O(nnz * k) instead of an O(n * (mp)^2) dense
+    The top k+1 eigenpairs (s_i^2, v_i) of G = Z^T Z come from ARPACK
+    applied to v -> Z^T (Z v), or from a dense eigh of G when Z has at
+    most max(2k+3, 20) columns, too few for ARPACK's Lanczos basis. Then
+    u_i = Z v_i / s_i costs O(nnz * k), against an O(n * (mp)^2) dense
     SVD. Raises when the requested rank is not numerically supported
-    (s_k <= 1e-10 * s_1). Column signs are fixed so the entry of largest
-    magnitude in each vector is positive.
+    (s_k <= 1e-10 * s_1), and when ARPACK does not converge. Column signs
+    are fixed so the entry of largest magnitude in each vector is positive.
+    `meta` records the solver branch, the operator-application count, the
+    top k singular values and the eigengap s_k/s_{k+1} (None when s_{k+1}
+    is zero or beyond the width).
     """
     M = fused.matrix if isinstance(fused, FusedAffinity) else fused
     if not 1 <= k <= min(M.rows, M.cols):
         raise ConfigError(f"k must satisfy 1 <= k <= min(n, m*p), got k={k} for {M.rows}x{M.cols}")
-    if M.cols > GRAM_COLS_CAP:
-        raise DataError(f"fused width {M.cols} exceeds the dense Gram cap {GRAM_COLS_CAP}")
     if degree_normalize:
         M = _degree_scale(M)
 
-    G = M.gram()
-    w, V = np.linalg.eigh(G)
-    # eigh orders ascending; keep the top k, largest first
-    w = w[::-1][:k]
-    V = V[:, ::-1][:, :k]
-    s = np.sqrt(np.maximum(w, 0.0))
+    w, V, meta = _top_eigenpairs(M, k)
+    s_all = np.sqrt(np.maximum(w, 0.0))
+    s, V = s_all[:k], V[:, :k]
     if s[0] <= 0.0 or s[k - 1] <= RANK_TOL * s[0]:
         raise NumericalError(
             f"fused affinity is rank deficient: s_{k}={s[k - 1]:.3e} vs s_1={s[0]:.3e}"
@@ -157,9 +197,12 @@ def left_singular_vectors(
         norms = np.linalg.norm(U, axis=1, keepdims=True)
         U = U / np.where(norms > 0, norms, 1.0)
 
+    gap = float(s[k - 1] / s_all[k]) if s_all.size > k and s_all[k] > 0 else None
+    meta.update(singular_values=s.tolist(), eigengap=gap)
     return SpectralEmbedding(
         U,
         s,
         degree_normalized=bool(degree_normalize),
         row_normalized=bool(row_normalize),
+        meta=meta,
     )

@@ -4,8 +4,9 @@ One run = `repeats` independent executions with derived seeds, evaluated
 against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
-run.json. Wall-clock timings appear only in run.json so every other
-artifact is byte-reproducible.
+run.json. Wall-clock timings and per-repeat diagnostics (the spectral
+solver and spectrum) appear only in run.json so every other artifact is
+byte-reproducible.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -123,11 +124,12 @@ def train_ensemble(
 
 def _single_run(
     model: str, X: np.ndarray, config: PipelineConfig, repeat_index: int, timings: dict
-) -> tuple[Partition, dict]:
-    """One fully seeded pipeline execution; returns (partition, footprint)."""
+) -> tuple[Partition, dict, dict]:
+    """One fully seeded pipeline execution; returns (partition, footprint, diagnostics)."""
     rep = SeedStream(config.seed).child(STAGE_REPEAT, repeat_index)
     n = X.shape[0]
     footprint = {}
+    diagnostics = {}
 
     if model in _TRAINED:
         cycles = config.m if model in ("ssc", "ssc_rm") else 1
@@ -164,11 +166,12 @@ def _single_run(
             "density": members[0].density,
             "dense_equivalent_bytes": n * n * 8,
         }
+        diagnostics["spectrum"] = U.meta
     else:
         with _stage(timings, "kmeans"):
             partition = kmeans(members_Y[0], config.k, rep.child(STAGE_KMEANS))
 
-    return partition, footprint
+    return partition, footprint, diagnostics
 
 
 def _build_report(config: PipelineConfig, per_run: list[dict] | None) -> dict:
@@ -262,9 +265,11 @@ def run_model(
     partitions: list[Partition] = []
     per_run: list[dict] = []
     footprint: dict = {}
+    diagnostics: list[dict] = []
     for i in range(config.repeats):
-        partition, footprint = _single_run(model, X, config, i, timings)
+        partition, footprint, diag = _single_run(model, X, config, i, timings)
         partitions.append(partition)
+        diagnostics.append(diag)
         entry = {"inertia": partition.inertia}
         if truth is not None:
             with _stage(timings, "evaluate"):
@@ -282,6 +287,7 @@ def run_model(
         "stage_seconds": timings,
         "total_seconds": total,
         "footprint": footprint,
+        "diagnostics": diagnostics,
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}
     record = RunRecord(

@@ -23,6 +23,7 @@ STAGE_NOISE = 6
 STAGE_RESTART = 7
 STAGE_SYNTH = 8
 STAGE_BATCH = 9
+STAGE_SPECTRAL = 10
 
 
 class SeedStream:

@@ -1,6 +1,7 @@
 """CLI: subcommands, config precedence, exit codes, artifact flows."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -264,3 +265,35 @@ def test_console_entrypoint_exit_codes(blob_files, tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_cluster_byte_identical_across_blas_threads_at_wide_fusion(tmp_path):
+    # width m*p = 600: wide enough that a thread-order dependent dense
+    # eigensolver would change the labels; criterion 11 only reaches width 40
+    X, y = make_blobs(1000, 16, 8, separation=3.0, noise_sigma=1.0, seed=13)
+    data, truth = tmp_path / "data.rawf32", tmp_path / "labels.txt"
+    save_rawf32(data, X)
+    save_labels(truth, y)
+    args = [
+        "cluster", "--dataset", str(data), "--labels", str(truth),
+        "--m", "3", "--landmarks", "200", "--sparsity", "5", "--k", "8",
+        "--cycle-length", "2", "--encoding-size", "8", "--seed", "9",
+        "--repeats", "1",
+    ]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapclust.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("report.json", "labels_rep0.txt"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()

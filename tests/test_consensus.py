@@ -1,9 +1,11 @@
-"""Fusion and the Gram-path SVD against dense oracles."""
+"""Fusion and both spectral branches (dense eigh, matrix-free eigsh) against dense oracles."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import snapclust.consensus as consensus
 from snapclust.affinity import AffinityParams, build_affinity
 from snapclust.consensus import (
     FusedAffinity,
@@ -13,7 +15,7 @@ from snapclust.consensus import (
 )
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.landmarks import LandmarkSet
-from snapclust.sparse import sparse_from_triplets
+from snapclust.sparse import SparseRowMatrix, sparse_from_triplets
 
 
 def random_affinity(gen, n, p, r):
@@ -188,3 +190,107 @@ def test_degree_normalize_flag_changes_embedding():
 def test_spectral_embedding_validation():
     with pytest.raises(DataError):
         SpectralEmbedding(np.ones((4, 2)), np.array([2.0, 1.0]))  # not orthonormal
+
+
+def assert_matches_svd(Z, k, emb):
+    """Dense-SVD oracle: sigma within 1e-10 relative, projector within 1e-8."""
+    U_ref, s_ref, _ = scipy.linalg.svd(Z.to_dense(), full_matrices=False)
+    assert np.max(np.abs(emb.singular_values - s_ref[:k]) / s_ref[:k]) <= 1e-10
+    P_ref = U_ref[:, :k] @ U_ref[:, :k].T
+    assert np.linalg.norm(emb.U @ emb.U.T - P_ref) <= 1e-8
+    return s_ref
+
+
+def test_matrix_free_branch_matches_dense_svd_oracle():
+    gen = np.random.default_rng(11)
+    done = 0
+    while done < 10:
+        n = int(gen.integers(300, 900))
+        p = int(gen.integers(257, 701))
+        r = int(gen.integers(1, 6))
+        Z = random_sparse(gen, n, p, r)
+        s_ref = scipy.linalg.svdvals(Z.to_dense())
+        k = int(gen.integers(1, 7))
+        # subspace comparison needs a spectral gap at k
+        if s_ref[k - 1] <= 1e-8 * s_ref[0] or (s_ref[k - 1] - s_ref[k]) < 1e-5 * s_ref[0]:
+            continue
+        emb = left_singular_vectors(Z, k)
+        assert emb.meta["solver"] == "eigsh"
+        assert emb.meta["operator_applications"] > 0
+        assert_matches_svd(Z, k, emb)
+        done += 1
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4])
+def test_matrix_free_branch_recovers_repeated_top_singular_values(copies):
+    # identical diagonal blocks: every singular value of the block repeats
+    # `copies` times, so the top k = copies are exactly equal
+    gen = np.random.default_rng(12 + copies)
+    block = random_sparse(gen, 160, 130, 3)
+    triplets = [
+        (b * block.rows + i, b * block.cols + j, v)
+        for b in range(copies)
+        for i, j, v in block.to_triplets()
+    ]
+    Z = sparse_from_triplets(copies * block.rows, copies * block.cols, triplets)
+    for k in (copies, 2 * copies):
+        emb = left_singular_vectors(Z, k)
+        assert emb.meta["solver"] == "eigsh"
+        s_ref = assert_matches_svd(Z, k, emb)
+        assert s_ref[0] == pytest.approx(s_ref[copies - 1], rel=1e-12)
+
+
+def test_matrix_free_branch_rejects_rank_deficiency():
+    # 300 columns but only two distinct row patterns: rank 2 cannot carry k=3
+    rows = [[(j, 1.0) for j in range(0, 150, 3)], [(j, 1.0) for j in range(151, 300, 2)]]
+    triplets = [(i, j, v) for i in range(40) for j, v in rows[i % 2]]
+    Z = sparse_from_triplets(40, 300, triplets)
+    assert left_singular_vectors(Z, 2).meta["solver"] == "eigsh"
+    with pytest.raises(NumericalError, match="rank"):
+        left_singular_vectors(Z, 3)
+
+
+def test_width_beyond_former_gram_cap_embeds():
+    # wider than the 16384-column dense Gram cap the spectral step used to
+    # enforce; three row groups, each tied together by one shared hub column
+    gen = np.random.default_rng(13)
+    n, width, r, groups = 6000, 17000, 4, 3
+    group = np.arange(n) % groups
+    span = width // groups
+    offsets = np.stack([1 + gen.choice(span - 1, size=r - 1, replace=False) for _ in range(n)])
+    cols = np.sort(np.concatenate([np.zeros((n, 1), np.int64), offsets], axis=1), axis=1)
+    cols += (group * span)[:, None]
+    values = np.where(cols % span == 0, 1.0, gen.uniform(0.05, 0.5, size=(n, r)))
+    Z = SparseRowMatrix(n, width, np.arange(0, n * r + 1, r), cols.ravel(), values.ravel())
+    emb = left_singular_vectors(Z, groups)
+    assert emb.meta["solver"] == "eigsh"
+    assert emb.U.shape == (n, groups)
+    # each group's rows load on a coordinate of its own
+    owner = np.argmax(np.abs(emb.U), axis=1)
+    assert sorted({int(owner[group == g][0]) for g in range(groups)}) == [0, 1, 2]
+    for g in range(groups):
+        assert np.all(owner[group == g] == owner[group == g][0])
+
+
+def test_arpack_no_convergence_is_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(consensus, "eigsh", no_convergence)
+    gen = np.random.default_rng(14)
+    Z = random_sparse(gen, 300, 400, 3)
+    with pytest.raises(NumericalError, match=r"width 400, k=2.*smaller k"):
+        left_singular_vectors(Z, 2)
+
+
+def test_spectrum_meta_on_both_branches():
+    gen = np.random.default_rng(15)
+    # k=4: dense eigh up to width max(2 * 5 + 1, 20) = 20, ARPACK's basis size
+    for p, solver in ((5, "eigh"), (20, "eigh"), (21, "eigsh"), (300, "eigsh")):
+        Z = random_sparse(gen, 400, p, 3)
+        emb = left_singular_vectors(Z, 4)
+        s = scipy.linalg.svdvals(Z.to_dense())
+        assert emb.meta["solver"] == solver
+        assert (emb.meta["operator_applications"] > 0) == (solver == "eigsh")
+        assert emb.meta["singular_values"] == emb.singular_values.tolist()
+        assert emb.meta["eigengap"] == pytest.approx(s[3] / s[4], rel=1e-10)

@@ -198,6 +198,35 @@ def test_artifacts_written_and_deterministic(tmp_path):
     assert rec_b.report == rec_a.report
 
 
+def test_spectrum_diagnostics_only_in_run_json(tmp_path):
+    X, y = make_blobs(300, 5, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
+    # fused widths 20 (dense eigh) and 3 * 100 = 300 (matrix-free eigsh)
+    for landmarks, m, solver in ((10, 2, "eigh"), (100, 3, "eigsh")):
+        cfg = small_config(landmarks=landmarks, m=m)
+        out_a, out_b = tmp_path / f"{solver}_a", tmp_path / f"{solver}_b"
+        run_ssc(cfg, X, y, out_dir=out_a)
+        run_ssc(cfg, X, y, out_dir=out_b)
+        report = (out_a / "report.json").read_bytes()
+        assert (out_b / "report.json").read_bytes() == report
+        doc = json.loads(report)
+        assert set(doc) == {
+            "config_fingerprint", "repeats", "nmi_variant", "runs", "mean", "std",
+            "nmi", "ari", "acc",
+        }
+        assert b"singular" not in report and b"eigengap" not in report
+        diagnostics = json.loads((out_a / "run.json").read_text())["diagnostics"]
+        assert len(diagnostics) == cfg.repeats
+        for repeat in diagnostics:
+            spectrum = repeat["spectrum"]
+            assert spectrum["solver"] == solver
+            assert (spectrum["operator_applications"] > 0) == (solver == "eigsh")
+            s = spectrum["singular_values"]
+            assert len(s) == cfg.k and s == sorted(s, reverse=True)
+            assert spectrum["eigengap"] >= 1.0
+    run_baseline("kmeans", small_config(repeats=1), X, out_dir=tmp_path / "km")
+    assert json.loads((tmp_path / "km" / "run.json").read_text())["diagnostics"] == [{}]
+
+
 def test_dataset_loaded_from_config(tmp_path):
     from snapclust.datasets import save_rawf32
 
