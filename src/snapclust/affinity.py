@@ -3,6 +3,12 @@
 Each data point keeps Gaussian kernel weights to its r nearest landmarks
 and drops everything else, so each row has exactly r nonzeros and sums to
 one after normalization. Density is r/p by construction, independent of n.
+
+Distances are computed in row blocks of max(1, BLOCK_ENTRIES // p) points,
+and the r nearest landmarks of each row are picked by partition rather
+than a full sort, so peak memory is O(block * p + n * r) instead of a
+dense n x p matrix. Ties at the r-th distance still go to the lower
+landmark index, exactly as a stable sort would order them.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from .landmarks import LandmarkSet
 from .sparse import SparseRowMatrix
 
 ROW_SUM_TOL = 1e-10
+
+# distance entries per row block: 2**20 float64 values is 8 MiB per buffer
+BLOCK_ENTRIES = 2**20
 
 
 def scott_bandwidth(Y: np.ndarray) -> float:
@@ -51,8 +60,23 @@ class AffinityParams:
 
 
 def _nearest_rows(dists: np.ndarray, r: int) -> np.ndarray:
-    # stable sort keeps the original (lower) index first on exact ties
-    return np.argsort(dists, axis=1, kind="stable")[:, :r]
+    """Per row, the r smallest columns ordered by (distance, index).
+
+    Equals np.argsort(dists, axis=1, kind="stable")[:, :r]. A partition
+    finds the r smallest values; the pick is unique unless the r-th value
+    is shared by more than r entries, and only such rows are sorted fully.
+    """
+    part = np.argpartition(dists, r - 1, axis=1)[:, :r]
+    part.sort(axis=1)
+    picked = np.take_along_axis(dists, part, axis=1)
+    kth = picked.max(axis=1)
+    # rows holding anything but r entries <= kth (boundary ties, NaN) fall back
+    ambiguous = np.nonzero(np.count_nonzero(dists <= kth[:, None], axis=1) != r)[0]
+    order = np.argsort(picked, axis=1, kind="stable")
+    nearest = np.take_along_axis(part, order, axis=1)
+    if ambiguous.size:
+        nearest[ambiguous] = np.argsort(dists[ambiguous], axis=1, kind="stable")[:, :r]
+    return nearest
 
 
 def nearest_landmarks(
@@ -123,6 +147,11 @@ def build_affinity(
     never underflow to all zeros. A row whose farther kernels still
     underflow would break the strictly-positive-values contract, which is
     reported as a numerical failure rather than silently densified.
+
+    Points are processed in row blocks of max(1, BLOCK_ENTRIES // p):
+    each block gets its own distance matrix and keeps only its r nearest
+    landmarks (ties to the lower index), so peak memory is
+    O(block * p + n * r) rather than O(n * p).
     """
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if isinstance(landmarks, LandmarkSet):
@@ -137,10 +166,20 @@ def build_affinity(
         raise ConfigError(f"sparsity must satisfy 1 <= r < p, got r={r}, p={p}")
     sigma = scott_bandwidth(Y) if params.sigma is None else float(params.sigma)
 
-    dists = pairwise_distance(Y, centers, params.metric)
-    nearest = _nearest_rows(dists, r)
-    rows = np.arange(n)[:, None]
-    sel_sq = dists[rows, nearest] ** 2
+    block = max(1, BLOCK_ENTRIES // p)
+    nearest = np.empty((n, r), dtype=np.int64)
+    sel = np.empty((n, r), dtype=np.float64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        try:
+            dists = pairwise_distance(Y[start:stop], centers, params.metric)
+        except DataError as exc:
+            raise DataError(
+                f"{exc}; A is embedding rows {start}-{stop - 1}, B the landmarks"
+            ) from exc
+        nearest[start:stop] = _nearest_rows(dists, r)
+        sel[start:stop] = np.take_along_axis(dists, nearest[start:stop], axis=1)
+    sel_sq = sel**2
     shifted = sel_sq - sel_sq.min(axis=1, keepdims=True)
     weights = np.exp(-shifted / (2.0 * sigma * sigma))
     if weights.min() <= 0.0:

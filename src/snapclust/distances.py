@@ -118,9 +118,9 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
     na = np.sqrt(np.sum(A * A, axis=1))
     nb = np.sqrt(np.sum(B * B, axis=1))
     if np.any(na == 0.0):
-        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(na))}")
+        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(na))} of A")
     if np.any(nb == 0.0):
-        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(nb))}")
+        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(nb))} of B")
     sim = (A / na[:, None]) @ (B / nb[:, None]).T
     np.clip(sim, -1.0, 1.0, out=sim)
     return 1.0 - sim

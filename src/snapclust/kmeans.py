@@ -37,15 +37,34 @@ class Partition:
             raise DataError(f"inertia must be finite and >= 0, got {self.inertia}")
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, (n, k), clamped at 0."""
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(C * C, axis=1)[None, :]
-        - 2.0 * (X @ C.T)
-    )
+def _sq_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    xx: np.ndarray,
+    out: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared euclidean distances, (n, k), clamped at 0.
+
+    `xx` holds the row norms sum(X * X, axis=1), computed once by the
+    caller; `out` and `gram` are optional (n, k) buffers reused across
+    calls. The arithmetic is (xx + cc) - 2 X C^T in that order, so results
+    do not depend on whether buffers are given.
+    """
+    sq = np.add(xx[:, None], np.sum(C * C, axis=1)[None, :], out=out)
+    G = np.matmul(X, C.T, out=gram)
+    G *= 2.0
+    sq -= G
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _center_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-label row sums, (k, d), accumulated in row order like np.add.at."""
+    sums = np.empty((k, X.shape[1]), dtype=np.float64)
+    for j in range(X.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+    return sums
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
@@ -58,14 +77,15 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
     centers[0] = X[first]
     if k == 1:
         return centers
-    d2 = _sq_dists(X, centers[:1])[:, 0]
+    xx = np.sum(X * X, axis=1)
+    d2 = _sq_dists(X, centers[:1], xx)[:, 0]
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
             raise DataError(f"kmeans++: fewer than {k} distinct points")
         nxt = int(gen.choice(n, p=d2 / total))
         centers[i] = X[nxt]
-        d2 = np.minimum(d2, _sq_dists(X, centers[i : i + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(X, centers[i : i + 1], xx)[:, 0])
     return centers
 
 
@@ -80,12 +100,15 @@ def lloyd(
     """
     k = centers.shape[0]
     centers = centers.copy()
+    xx = np.sum(X * X, axis=1)
+    sq = np.empty((X.shape[0], k), dtype=np.float64)
+    gram = np.empty_like(sq)
     prev_labels = None
     labels = None
     inertia = float("inf")
     history: list[float] = []
     for _ in range(max_iters):
-        sq = _sq_dists(X, centers)
+        _sq_dists(X, centers, xx, sq, gram)
         labels = np.argmin(sq, axis=1)
         mind = sq[np.arange(X.shape[0]), labels]
 
@@ -107,9 +130,7 @@ def lloyd(
             break
         prev_labels = labels
         # centroid update; every cluster nonempty after repair
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, X)
-        centers = sums / counts[:, None]
+        centers = _center_sums(X, labels, k) / counts[:, None]
     return labels, inertia, history
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kmeans import kmeans_pp_init, _sq_dists
+from .kmeans import _center_sums, _sq_dists, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
 DEFAULT_BATCH_SIZE = 1024
@@ -83,16 +83,20 @@ def minibatch_kmeans(
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
+    yy = np.sum(Y * Y, axis=1)
+    sq = np.empty((bsz, p), dtype=np.float64)
+    gram = np.empty_like(sq)
+    batches = dead_repairs = 0
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         B = Y[idx]
-        sq = _sq_dists(B, centers)
+        _sq_dists(B, centers, yy[idx], sq, gram)
         assign = np.argmin(sq, axis=1)
+        batches += 1
 
         old = centers.copy()
         batch_counts = np.bincount(assign, minlength=p)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, B)
+        sums = _center_sums(B, assign, p)
         touched = batch_counts > 0
         new_total = counts + batch_counts
         centers[touched] = (
@@ -108,12 +112,19 @@ def minibatch_kmeans(
             for j, c in enumerate(dead[: bsz]):
                 centers[c] = B[order[j]]
                 counts[c] = 1
+            dead_repairs += min(dead.size, bsz)
 
         movement = np.linalg.norm(centers - old) / max(np.linalg.norm(old), 1e-300)
         if movement < MOVEMENT_TOL:
             break
 
-    meta = {"n": n, "batch_size": bsz, "max_iters": max_iters}
+    meta = {
+        "n": n,
+        "batch_size": bsz,
+        "max_iters": max_iters,
+        "batches": batches,
+        "dead_repairs": dead_repairs,
+    }
     return LandmarkSet(centers, seed=rng.seed, meta=meta)
 
 

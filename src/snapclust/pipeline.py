@@ -5,8 +5,9 @@ against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
 run.json. Wall-clock timings and per-repeat diagnostics (the spectral
-solver and spectrum) appear only in run.json so every other artifact is
-byte-reproducible.
+solver and spectrum; per member the landmark and affinity seconds, the
+minibatch batches run and the dead-center repairs) appear only in
+run.json so every other artifact is byte-reproducible.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -141,14 +142,25 @@ def _single_run(
 
     if model in _SPECTRAL:
         members = []
+        member_diagnostics = []
         for j, Y in enumerate(members_Y):
+            start = time.perf_counter()
             with _stage(timings, "landmarks"):
                 lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
+            landmarks_done = time.perf_counter()
             with _stage(timings, "affinity"):
                 params = AffinityParams(
                     config.sparsity, parse_metric(config.member_metric(j))
                 )
                 members.append(build_affinity(Y, lm, params))
+            member_diagnostics.append(
+                {
+                    "landmarks_s": landmarks_done - start,
+                    "affinity_s": time.perf_counter() - landmarks_done,
+                    "batches": lm.meta["batches"],
+                    "dead_repairs": lm.meta["dead_repairs"],
+                }
+            )
         with _stage(timings, "fuse"):
             fused = fuse(members)
         with _stage(timings, "svd"):
@@ -162,11 +174,13 @@ def _single_run(
             partition = kmeans(U, config.k, rep.child(STAGE_KMEANS))
         footprint = {
             "member_affinity_bytes": members[0].footprint_bytes(),
+            "member_affinity_nbytes": members[0].matrix.nbytes(),
             "fused_nnz": fused.nnz,
             "density": members[0].density,
             "dense_equivalent_bytes": n * n * 8,
         }
         diagnostics["spectrum"] = U.meta
+        diagnostics["members"] = member_diagnostics
     else:
         with _stage(timings, "kmeans"):
             partition = kmeans(members_Y[0], config.k, rep.child(STAGE_KMEANS))

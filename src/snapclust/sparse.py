@@ -135,8 +135,16 @@ class SparseRowMatrix:
                 out[chunk] = np.einsum("lc,lck->lk", V, D[J])
         return out
 
+    def nbytes(self) -> int:
+        """Bytes actually held by the value, column and offset arrays."""
+        return self.values.nbytes + self.col_indices.nbytes + self.row_offsets.nbytes
+
     def footprint_bytes(self) -> int:
-        """Compact CSR accounting: f64 values, u32 column indices, i64 offsets."""
+        """Modelled compact CSR size: f64 values, u32 column indices, i64 offsets.
+
+        A model, not a measurement: the arrays here hold int64 column
+        indices, so `nbytes()` is larger by 4 bytes per nonzero.
+        """
         return self.nnz * (8 + 4) + (self.rows + 1) * 8
 
 

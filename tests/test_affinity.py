@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from snapclust import affinity
 from snapclust.affinity import (
     AffinityParams,
     SparseAffinity,
+    _nearest_rows,
     build_affinity,
     nearest_landmarks,
     scott_bandwidth,
@@ -220,4 +222,54 @@ def test_cosine_rejects_zero_rows():
     lm = landmarks_from([[1.0, 0.0], [0.0, 1.0]])
     Y = np.array([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(DataError, match="zero-norm"):
+        build_affinity(Y, lm, AffinityParams(r=1, metric=COSINE))
+
+
+def stable_oracle(d, r):
+    return np.argsort(d, axis=1, kind="stable")[:, :r]
+
+
+def test_nearest_rows_equals_stable_argsort_on_ties():
+    gen = np.random.default_rng(8)
+    for p in (2, 3, 5, 9, 16):
+        cases = [
+            gen.integers(0, 3, size=(40, p)).astype(np.float64),  # small integers
+            np.full((6, p), 2.5),  # all-equal rows
+            gen.normal(size=(40, p)),  # no ties
+        ]
+        for r in range(1, p):
+            # ties straddling the r-th position: r-1 clear winners, then a tied run
+            straddle = np.full((8, p), 7.0)
+            straddle[:, : r - 1] = np.arange(r - 1)
+            for row in straddle:
+                gen.shuffle(row)
+            for d in (*cases, straddle):
+                assert np.array_equal(_nearest_rows(d, r), stable_oracle(d, r)), (p, r)
+
+
+def test_blocked_build_matches_one_block(monkeypatch):
+    gen = np.random.default_rng(9)
+    n, p, r = 23, 7, 3
+    Y = np.abs(gen.normal(size=(n, 4))) + 0.1
+    lm = landmarks_from(np.abs(gen.normal(size=(p, 4))) + 0.1)
+    for metric in (EUCLIDEAN, COSINE, MINKOWSKI3):
+        params = AffinityParams(r=r, metric=metric)
+        whole = build_affinity(Y, lm, params)
+        assert n <= affinity.BLOCK_ENTRIES // p  # the default is one block here
+        for entries in (3 * p, 5 * p, 1):  # 3- and 5-row blocks, then 1-row blocks
+            monkeypatch.setattr(affinity, "BLOCK_ENTRIES", entries)
+            blocked = build_affinity(Y, lm, params)
+            monkeypatch.undo()
+            assert np.array_equal(blocked.matrix.col_indices, whole.matrix.col_indices)
+            assert np.array_equal(blocked.matrix.row_offsets, whole.matrix.row_offsets)
+            assert np.allclose(blocked.matrix.values, whole.matrix.values, rtol=0, atol=1e-12)
+            assert blocked.bandwidth == whole.bandwidth
+
+
+def test_blocked_cosine_error_names_the_block(monkeypatch):
+    lm = landmarks_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    Y = np.ones((7, 2))
+    Y[5] = 0.0
+    monkeypatch.setattr(affinity, "BLOCK_ENTRIES", 2 * 3)  # 2-row blocks
+    with pytest.raises(DataError, match="zero-norm row 1 of A; A is embedding rows 4-5"):
         build_affinity(Y, lm, AffinityParams(r=1, metric=COSINE))

@@ -8,7 +8,6 @@ import pytest
 
 from snapclust.errors import ConfigError, DataError
 from snapclust.evaluation import (
-    MAX_CLASSES,
     METRIC_KEYS,
     accuracy,
     accuracy_table,
@@ -203,10 +202,17 @@ def test_accuracy_at_least_identity_assignment():
         assert accuracy_table(table) >= np.trace(table) / table.sum() - 1e-12
 
 
-def test_accuracy_class_cap():
-    pred = list(range(MAX_CLASSES + 1))
-    with pytest.raises(DataError):
-        accuracy(pred, pred)
+def test_accuracy_beyond_64_classes():
+    # 100 classes: a permuted relabeling is a perfect match
+    gen = np.random.default_rng(9)
+    truth = np.repeat(np.arange(100), 3)
+    perm = gen.permutation(100)
+    assert accuracy(perm[truth], truth) == 1.0
+    # every row's maximum (5) sits on a permutation, so matching it is optimal:
+    # no matching can beat the sum of row maxima
+    table = gen.integers(0, 3, size=(100, 100))
+    table[np.arange(100), perm] = 5
+    assert accuracy_table(table) == pytest.approx(500 / table.sum(), rel=1e-15)
 
 
 def test_metrics_invariant_under_relabeling():

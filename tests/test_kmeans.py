@@ -142,3 +142,100 @@ def test_kmeans_restart_count_improves_or_ties():
     worst = kmeans(X, 5, SeedStream(1), restarts=1)
     best = kmeans(X, 5, SeedStream(1), restarts=10)
     assert best.inertia <= worst.inertia + 1e-12
+
+
+# --- bit-identity against the buffer-free formulation -----------------------
+
+
+def oracle_sq_dists(X, C):
+    sq = (
+        np.sum(X * X, axis=1)[:, None]
+        + np.sum(C * C, axis=1)[None, :]
+        - 2.0 * (X @ C.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def oracle_pp_init(X, k, gen):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]), dtype=np.float64)
+    first = int(gen.integers(n))
+    centers[0] = X[first]
+    if k == 1:
+        return centers
+    d2 = oracle_sq_dists(X, centers[:1])[:, 0]
+    for i in range(1, k):
+        total = float(d2.sum())
+        nxt = int(gen.choice(n, p=d2 / total))
+        centers[i] = X[nxt]
+        d2 = np.minimum(d2, oracle_sq_dists(X, centers[i : i + 1])[:, 0])
+    return centers
+
+
+def oracle_lloyd(X, centers, max_iters=300):
+    k = centers.shape[0]
+    centers = centers.copy()
+    prev_labels = None
+    labels = None
+    inertia = float("inf")
+    history = []
+    for _ in range(max_iters):
+        sq = oracle_sq_dists(X, centers)
+        labels = np.argmin(sq, axis=1)
+        mind = sq[np.arange(X.shape[0]), labels]
+        counts = np.bincount(labels, minlength=k)
+        if np.any(counts == 0):
+            taken = set()
+            for c in np.nonzero(counts == 0)[0]:
+                order = np.argsort(mind, kind="stable")[::-1]
+                far = next(int(i) for i in order if int(i) not in taken)
+                taken.add(far)
+                centers[c] = X[far]
+                labels[far] = c
+                mind[far] = 0.0
+            counts = np.bincount(labels, minlength=k)
+        inertia = float(mind.sum())
+        history.append(inertia)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, X)
+        centers = sums / counts[:, None]
+    return labels, inertia, history
+
+
+def test_pp_init_bit_identical_to_oracle():
+    gen = np.random.default_rng(10)
+    for n, d, k in ((300, 5, 8), (2048, 16, 60), (50, 3, 1)):
+        X = gen.normal(size=(n, d)) * gen.uniform(0.1, 10.0, size=d)
+        for seed in range(3):
+            got = kmeans_pp_init(X, k, SeedStream(seed).generator())
+            want = oracle_pp_init(X, k, SeedStream(seed).generator())
+            assert np.array_equal(got, want)
+
+
+def test_lloyd_bit_identical_to_oracle():
+    gen = np.random.default_rng(11)
+    for n, d, k in ((400, 6, 10), (1500, 10, 10), (60, 2, 5)):
+        X = gen.normal(size=(n, d)) + gen.integers(0, 4, size=(n, 1))
+        init = oracle_pp_init(X, k, SeedStream(n).generator())
+        got = lloyd(X, init)
+        want = oracle_lloyd(X, init)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+
+
+def test_lloyd_empty_cluster_repair_bit_identical():
+    # three of five centers start on one point: two clusters open empty
+    gen = np.random.default_rng(12)
+    X = gen.normal(size=(80, 3))
+    init = X[[0, 0, 0, 7, 9]].copy()
+    got = lloyd(X, init)
+    want = oracle_lloyd(X, init)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
+    # the repair did run: a plain assignment of the initial centers leaves gaps
+    assert np.bincount(np.argmin(oracle_sq_dists(X, init), axis=1), minlength=5).min() == 0

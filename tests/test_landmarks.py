@@ -10,7 +10,8 @@ from snapclust.landmarks import (
     minibatch_kmeans,
     save_landmarks,
 )
-from snapclust.rng import SeedStream
+from snapclust.kmeans import kmeans_pp_init
+from snapclust.rng import STAGE_BATCH, STAGE_INIT, SeedStream
 from snapclust.trainer import LANDMARK_MAGIC
 
 
@@ -113,3 +114,76 @@ def test_load_rejects_snapshot_magic(tmp_path):
     path.write_bytes(b"SSCW" + b"\x00" * 32)
     with pytest.raises(DataError, match="bad magic"):
         load_landmarks(path)
+
+
+def oracle_sq_dists(X, C):
+    sq = (
+        np.sum(X * X, axis=1)[:, None]
+        + np.sum(C * C, axis=1)[None, :]
+        - 2.0 * (X @ C.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def oracle_minibatch(Y, p, rng, batch_size, max_iters=100):
+    """Buffer-free formulation: fresh distance arrays, np.add.at center sums."""
+    n = Y.shape[0]
+    init_gen = rng.child(STAGE_INIT).generator()
+    subset = init_gen.choice(n, size=min(n, max(10 * p, 2048)), replace=False)
+    centers = kmeans_pp_init(Y[subset], p, init_gen)
+    counts = np.zeros(p, dtype=np.int64)
+    batch_gen = rng.child(STAGE_BATCH).generator()
+    bsz = min(batch_size, n)
+    batches = repairs = 0
+    for _ in range(max_iters):
+        idx = batch_gen.choice(n, size=bsz, replace=False)
+        B = Y[idx]
+        sq = oracle_sq_dists(B, centers)
+        assign = np.argmin(sq, axis=1)
+        batches += 1
+        old = centers.copy()
+        batch_counts = np.bincount(assign, minlength=p)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, B)
+        touched = batch_counts > 0
+        new_total = counts + batch_counts
+        centers[touched] = (
+            counts[touched, None] * centers[touched] + sums[touched]
+        ) / new_total[touched, None]
+        counts = new_total
+        dead = np.nonzero(counts == 0)[0]
+        if dead.size:
+            mind = sq[np.arange(bsz), assign]
+            order = np.argsort(mind, kind="stable")[::-1]
+            for j, c in enumerate(dead[:bsz]):
+                centers[c] = B[order[j]]
+                counts[c] = 1
+                repairs += 1
+        movement = np.linalg.norm(centers - old) / max(np.linalg.norm(old), 1e-300)
+        if movement < 1e-4:
+            break
+    return centers, batches, repairs
+
+
+def test_minibatch_bit_identical_to_oracle():
+    gen = np.random.default_rng(7)
+    cases = (
+        (gen.normal(size=(2000, 16)), 120, 1024),  # benchmark-like shape
+        # more centers than batch points: dead centers outlast the first batch
+        (gen.normal(size=(600, 4)), 200, 32),
+        # two tight blobs settle fast: the movement test ends the loop early
+        (np.repeat([[0.0, 0.0], [5.0, 5.0]], 200, axis=0) + 1e-9 * gen.normal(size=(400, 2)), 2, 64),
+    )
+    stops = set()
+    for Y, p, bsz in cases:
+        for seed in (0, 1):
+            lm = minibatch_kmeans(Y, p, SeedStream(seed), batch_size=bsz)
+            centers, batches, repairs = oracle_minibatch(Y, p, SeedStream(seed), bsz)
+            assert np.array_equal(lm.centers, centers)
+            assert lm.meta["batches"] == batches
+            assert lm.meta["dead_repairs"] == repairs
+            stops.add(batches < 100)
+            if p > bsz:
+                assert repairs > bsz
+    assert stops == {True, False}

@@ -89,6 +89,8 @@ def test_spectral_footprint_recorded():
     assert fp["fused_nnz"] == cfg.m * 90 * cfg.sparsity
     assert fp["density"] == cfg.sparsity / cfg.landmarks
     assert fp["member_affinity_bytes"] == 90 * cfg.sparsity * 12 + 91 * 8
+    # measured: f64 values and i64 column indices and offsets
+    assert fp["member_affinity_nbytes"] == 90 * cfg.sparsity * 16 + 91 * 8
     assert fp["dense_equivalent_bytes"] == 90 * 90 * 8
     _, _, plain = run_baseline("kmeans", cfg, X)
     assert plain.footprint == {}
@@ -225,6 +227,28 @@ def test_spectrum_diagnostics_only_in_run_json(tmp_path):
             assert spectrum["eigengap"] >= 1.0
     run_baseline("kmeans", small_config(repeats=1), X, out_dir=tmp_path / "km")
     assert json.loads((tmp_path / "km" / "run.json").read_text())["diagnostics"] == [{}]
+
+
+def test_member_diagnostics_only_in_run_json(tmp_path):
+    X, y = small_data()
+    cfg = small_config(m=3, metrics=("euclidean", "cosine", "minkowski"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_ssc_rm(cfg, np.abs(X) + 0.1, y, out_dir=out)
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    report = (outs[0] / "report.json").read_bytes()
+    assert b"batches" not in report and b"nbytes" not in report
+    run_doc = json.loads((outs[0] / "run.json").read_text())
+    assert run_doc["footprint"]["member_affinity_nbytes"] > 0
+    for repeat in run_doc["diagnostics"]:
+        members = repeat["members"]
+        assert len(members) == cfg.m
+        for member in members:
+            assert set(member) == {"landmarks_s", "affinity_s", "batches", "dead_repairs"}
+            assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
+            assert 1 <= member["batches"] <= 100
+            assert 0 <= member["dead_repairs"] < cfg.landmarks
 
 
 def test_dataset_loaded_from_config(tmp_path):
