@@ -5,10 +5,10 @@ and drops everything else, so each row has exactly r nonzeros and sums to
 one after normalization. Density is r/p by construction, independent of n.
 
 Distances are computed in row blocks of max(1, BLOCK_ENTRIES // p) points,
-and the r nearest landmarks of each row are picked by partition rather
-than a full sort, so peak memory is O(block * p + n * r) instead of a
-dense n x p matrix. Ties at the r-th distance still go to the lower
-landmark index, exactly as a stable sort would order them.
+and the r nearest landmarks of each row are picked by r successive
+argmins rather than a full sort, so peak memory is O(block * p + n * r)
+instead of a dense n x p matrix. Ties at the r-th distance still go to
+the lower landmark index, exactly as a stable sort would order them.
 """
 
 from __future__ import annotations
@@ -62,20 +62,24 @@ class AffinityParams:
 def _nearest_rows(dists: np.ndarray, r: int) -> np.ndarray:
     """Per row, the r smallest columns ordered by (distance, index).
 
-    Equals np.argsort(dists, axis=1, kind="stable")[:, :r]. A partition
-    finds the r smallest values; the pick is unique unless the r-th value
-    is shared by more than r entries, and only such rows are sorted fully.
+    Equals np.argsort(dists, axis=1, kind="stable")[:, :r]. Takes r
+    successive row-wise argmins, masking each pick with +inf in place and
+    restoring every pick before returning; argmin breaks ties to the lower
+    index, as the stable sort does. A row whose picks include NaN or +-inf
+    (where masking is no longer exact) is sorted in full instead.
     """
-    part = np.argpartition(dists, r - 1, axis=1)[:, :r]
-    part.sort(axis=1)
-    picked = np.take_along_axis(dists, part, axis=1)
-    kth = picked.max(axis=1)
-    # rows holding anything but r entries <= kth (boundary ties, NaN) fall back
-    ambiguous = np.nonzero(np.count_nonzero(dists <= kth[:, None], axis=1) != r)[0]
-    order = np.argsort(picked, axis=1, kind="stable")
-    nearest = np.take_along_axis(part, order, axis=1)
-    if ambiguous.size:
-        nearest[ambiguous] = np.argsort(dists[ambiguous], axis=1, kind="stable")[:, :r]
+    rows = np.arange(dists.shape[0])
+    nearest = np.empty((dists.shape[0], r), dtype=np.int64)
+    picked = np.empty((dists.shape[0], r), dtype=dists.dtype)
+    for i in range(r):
+        nearest[:, i] = np.argmin(dists, axis=1)
+        picked[:, i] = dists[rows, nearest[:, i]]
+        dists[rows, nearest[:, i]] = np.inf
+    # reverse order: a masked entry picked again holds +inf, the first pick the value
+    for i in reversed(range(r)):
+        dists[rows, nearest[:, i]] = picked[:, i]
+    unsure = ~np.all(np.isfinite(picked), axis=1)
+    nearest[unsure] = np.argsort(dists[unsure], axis=1, kind="stable")[:, :r]
     return nearest
 
 
@@ -128,9 +132,6 @@ class SparseAffinity:
     @property
     def density(self) -> float:
         return self.params.r / self.matrix.cols
-
-    def footprint_bytes(self) -> int:
-        return self.matrix.footprint_bytes()
 
 
 def build_affinity(

@@ -65,9 +65,6 @@ class FusedAffinity:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def footprint_bytes(self) -> int:
-        return self.matrix.footprint_bytes()
-
 
 def fuse(members: list[SparseAffinity]) -> FusedAffinity:
     """Fuse member affinities into one row-scaled block matrix."""

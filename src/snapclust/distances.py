@@ -17,6 +17,9 @@ METRIC_NAMES = ("euclidean", "cosine", "minkowski")
 
 DEFAULT_MINKOWSKI_Q = 3.0
 
+# minkowski chunk size: 2**15 float64 entries (256 KiB) per buffer stays in L2
+_CHUNK_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class Metric:
@@ -88,8 +91,11 @@ def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
 def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarray:
     """All-pairs distances between rows of A (n x d) and rows of B (p x d).
 
-    Euclidean uses the Gram expansion (one GEMM), minkowski streams over
-    row blocks to bound the broadcast buffer, cosine normalizes rows once.
+    Euclidean uses the Gram expansion (one GEMM), cosine normalizes rows
+    once, and minkowski accumulates |a_j - b_j|^q one coordinate j at a
+    time into the n x p output before taking the 1/q root, working through
+    row chunks of _CHUNK_ENTRIES // p rows with two chunk-sized scratch
+    buffers and no n x p x d one.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)
@@ -106,13 +112,26 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
         return np.sqrt(sq)
 
     if metric.name == "minkowski":
-        out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-        block = max(1, int(2**22 // max(1, B.shape[0] * A.shape[1])))
-        for start in range(0, A.shape[0], block):
-            stop = min(start + block, A.shape[0])
-            diff = np.abs(A[start:stop, None, :] - B[None, :, :])
-            out[start:stop] = np.sum(diff**metric.q, axis=2)
-        return out ** (1.0 / metric.q)
+        q = metric.q
+        out = np.zeros((A.shape[0], B.shape[0]), dtype=np.float64)
+        rows = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
+        diff = np.empty((min(rows, A.shape[0]), B.shape[0]), dtype=np.float64)
+        term = np.empty_like(diff)
+        BT = np.ascontiguousarray(B.T)
+        for start in range(0, A.shape[0], rows):
+            acc = out[start : start + rows]
+            d, t = diff[: acc.shape[0]], term[: acc.shape[0]]
+            for a, b in zip(A[start : start + rows].T, BT):
+                np.subtract.outer(a, b, out=d)
+                np.abs(d, out=d)
+                if q == 3.0:
+                    # libm pow(x, 3.0) is slow on exact zeros, which ReLU codes make many of
+                    np.multiply(d, d, out=t)
+                    t *= d
+                else:
+                    np.power(d, q, out=t)
+                acc += t
+        return np.power(out, 1.0 / q, out=out)
 
     # cosine
     na = np.sqrt(np.sum(A * A, axis=1))

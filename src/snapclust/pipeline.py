@@ -4,10 +4,11 @@ One run = `repeats` independent executions with derived seeds, evaluated
 against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
-run.json. Wall-clock timings and per-repeat diagnostics (the spectral
-solver and spectrum; per member the landmark and affinity seconds, the
-minibatch batches run and the dead-center repairs) appear only in
-run.json so every other artifact is byte-reproducible.
+run.json. Wall-clock timings, the process's peak resident memory and
+per-repeat diagnostics (the spectral solver and spectrum; per member the
+metric, the landmark and affinity seconds, the minibatch batches run and
+the dead-center repairs) appear only in run.json so every other artifact
+is byte-reproducible.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -20,6 +21,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import resource
 import time
 
 import numpy as np
@@ -42,6 +44,7 @@ from .rng import (
     STAGE_TRAIN,
     SeedStream,
 )
+from .sparse import csr_footprint_bytes
 from .trainer import SnapshotSchedule, train_snapshots
 
 MODELS = ("ssc", "ssc_rm", "kmeans", "dae_kmeans", "lsc", "dae_lsc")
@@ -51,11 +54,6 @@ _TRAINED = ("ssc", "ssc_rm", "dae_kmeans", "dae_lsc")
 _SPECTRAL = ("ssc", "ssc_rm", "lsc", "dae_lsc")
 
 NMI_VARIANT = "sqrt-normalized mutual information, natural log"
-
-# reported struct accounting: 8-byte value + 4-byte column index per entry,
-# 8-byte row offsets
-_ENTRY_BYTES = 12
-_OFFSET_BYTES = 8
 
 
 @dataclasses.dataclass
@@ -155,6 +153,7 @@ def _single_run(
                 members.append(build_affinity(Y, lm, params))
             member_diagnostics.append(
                 {
+                    "metric": params.metric.label(),
                     "landmarks_s": landmarks_done - start,
                     "affinity_s": time.perf_counter() - landmarks_done,
                     "batches": lm.meta["batches"],
@@ -173,7 +172,7 @@ def _single_run(
         with _stage(timings, "kmeans"):
             partition = kmeans(U, config.k, rep.child(STAGE_KMEANS))
         footprint = {
-            "member_affinity_bytes": members[0].footprint_bytes(),
+            "member_affinity_bytes": members[0].matrix.footprint_bytes(),
             "member_affinity_nbytes": members[0].matrix.nbytes(),
             "fused_nnz": fused.nnz,
             "density": members[0].density,
@@ -302,6 +301,8 @@ def run_model(
         "total_seconds": total,
         "footprint": footprint,
         "diagnostics": diagnostics,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}
     record = RunRecord(
@@ -369,7 +370,7 @@ def footprint_report(n: int, p: int, r: int, m: int) -> dict:
     """Memory accounting for the sparse representation vs a dense n x n one."""
     if n < 1 or p < 1 or r < 1 or m < 1:
         raise ConfigError("footprint needs positive n, p, r, m")
-    member_bytes = n * r * _ENTRY_BYTES + (n + 1) * _OFFSET_BYTES
+    member_bytes = csr_footprint_bytes(n, n * r)
     dense_bytes = n * n * 8
     return {
         "n": n,
@@ -380,7 +381,7 @@ def footprint_report(n: int, p: int, r: int, m: int) -> dict:
         "member_affinity_bytes": member_bytes,
         "member_affinity_mib": member_bytes / 2**20,
         "fused_nnz": m * n * r,
-        "fused_bytes": m * n * r * _ENTRY_BYTES + (n + 1) * _OFFSET_BYTES,
+        "fused_bytes": csr_footprint_bytes(n, m * n * r),
         "dense_equivalent_bytes": dense_bytes,
         "dense_equivalent_gib": dense_bytes / 2**30,
     }

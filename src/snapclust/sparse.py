@@ -140,12 +140,17 @@ class SparseRowMatrix:
         return self.values.nbytes + self.col_indices.nbytes + self.row_offsets.nbytes
 
     def footprint_bytes(self) -> int:
-        """Modelled compact CSR size: f64 values, u32 column indices, i64 offsets.
+        """Modelled compact CSR size (see `csr_footprint_bytes`).
 
         A model, not a measurement: the arrays here hold int64 column
         indices, so `nbytes()` is larger by 4 bytes per nonzero.
         """
-        return self.nnz * (8 + 4) + (self.rows + 1) * 8
+        return csr_footprint_bytes(self.rows, self.nnz)
+
+
+def csr_footprint_bytes(rows: int, nnz: int) -> int:
+    """Compact CSR size: f64 value + u32 column index per entry, i64 row offsets."""
+    return nnz * (8 + 4) + (rows + 1) * 8
 
 
 def sparse_from_triplets(

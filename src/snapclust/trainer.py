@@ -95,7 +95,6 @@ def train_snapshots(
     batch_size: int,
     rng: SeedStream,
     momentum: float = DEFAULT_MOMENTUM,
-    lr_per_batch: bool = False,
 ) -> tuple[list[EncoderSnapshot], EmbeddingSet]:
     """Train the denoising autoencoder and capture M encoder snapshots.
 
@@ -114,10 +113,6 @@ def train_snapshots(
         spec.init_seed, so (spec, schedule, rng) fixes the run exactly.
     momentum : float
         Classical momentum coefficient (0 disables).
-    lr_per_batch : bool
-        Apply the cosine schedule per minibatch instead of per epoch; the
-        schedule is then stretched to total_epochs * batches_per_epoch steps
-        and snapshots land on the corresponding batch boundaries.
 
     Returns
     -------
@@ -136,20 +131,11 @@ def train_snapshots(
         raise ConfigError(f"batch_size must be in [1, {n}], got {batch_size}")
 
     n_batches = math.ceil(n / batch_size)
-    if lr_per_batch:
-        iter_schedule = SnapshotSchedule(
-            schedule.alpha0, schedule.total_epochs * n_batches, schedule.cycles
-        )
-        capture_points = snapshot_epochs(iter_schedule)  # iteration indices
-    else:
-        iter_schedule = None
-        capture_points = snapshot_epochs(schedule)  # epoch indices
-    next_capture = 0  # index into the nondecreasing capture_points list
+    capture_epochs = snapshot_epochs(schedule)
 
     params = init_params(spec)
     velocity = None
     snapshots: list[EncoderSnapshot] = []
-    iteration = 0
 
     for t in range(1, schedule.total_epochs + 1):
         epoch_stream = rng.child(STAGE_EPOCH, t)
@@ -159,9 +145,6 @@ def train_snapshots(
 
         loss_sum = 0.0
         for b in range(n_batches):
-            iteration += 1
-            if lr_per_batch:
-                lr = cosine_lr(iteration, iter_schedule)
             idx = order[b * batch_size : (b + 1) * batch_size]
             clean = X[idx]
             if spec.input_noise_sigma > 0:
@@ -177,15 +160,9 @@ def train_snapshots(
                 )
             loss_sum += loss
             params, velocity = sgd_step(params, grads, lr, momentum, velocity)
-            if lr_per_batch:
-                while next_capture < len(capture_points) and capture_points[next_capture] == iteration:
-                    snapshots.append(_capture(params, spec, len(snapshots) + 1, loss_sum / (b + 1)))
-                    next_capture += 1
         epoch_loss = loss_sum / n_batches
-        if not lr_per_batch:
-            while next_capture < len(capture_points) and capture_points[next_capture] == t:
-                snapshots.append(_capture(params, spec, len(snapshots) + 1, epoch_loss))
-                next_capture += 1
+        for _ in range(capture_epochs.count(t)):
+            snapshots.append(_capture(params, spec, len(snapshots) + 1, epoch_loss))
 
     if len(snapshots) != schedule.cycles:
         raise NumericalError(

@@ -247,6 +247,27 @@ def test_nearest_rows_equals_stable_argsort_on_ties():
                 assert np.array_equal(_nearest_rows(d, r), stable_oracle(d, r)), (p, r)
 
 
+def test_nearest_rows_non_finite_rows_and_input_untouched():
+    gen = np.random.default_rng(10)
+    p = 9
+    d = gen.integers(0, 4, size=(40, p)).astype(np.float64)
+    d[0, 3] = np.nan
+    d[1, [2, 5]] = np.nan
+    d[2] = np.inf
+    d[2, 4] = 1.0  # one finite entry, then more than r +infs
+    d[3, [1, 6]] = -np.inf
+    d[4] = np.inf
+    d[5, [0, 3, 8]] = [np.inf, np.nan, -np.inf]
+    scatter = gen.random(size=(34, p))
+    d[6:][scatter < 0.1] = np.nan
+    d[6:][(scatter >= 0.1) & (scatter < 0.2)] = np.inf
+    d[6:][(scatter >= 0.2) & (scatter < 0.25)] = -np.inf
+    before = d.copy()
+    for r in range(1, p):
+        assert np.array_equal(_nearest_rows(d, r), stable_oracle(d, r)), r
+        assert np.array_equal(d, before, equal_nan=True), r
+
+
 def test_blocked_build_matches_one_block(monkeypatch):
     gen = np.random.default_rng(9)
     n, p, r = 23, 7, 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from snapclust import distances
 from snapclust.distances import (
     COSINE,
     EUCLIDEAN,
@@ -107,6 +108,24 @@ def test_pairwise_matches_scalar_loop():
         got = pairwise_distance(A, B, metric)
         want = np.array([[distance(a, b, metric) for b in B] for a in A])
         assert np.allclose(got, want, atol=1e-10)
+
+
+def test_minkowski_pairwise_matches_scalar_on_relu_codes(monkeypatch):
+    # ReLU codes: many coordinates where both points are exactly zero
+    gen = np.random.default_rng(7)
+    for n, m, d in ((40, 25, 16), (1, 25, 16), (40, 25, 1)):
+        A = np.maximum(gen.normal(size=(n, d)), 0.0)
+        B = np.maximum(gen.normal(size=(m, d)), 0.0)
+        B[0] = A[0]  # an exactly zero distance
+        for q in (3.0, 1.5, 1.0, 0.5):
+            metric = Metric("minkowski", q)
+            got = pairwise_distance(A, B, metric)
+            want = np.array([[distance(a, b, metric) for b in B] for a in A])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            # 3-row chunks, the last one short, give the same bits as one chunk
+            monkeypatch.setattr(distances, "_CHUNK_ENTRIES", 3 * m)
+            assert np.array_equal(pairwise_distance(A, B, metric), got)
+            monkeypatch.undo()
 
 
 def test_pairwise_nonnegative_under_cancellation():

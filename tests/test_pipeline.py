@@ -238,14 +238,21 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     report = (outs[0] / "report.json").read_bytes()
-    assert b"batches" not in report and b"nbytes" not in report
+    for key in (b"batches", b"nbytes", b"peak_rss", b"minkowski"):
+        assert key not in report, key
     run_doc = json.loads((outs[0] / "run.json").read_text())
     assert run_doc["footprint"]["member_affinity_nbytes"] > 0
+    assert 0 < run_doc["peak_rss_mib"] < 2**20
     for repeat in run_doc["diagnostics"]:
         members = repeat["members"]
         assert len(members) == cfg.m
+        assert [member["metric"] for member in members] == [
+            "euclidean", "cosine", "minkowski(q=3)"
+        ]
         for member in members:
-            assert set(member) == {"landmarks_s", "affinity_s", "batches", "dead_repairs"}
+            assert set(member) == {
+                "metric", "landmarks_s", "affinity_s", "batches", "dead_repairs"
+            }
             assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
             assert 1 <= member["batches"] <= 100
             assert 0 <= member["dead_repairs"] < cfg.landmarks
