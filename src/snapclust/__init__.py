@@ -37,7 +37,6 @@ from .pipeline import (
     train_ensemble,
 )
 from .rng import SeedStream
-from .sparse import SparseRowMatrix, sparse_from_triplets
 from .trainer import (
     SnapshotSchedule,
     cosine_lr,
@@ -68,7 +67,6 @@ __all__ = [
     "SnapclustError",
     "SnapshotSchedule",
     "SparseAffinity",
-    "SparseRowMatrix",
     "SpectralEmbedding",
     "accuracy",
     "aggregate",
@@ -108,7 +106,6 @@ __all__ = [
     "scott_bandwidth",
     "score",
     "snapshot_epochs",
-    "sparse_from_triplets",
     "sweep",
     "train_ensemble",
     "train_snapshots",

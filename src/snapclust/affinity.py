@@ -8,7 +8,8 @@ Distances are computed in row blocks of max(1, BLOCK_ENTRIES // p) points,
 and the r nearest landmarks of each row are picked by r successive
 argmins rather than a full sort, so peak memory is O(block * p + n * r)
 instead of a dense n x p matrix. Ties at the r-th distance still go to
-the lower landmark index, exactly as a stable sort would order them.
+the lower landmark index, exactly as a stable sort would order them. The
+result is a scipy `csr_array` with sorted columns in each row.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .distances import EUCLIDEAN, Metric, pairwise_distance
 from .errors import ConfigError, DataError, NumericalError
 from .landmarks import LandmarkSet
-from .sparse import SparseRowMatrix
 
 ROW_SUM_TOL = 1e-10
 
@@ -98,21 +99,25 @@ def nearest_landmarks(
 
 @dataclass
 class SparseAffinity:
-    """Row-stochastic n x p affinity with exactly r nonzeros per row."""
+    """Row-stochastic n x p CSR affinity: r sorted, distinct columns per row."""
 
-    matrix: SparseRowMatrix
+    matrix: csr_array
     params: AffinityParams
     bandwidth: float
     landmark_ref: str = ""
 
     def __post_init__(self):
-        counts = self.matrix.row_counts()
-        if not np.all(counts == self.params.r):
+        M = self.matrix
+        if not np.all(np.diff(M.indptr) == self.params.r):
             raise DataError(f"affinity rows must hold exactly r={self.params.r} nonzeros")
-        sums = self.matrix.row_sums()
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        cols = M.indices
+        in_range = not M.nnz or 0 <= cols.min() <= cols.max() < M.shape[1]
+        if not (M.has_canonical_format and in_range):
+            raise DataError("affinity columns must be in range, sorted and unique in each row")
+        if np.any(np.abs(M.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise DataError("affinity rows must sum to 1")
-        if self.matrix.nnz and self.matrix.values.min() <= 0.0:
+        # written so that NaN fails too
+        if M.nnz and not (M.data.min() > 0.0 and M.data.max() <= 1.0):
             raise DataError("affinity values must lie in (0, 1]")
         if self.bandwidth <= 0:
             raise DataError("bandwidth must be positive")
@@ -123,7 +128,7 @@ class SparseAffinity:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.matrix.rows, self.matrix.cols)
+        return self.matrix.shape
 
     @property
     def nnz(self) -> int:
@@ -131,7 +136,7 @@ class SparseAffinity:
 
     @property
     def density(self) -> float:
-        return self.params.r / self.matrix.cols
+        return self.params.r / self.matrix.shape[1]
 
 
 def build_affinity(
@@ -196,5 +201,5 @@ def build_affinity(
     cols = np.take_along_axis(nearest, order, axis=1).reshape(-1)
     vals = np.take_along_axis(weights, order, axis=1).reshape(-1)
     offsets = np.arange(n + 1, dtype=np.int64) * r
-    matrix = SparseRowMatrix(n, p, offsets, cols.astype(np.int64), vals)
+    matrix = csr_array((vals, cols, offsets), shape=(n, p))
     return SparseAffinity(matrix, params=params, bandwidth=sigma, landmark_ref=ref)

@@ -1,10 +1,11 @@
 """Member fusion and the spectral embedding of the fused affinity.
 
-Fusion concatenates the m member affinities column-wise and scales by
-1/sqrt(m), so the fused Gram matrix is the average of the member Grams.
-The k leading left singular vectors come from the top k+1 eigenpairs of
-G = Z^T Z and a single sparse back-multiply, never from densifying the
-n x m*p matrix. G itself is formed only when it is tiny (at most
+Fusion concatenates the m member affinities column-wise (scipy `hstack`
+into one `csr_array`) and scales by 1/sqrt(m), so the fused Gram matrix
+is the average of the member Grams. The k leading left singular vectors
+come from the top k+1 eigenpairs of G = Z^T Z and a single sparse
+back-multiply Z @ V, never from densifying the n x m*p matrix. G itself
+is formed, as (Z^T Z).toarray(), only when it is tiny (at most
 max(2k+3, 20) columns, where ARPACK's Lanczos basis would fill the whole
 space). Otherwise ARPACK's Lanczos solver (scipy eigsh) applies
 v -> Z^T (Z v) at O(nnz) per step from a fixed start vector.
@@ -16,13 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, hstack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .affinity import SparseAffinity
 from .errors import ConfigError, DataError, NumericalError
 from .rng import STAGE_SPECTRAL, SeedStream
-from .sparse import SparseRowMatrix, hstack_scaled
 
 RANK_TOL = 1e-10
 FUSED_ROW_SUM_TOL = 1e-9
@@ -37,7 +37,7 @@ class FusedAffinity:
     closing entry at the total width, so members may differ in p.
     """
 
-    matrix: SparseRowMatrix
+    matrix: csr_array
     member_count: int
     member_boundaries: tuple[int, ...]
 
@@ -48,18 +48,18 @@ class FusedAffinity:
         if (
             len(b) != self.member_count + 1
             or b[0] != 0
-            or b[-1] != self.matrix.cols
+            or b[-1] != self.matrix.shape[1]
             or any(b[i] >= b[i + 1] for i in range(len(b) - 1))
         ):
             raise DataError("member boundaries must partition the fused columns")
         target = math.sqrt(self.member_count)
-        sums = self.matrix.row_sums()
+        sums = self.matrix.sum(axis=1)
         if np.any(np.abs(sums - target) > FUSED_ROW_SUM_TOL * max(1.0, target)):
             raise DataError(f"fused rows must sum to sqrt(m) = {target:.6g}")
 
     @property
     def rows(self) -> int:
-        return self.matrix.rows
+        return self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
@@ -70,10 +70,11 @@ def fuse(members: list[SparseAffinity]) -> FusedAffinity:
     """Fuse member affinities into one row-scaled block matrix."""
     if not members:
         raise DataError("fuse: empty member list")
+    if len({a.matrix.shape[0] for a in members}) > 1:
+        raise DataError("fuse: members disagree on row count")
     m = len(members)
-    factor = 1.0 / math.sqrt(m)
-    fused = hstack_scaled([a.matrix for a in members], factor)
-    boundaries = (0, *np.cumsum([a.matrix.cols for a in members]).tolist())
+    fused = hstack([a.matrix for a in members], format="csr") * (1.0 / math.sqrt(m))
+    boundaries = (0, *np.cumsum([a.matrix.shape[1] for a in members]).tolist())
     return FusedAffinity(fused, m, tuple(int(x) for x in boundaries))
 
 
@@ -107,29 +108,26 @@ class SpectralEmbedding:
         return self.U.shape[1]
 
 
-def _degree_scale(M: SparseRowMatrix) -> SparseRowMatrix:
+def _degree_scale(M: csr_array) -> csr_array:
     # scale column j by 1/sqrt(column sum); all-zero columns stay zero
-    colsums = np.zeros(M.cols, dtype=np.float64)
-    np.add.at(colsums, M.col_indices, M.values)
+    colsums = M.sum(axis=0)
     scale = np.where(colsums > 0, 1.0 / np.sqrt(np.where(colsums > 0, colsums, 1.0)), 0.0)
-    return SparseRowMatrix(
-        M.rows, M.cols, M.row_offsets, M.col_indices, M.values * scale[M.col_indices]
-    )
+    return csr_array((M.data * scale[M.indices], M.indices, M.indptr), shape=M.shape)
 
 
-def _top_eigenpairs(M: SparseRowMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
+def _top_eigenpairs(Z: csr_array, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Largest min(k+1, width) eigenpairs of Z^T Z, largest first, plus solver facts."""
-    count = min(k + 1, M.cols)
+    width = Z.shape[1]
+    count = min(k + 1, width)
     # ARPACK's Lanczos basis holds max(2*count + 1, 20) vectors (scipy's
     # default ncv). When that reaches the width, ARPACK either cannot run
     # (count >= width) or spans the whole space, so solve the small G exactly.
-    if M.cols <= max(2 * count + 1, 20):
-        w, V = np.linalg.eigh(M.gram())
+    if width <= max(2 * count + 1, 20):
+        w, V = np.linalg.eigh((Z.T @ Z).toarray())
         # eigh orders ascending
         meta = {"solver": "eigh", "operator_applications": 0}
         return w[::-1][:count], V[:, ::-1][:, :count], meta
 
-    Z = csr_array((M.values, M.col_indices, M.row_offsets), shape=(M.rows, M.cols))
     applications = 0
 
     def apply_gram(v):
@@ -137,13 +135,13 @@ def _top_eigenpairs(M: SparseRowMatrix, k: int) -> tuple[np.ndarray, np.ndarray,
         applications += 1
         return Z.T @ (Z @ v)
 
-    op = LinearOperator((M.cols, M.cols), matvec=apply_gram, dtype=np.float64)
-    v0 = SeedStream(0).child(STAGE_SPECTRAL).generator().uniform(-1.0, 1.0, M.cols)
+    op = LinearOperator((width, width), matvec=apply_gram, dtype=np.float64)
+    v0 = SeedStream(0).child(STAGE_SPECTRAL).generator().uniform(-1.0, 1.0, width)
     try:
         w, V = eigsh(op, k=count, which="LA", tol=0, v0=v0)
     except ArpackNoConvergence:
         raise NumericalError(
-            f"Lanczos eigensolver did not converge on the fused Gram (width {M.cols}, "
+            f"Lanczos eigensolver did not converge on the fused Gram (width {width}, "
             f"k={k}); use a smaller k, or check the fused affinity for a "
             "degenerate spectrum"
         ) from None
@@ -152,7 +150,7 @@ def _top_eigenpairs(M: SparseRowMatrix, k: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def left_singular_vectors(
-    fused: FusedAffinity | SparseRowMatrix,
+    fused: FusedAffinity | csr_array,
     k: int,
     degree_normalize: bool = False,
     row_normalize: bool = False,
@@ -171,8 +169,9 @@ def left_singular_vectors(
     is zero or beyond the width).
     """
     M = fused.matrix if isinstance(fused, FusedAffinity) else fused
-    if not 1 <= k <= min(M.rows, M.cols):
-        raise ConfigError(f"k must satisfy 1 <= k <= min(n, m*p), got k={k} for {M.rows}x{M.cols}")
+    n, width = M.shape
+    if not 1 <= k <= min(n, width):
+        raise ConfigError(f"k must satisfy 1 <= k <= min(n, m*p), got k={k} for {n}x{width}")
     if degree_normalize:
         M = _degree_scale(M)
 
@@ -183,7 +182,7 @@ def left_singular_vectors(
         raise NumericalError(
             f"fused affinity is rank deficient: s_{k}={s[k - 1]:.3e} vs s_1={s[0]:.3e}"
         )
-    U = M.matmul_dense(V) / s[None, :]
+    U = (M @ V) / s[None, :]
 
     # deterministic sign: largest-magnitude entry of each column positive
     anchor = np.argmax(np.abs(U), axis=0)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .io import LANDMARK_MAGIC, read_container, write_container
 from .kmeans import _center_sums, _sq_dists, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
@@ -130,21 +131,17 @@ def minibatch_kmeans(
 
 def save_landmarks(path, landmarks: LandmarkSet) -> None:
     """Write a landmark set as a single-block binary container."""
-    from .trainer import LANDMARK_MAGIC, _write_container
-
     meta = {
         "seed": landmarks.seed,
         "source_metric": landmarks.source_metric,
         "meta": landmarks.meta,
     }
     empty_bias = np.zeros(landmarks.dims, dtype=np.float64)
-    _write_container(path, LANDMARK_MAGIC, [(landmarks.centers, empty_bias)], meta)
+    write_container(path, LANDMARK_MAGIC, [(landmarks.centers, empty_bias)], meta)
 
 
 def load_landmarks(path) -> LandmarkSet:
-    from .trainer import LANDMARK_MAGIC, _read_container
-
-    layers, meta = _read_container(path, LANDMARK_MAGIC)
+    layers, meta = read_container(path, LANDMARK_MAGIC)
     if len(layers) != 1:
         raise DataError(f"{path}: landmark container must hold exactly one block")
     centers, _ = layers[0]

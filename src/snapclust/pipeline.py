@@ -8,7 +8,8 @@ run.json. Wall-clock timings, the process's peak resident memory and
 per-repeat diagnostics (the spectral solver and spectrum; per member the
 metric, the landmark and affinity seconds, the minibatch batches run and
 the dead-center repairs) appear only in run.json so every other artifact
-is byte-reproducible.
+is byte-reproducible. Its footprint gives a member affinity's modelled
+compact CSR size and the bytes its scipy `csr_array` actually holds.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -44,7 +45,6 @@ from .rng import (
     STAGE_TRAIN,
     SeedStream,
 )
-from .sparse import csr_footprint_bytes
 from .trainer import SnapshotSchedule, train_snapshots
 
 MODELS = ("ssc", "ssc_rm", "kmeans", "dae_kmeans", "lsc", "dae_lsc")
@@ -171,9 +171,10 @@ def _single_run(
             )
         with _stage(timings, "kmeans"):
             partition = kmeans(U, config.k, rep.child(STAGE_KMEANS))
+        Z = members[0].matrix
         footprint = {
-            "member_affinity_bytes": members[0].matrix.footprint_bytes(),
-            "member_affinity_nbytes": members[0].matrix.nbytes(),
+            "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
+            "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
             "fused_nnz": fused.nnz,
             "density": members[0].density,
             "dense_equivalent_bytes": n * n * 8,
@@ -364,6 +365,11 @@ def sweep(
         _, _, record = run_model(model, cfg, X, truth, sub_dir)
         records.append(record)
     return records
+
+
+def csr_footprint_bytes(rows: int, nnz: int) -> int:
+    """Modelled compact CSR size: f64 value and u32 column per entry, i64 row offsets."""
+    return nnz * (8 + 4) + (rows + 1) * 8
 
 
 def footprint_report(n: int, p: int, r: int, m: int) -> dict:

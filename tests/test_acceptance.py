@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_array
 
 from snapclust.affinity import AffinityParams, build_affinity
 from snapclust.autoencoder import backward, forward, reconstruction_loss
@@ -31,7 +32,6 @@ from snapclust.kmeans import kmeans
 from snapclust.landmarks import LandmarkSet
 from snapclust.pipeline import footprint_report, run_baseline, run_ssc, run_ssc_rm
 from snapclust.rng import SeedStream
-from snapclust.sparse import sparse_from_triplets
 from snapclust.trainer import SnapshotSchedule, cosine_lr
 
 
@@ -166,7 +166,7 @@ def test_criterion_03_affinity_row_contract():
         landmarks = LandmarkSet(gen.normal(size=(p, d)) * 2.0, seed=trial)
         params = AffinityParams(r, parse_metric(metric_names[trial % 3]))
         aff = build_affinity(Y, landmarks, params)
-        dense = aff.matrix.to_dense()
+        dense = aff.matrix.toarray()
         assert np.all((dense > 0).sum(axis=1) == r)  # exactly r per row
         assert aff.matrix.nnz == n * r
         assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-10  # unit rows
@@ -198,8 +198,9 @@ def test_criterion_04_svd_matches_dense_oracle():
         for i in range(n):
             cols = sorted(gen.choice(p, size=r, replace=False).tolist())
             trips.extend((i, int(j), float(gen.uniform(0.05, 1.0))) for j in cols)
-        Z = sparse_from_triplets(n, p, trips)
-        U_ref, s_ref, _ = scipy.linalg.svd(Z.to_dense(), full_matrices=False)
+        ri, ci, vv = zip(*trips)
+        Z = csr_array((vv, (ri, ci)), shape=(n, p))
+        U_ref, s_ref, _ = scipy.linalg.svd(Z.toarray(), full_matrices=False)
         k = int(gen.integers(1, min(6, p) + 1))
         # subspace comparison is only well posed with a spectral gap at k
         if s_ref[k - 1] <= 1e-8 * s_ref[0]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from snapclust import affinity
 from snapclust.affinity import (
@@ -16,7 +17,6 @@ from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.landmarks import LandmarkSet
 from snapclust.rng import SeedStream
-from snapclust.sparse import sparse_from_triplets
 
 
 def test_scott_two_point_formula():
@@ -106,7 +106,7 @@ def test_hand_kernel_example():
     aff = build_affinity(
         np.zeros((1, 2)), lm, AffinityParams(r=2, metric=EUCLIDEAN, sigma=1.0)
     )
-    dense = aff.matrix.to_dense()
+    dense = aff.matrix.toarray()
     k1, k2 = np.exp(-0.5), np.exp(-2.0)
     assert dense[0, 0] == pytest.approx(k1 / (k1 + k2), rel=1e-12)
     assert dense[0, 1] == pytest.approx(k2 / (k1 + k2), rel=1e-12)
@@ -120,7 +120,7 @@ def test_r1_rows_are_indicator():
     Y = gen.normal(size=(40, 3))
     lm = landmarks_from(gen.normal(size=(6, 3)))
     aff = build_affinity(Y, lm, AffinityParams(r=1))
-    dense = aff.matrix.to_dense()
+    dense = aff.matrix.toarray()
     assert np.all(dense.max(axis=1) == 1.0)
     assert np.array_equal(dense.sum(axis=1), np.ones(40))
 
@@ -128,7 +128,7 @@ def test_r1_rows_are_indicator():
 def test_equidistant_pair_splits_half():
     lm = landmarks_from([[1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
     aff = build_affinity(np.zeros((1, 2)), lm, AffinityParams(r=2, sigma=0.7))
-    dense = aff.matrix.to_dense()
+    dense = aff.matrix.toarray()
     assert dense[0, 0] == pytest.approx(0.5, rel=1e-12)
     assert dense[0, 1] == pytest.approx(0.5, rel=1e-12)
 
@@ -144,11 +144,11 @@ def test_row_contract_randomized():
         lm = landmarks_from(gen.normal(size=(p, d)))
         metric = (EUCLIDEAN, MINKOWSKI3)[int(gen.integers(2))]
         aff = build_affinity(Y, lm, AffinityParams(r=r, metric=metric))
-        assert np.array_equal(aff.matrix.row_counts(), np.full(n, r))
-        assert np.allclose(aff.matrix.row_sums(), 1.0, atol=1e-10)
+        assert np.array_equal(np.diff(aff.matrix.indptr), np.full(n, r))
+        assert np.allclose(aff.matrix.sum(axis=1), 1.0, atol=1e-10)
         assert aff.density == pytest.approx(r / p)
         assert aff.nnz == n * r
-        assert 0.0 < aff.matrix.values.min() and aff.matrix.values.max() <= 1.0
+        assert 0.0 < aff.matrix.data.min() and aff.matrix.data.max() <= 1.0
 
 
 def test_kernel_monotone_within_row():
@@ -156,7 +156,7 @@ def test_kernel_monotone_within_row():
     Y = gen.normal(size=(25, 3))
     lm = landmarks_from(gen.normal(size=(8, 3)))
     aff = build_affinity(Y, lm, AffinityParams(r=4))
-    dense = aff.matrix.to_dense()
+    dense = aff.matrix.toarray()
     for i in range(25):
         d = np.linalg.norm(Y[i] - lm.centers, axis=1)
         kept = np.nonzero(dense[i])[0]
@@ -174,7 +174,7 @@ def test_selection_scale_equivariance():
         b = build_affinity(
             2.0 * Y, landmarks_from(2.0 * C), AffinityParams(r=3, metric=metric)
         )
-        assert np.array_equal(a.matrix.col_indices, b.matrix.col_indices)
+        assert np.array_equal(a.matrix.indices, b.matrix.indices)
 
 
 def test_bandwidth_auto_uses_scott():
@@ -183,7 +183,7 @@ def test_bandwidth_auto_uses_scott():
     lm = landmarks_from(gen.normal(size=(6, 4)))
     auto = build_affinity(Y, lm, AffinityParams(r=2))
     fixed = build_affinity(Y, lm, AffinityParams(r=2, sigma=scott_bandwidth(Y)))
-    assert np.array_equal(auto.matrix.values, fixed.matrix.values)
+    assert np.array_equal(auto.matrix.data, fixed.matrix.data)
     assert auto.bandwidth == pytest.approx(scott_bandwidth(Y))
 
 
@@ -207,13 +207,13 @@ def test_determinism():
     lm = landmarks_from(gen.normal(size=(9, 3)), seed=4)
     a = build_affinity(Y, lm, AffinityParams(r=3))
     b = build_affinity(Y, lm, AffinityParams(r=3))
-    assert np.array_equal(a.matrix.values, b.matrix.values)
-    assert np.array_equal(a.matrix.col_indices, b.matrix.col_indices)
+    assert np.array_equal(a.matrix.data, b.matrix.data)
+    assert np.array_equal(a.matrix.indices, b.matrix.indices)
     assert a.landmark_ref == lm.fingerprint()
 
 
 def test_sparse_affinity_validates_row_sums():
-    bad = sparse_from_triplets(2, 3, [(0, 0, 0.5), (0, 1, 0.4), (1, 0, 0.6), (1, 2, 0.4)])
+    bad = csr_array(np.array([[0.5, 0.4, 0.0], [0.6, 0.0, 0.4]]))
     with pytest.raises(DataError):
         SparseAffinity(bad, AffinityParams(r=2, sigma=1.0), bandwidth=1.0)
 
@@ -281,9 +281,9 @@ def test_blocked_build_matches_one_block(monkeypatch):
             monkeypatch.setattr(affinity, "BLOCK_ENTRIES", entries)
             blocked = build_affinity(Y, lm, params)
             monkeypatch.undo()
-            assert np.array_equal(blocked.matrix.col_indices, whole.matrix.col_indices)
-            assert np.array_equal(blocked.matrix.row_offsets, whole.matrix.row_offsets)
-            assert np.allclose(blocked.matrix.values, whole.matrix.values, rtol=0, atol=1e-12)
+            assert np.array_equal(blocked.matrix.indices, whole.matrix.indices)
+            assert np.array_equal(blocked.matrix.indptr, whole.matrix.indptr)
+            assert np.allclose(blocked.matrix.data, whole.matrix.data, rtol=0, atol=1e-12)
             assert blocked.bandwidth == whole.bandwidth
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import block_diag, csr_array
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import snapclust.consensus as consensus
@@ -15,7 +16,6 @@ from snapclust.consensus import (
 )
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.landmarks import LandmarkSet
-from snapclust.sparse import SparseRowMatrix, sparse_from_triplets
 
 
 def random_affinity(gen, n, p, r):
@@ -24,12 +24,17 @@ def random_affinity(gen, n, p, r):
     return build_affinity(Y, lm, AffinityParams(r=r))
 
 
+def csr_from_triplets(rows, cols, trips):
+    i, j, v = zip(*trips) if trips else ((), (), ())
+    return csr_array((np.array(v, dtype=np.float64), (i, j)), shape=(rows, cols))
+
+
 def random_sparse(gen, n, p, r):
     trips = []
     for i in range(n):
         cols = sorted(gen.choice(p, size=r, replace=False).tolist())
         trips.extend((i, int(j), float(gen.uniform(0.05, 1.0))) for j in cols)
-    return sparse_from_triplets(n, p, trips)
+    return csr_from_triplets(n, p, trips)
 
 
 def test_fuse_single_member_is_identity():
@@ -38,15 +43,15 @@ def test_fuse_single_member_is_identity():
     fused = fuse([aff])
     assert fused.member_count == 1
     assert fused.member_boundaries == (0, 5)
-    assert np.array_equal(fused.matrix.to_dense(), aff.matrix.to_dense())
+    assert np.array_equal(fused.matrix.toarray(), aff.matrix.toarray())
 
 
 def test_fuse_four_members_halves_values():
     gen = np.random.default_rng(1)
     members = [random_affinity(gen, 10, 4, 2) for _ in range(4)]
     fused = fuse(members)
-    block = fused.matrix.to_dense()[:, :4]
-    assert np.allclose(block, members[0].matrix.to_dense() * 0.5)
+    block = fused.matrix.toarray()[:, :4]
+    assert np.allclose(block, members[0].matrix.toarray() * 0.5)
     assert fused.matrix.nnz == 4 * 10 * 2
 
 
@@ -55,7 +60,7 @@ def test_fused_row_sums_sqrt_m():
     for m in (1, 2, 3, 6):
         members = [random_affinity(gen, 15, 6, 3) for _ in range(m)]
         fused = fuse(members)
-        assert np.allclose(fused.matrix.row_sums(), np.sqrt(m), atol=1e-9)
+        assert np.allclose(fused.matrix.sum(axis=1), np.sqrt(m), atol=1e-9)
 
 
 def test_fuse_mixed_widths_records_boundaries():
@@ -64,7 +69,16 @@ def test_fuse_mixed_widths_records_boundaries():
     b = random_affinity(gen, 10, 7, 2)
     fused = fuse([a, b])
     assert fused.member_boundaries == (0, 4, 11)
-    assert fused.matrix.cols == 11
+    assert fused.matrix.shape[1] == 11
+
+
+def test_fuse_matches_dense():
+    gen = np.random.default_rng(16)
+    members = [random_affinity(gen, 6, int(p), 2) for p in gen.integers(3, 8, size=3)]
+    fused = fuse(members)
+    ref = np.hstack([a.matrix.toarray() for a in members]) * (1.0 / np.sqrt(3))
+    assert np.array_equal(fused.matrix.toarray(), ref)
+    assert fused.matrix.shape == (6, sum(a.shape[1] for a in members))
 
 
 def test_fuse_rejects_row_mismatch():
@@ -78,7 +92,7 @@ def test_fuse_rejects_row_mismatch():
 
 
 def test_identity_matrix_embedding():
-    Z = sparse_from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
+    Z = csr_from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
     emb = left_singular_vectors(Z, 2)
     assert np.allclose(emb.singular_values, [1.0, 1.0])
     # columns of U span a 2-D coordinate subspace; each is a standard basis vector
@@ -91,7 +105,7 @@ def test_rank_one_example():
     a = np.array([3.0, 0.0, 4.0])
     b = np.array([1.0, 2.0])
     trips = [(i, j, a[i] * b[j]) for i in range(3) for j in range(2) if a[i] * b[j] != 0]
-    Z = sparse_from_triplets(3, 2, trips)
+    Z = csr_from_triplets(3, 2, trips)
     emb = left_singular_vectors(Z, 1)
     assert emb.singular_values[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b))
     u = emb.U[:, 0]
@@ -106,7 +120,7 @@ def test_matches_dense_svd_oracle():
         p = int(gen.integers(4, 30))
         r = int(gen.integers(1, min(p, 5)))
         Z = random_sparse(gen, n, p, r)
-        U_ref, s_ref, _ = scipy.linalg.svd(Z.to_dense(), full_matrices=False)
+        U_ref, s_ref, _ = scipy.linalg.svd(Z.toarray(), full_matrices=False)
         k = int(gen.integers(1, min(5, p) + 1))
         # subspace comparison needs a spectral gap at k
         if s_ref[0] <= 0 or s_ref[k - 1] <= 1e-8 * s_ref[0]:
@@ -145,13 +159,13 @@ def test_sign_fix_deterministic():
 def test_rank_deficiency_rejected():
     # rank-1 matrix cannot support k=2
     trips = [(i, j, 1.0) for i in range(4) for j in range(2)]
-    Z = sparse_from_triplets(4, 2, trips)
+    Z = csr_from_triplets(4, 2, trips)
     with pytest.raises(NumericalError, match="rank"):
         left_singular_vectors(Z, 2)
 
 
 def test_k_bounds():
-    Z = sparse_from_triplets(3, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    Z = csr_from_triplets(3, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(ConfigError):
         left_singular_vectors(Z, 0)
     with pytest.raises(ConfigError):
@@ -161,7 +175,7 @@ def test_k_bounds():
 def test_fused_affinity_accepts_valid_only():
     gen = np.random.default_rng(8)
     aff = random_affinity(gen, 10, 4, 2)
-    scaled = aff.matrix.scaled(1.0)
+    scaled = aff.matrix.copy()
     FusedAffinity(scaled, 1, (0, 4))
     with pytest.raises(DataError):
         FusedAffinity(scaled, 4, (0, 4))  # row sums inconsistent with m=4
@@ -194,7 +208,7 @@ def test_spectral_embedding_validation():
 
 def assert_matches_svd(Z, k, emb):
     """Dense-SVD oracle: sigma within 1e-10 relative, projector within 1e-8."""
-    U_ref, s_ref, _ = scipy.linalg.svd(Z.to_dense(), full_matrices=False)
+    U_ref, s_ref, _ = scipy.linalg.svd(Z.toarray(), full_matrices=False)
     assert np.max(np.abs(emb.singular_values - s_ref[:k]) / s_ref[:k]) <= 1e-10
     P_ref = U_ref[:, :k] @ U_ref[:, :k].T
     assert np.linalg.norm(emb.U @ emb.U.T - P_ref) <= 1e-8
@@ -209,7 +223,7 @@ def test_matrix_free_branch_matches_dense_svd_oracle():
         p = int(gen.integers(257, 701))
         r = int(gen.integers(1, 6))
         Z = random_sparse(gen, n, p, r)
-        s_ref = scipy.linalg.svdvals(Z.to_dense())
+        s_ref = scipy.linalg.svdvals(Z.toarray())
         k = int(gen.integers(1, 7))
         # subspace comparison needs a spectral gap at k
         if s_ref[k - 1] <= 1e-8 * s_ref[0] or (s_ref[k - 1] - s_ref[k]) < 1e-5 * s_ref[0]:
@@ -227,12 +241,7 @@ def test_matrix_free_branch_recovers_repeated_top_singular_values(copies):
     # `copies` times, so the top k = copies are exactly equal
     gen = np.random.default_rng(12 + copies)
     block = random_sparse(gen, 160, 130, 3)
-    triplets = [
-        (b * block.rows + i, b * block.cols + j, v)
-        for b in range(copies)
-        for i, j, v in block.to_triplets()
-    ]
-    Z = sparse_from_triplets(copies * block.rows, copies * block.cols, triplets)
+    Z = block_diag([block] * copies, format="csr")
     for k in (copies, 2 * copies):
         emb = left_singular_vectors(Z, k)
         assert emb.meta["solver"] == "eigsh"
@@ -244,7 +253,7 @@ def test_matrix_free_branch_rejects_rank_deficiency():
     # 300 columns but only two distinct row patterns: rank 2 cannot carry k=3
     rows = [[(j, 1.0) for j in range(0, 150, 3)], [(j, 1.0) for j in range(151, 300, 2)]]
     triplets = [(i, j, v) for i in range(40) for j, v in rows[i % 2]]
-    Z = sparse_from_triplets(40, 300, triplets)
+    Z = csr_from_triplets(40, 300, triplets)
     assert left_singular_vectors(Z, 2).meta["solver"] == "eigsh"
     with pytest.raises(NumericalError, match="rank"):
         left_singular_vectors(Z, 3)
@@ -261,7 +270,7 @@ def test_width_beyond_former_gram_cap_embeds():
     cols = np.sort(np.concatenate([np.zeros((n, 1), np.int64), offsets], axis=1), axis=1)
     cols += (group * span)[:, None]
     values = np.where(cols % span == 0, 1.0, gen.uniform(0.05, 0.5, size=(n, r)))
-    Z = SparseRowMatrix(n, width, np.arange(0, n * r + 1, r), cols.ravel(), values.ravel())
+    Z = csr_array((values.ravel(), cols.ravel(), np.arange(0, n * r + 1, r)), shape=(n, width))
     emb = left_singular_vectors(Z, groups)
     assert emb.meta["solver"] == "eigsh"
     assert emb.U.shape == (n, groups)
@@ -289,8 +298,28 @@ def test_spectrum_meta_on_both_branches():
     for p, solver in ((5, "eigh"), (20, "eigh"), (21, "eigsh"), (300, "eigsh")):
         Z = random_sparse(gen, 400, p, 3)
         emb = left_singular_vectors(Z, 4)
-        s = scipy.linalg.svdvals(Z.to_dense())
+        s = scipy.linalg.svdvals(Z.toarray())
         assert emb.meta["solver"] == solver
         assert (emb.meta["operator_applications"] > 0) == (solver == "eigsh")
         assert emb.meta["singular_values"] == emb.singular_values.tolist()
         assert emb.meta["eigengap"] == pytest.approx(s[3] / s[4], rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [8, 300])
+def test_back_multiply_matches_dense(monkeypatch, p):
+    # U = Z V / s against the dense product, on the eigh (p=8) and eigsh branches
+    eigenpairs = []
+
+    def spy(*args):
+        eigenpairs.append(top_eigenpairs(*args))
+        return eigenpairs[-1]
+
+    top_eigenpairs = consensus._top_eigenpairs
+    monkeypatch.setattr(consensus, "_top_eigenpairs", spy)
+    gen = np.random.default_rng(17)
+    Z = random_sparse(gen, 400, p, 3)
+    emb = left_singular_vectors(Z, 3)
+    w, V, _ = eigenpairs[0]
+    ref = Z.toarray() @ V[:, :3] / np.sqrt(w[:3])
+    signs = np.sign(np.sum(emb.U * ref, axis=0))
+    assert np.allclose(emb.U, ref * signs, rtol=0, atol=1e-12)

@@ -12,7 +12,7 @@ from snapclust.landmarks import (
 )
 from snapclust.kmeans import kmeans_pp_init
 from snapclust.rng import STAGE_BATCH, STAGE_INIT, SeedStream
-from snapclust.trainer import LANDMARK_MAGIC
+from snapclust.io import LANDMARK_MAGIC
 
 
 def test_landmark_set_validation():
