@@ -1,21 +1,26 @@
 """Command line interface.
 
 Subcommands: train, cluster, baseline, sweep, evaluate, synth, info.
-Configuration precedence: built-in defaults < --config file < flags.
+Every PipelineConfig field is a flag: config key `a_b` is `--a-b`, its
+value parsed by `config.parse_value` exactly as in a config file, and
+booleans are `--a-b/--no-a-b`. Configuration precedence: built-in
+defaults < --config file < flags.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_value
 from .datasets import (
+    FORMATS,
     load_dataset,
     load_labels,
     make_blobs,
@@ -34,82 +39,41 @@ from .pipeline import (
 )
 from .trainer import save_snapshot
 
-_CONFIG_FLAGS = (
-    "dataset",
-    "format",
-    "m",
-    "cycle_length",
-    "alpha0",
-    "encoding_size",
-    "hidden",
-    "landmarks",
-    "sparsity",
-    "metric",
-    "metrics",
-    "k",
-    "seed",
-    "repeats",
-    "batch_size",
-    "noise_sigma",
-    "momentum",
-    "activation",
-    "degree_normalize",
-    "row_normalize",
-)
+_FLAG_HELP = {
+    "dataset": "input data matrix",
+    "format": " | ".join(FORMATS),
+    "m": "ensemble size",
+    "alpha0": "max learning rate",
+    "hidden": "comma list of extra encoder widths",
+    "landmarks": "landmark count p",
+    "sparsity": "kept nearest landmarks r",
+    "metric": "euclidean | cosine | minkowski[:q]",
+    "metrics": "comma list of metrics; enables the random-metric variant",
+    "k": "cluster count",
+    "activation": "relu | identity",
+    "degree_normalize": "scale columns by inverse sqrt landmark degree before the SVD",
+    "row_normalize": "normalize spectral embedding rows before the final clustering",
+}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field: key `a_b` is `--a-b`."""
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    p.add_argument("--dataset", metavar="PATH", help="input data matrix")
-    p.add_argument("--format", choices=("auto", "idx", "csv", "rawf32"))
-    p.add_argument("--m", type=int, help="ensemble size")
-    p.add_argument("--cycle-length", dest="cycle_length", type=int)
-    p.add_argument("--alpha0", type=float, help="max learning rate")
-    p.add_argument("--encoding-size", dest="encoding_size", type=int)
-    p.add_argument("--hidden", help="comma list of extra encoder widths")
-    p.add_argument("--landmarks", type=int, help="landmark count p")
-    p.add_argument("--sparsity", type=int, help="kept nearest landmarks r")
-    p.add_argument("--metric", help="euclidean | cosine | minkowski[:q]")
-    p.add_argument(
-        "--metrics", help="comma list of metrics; enables the random-metric variant"
-    )
-    p.add_argument("--k", type=int, help="cluster count")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--activation", choices=("relu", "identity"))
-    p.add_argument(
-        "--degree-normalize",
-        dest="degree_normalize",
-        action=argparse.BooleanOptionalAction,
-        help="scale columns by inverse sqrt landmark degree before the SVD",
-    )
-    p.add_argument(
-        "--row-normalize",
-        dest="row_normalize",
-        action=argparse.BooleanOptionalAction,
-        help="normalize spectral embedding rows before the final clustering",
-    )
+    for f in dataclasses.fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        action = argparse.BooleanOptionalAction if f.type == "bool" else "store"
+        p.add_argument(flag, dest=f.name, action=action, help=_FLAG_HELP.get(f.name))
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
+    """Defaults < --config file < flags; flag strings parse as config values."""
     config = load_config(args.config) if args.config else PipelineConfig()
     overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(args, f.name)
         if value is None:
             continue
-        if name == "hidden":
-            parts = [part.strip() for part in value.split(",") if part.strip()]
-            try:
-                value = tuple(int(part) for part in parts)
-            except ValueError:
-                raise ConfigError(f"bad --hidden list {value!r}") from None
-        elif name == "metrics":
-            value = tuple(part.strip() for part in value.split(",") if part.strip())
-        overrides[name] = value
+        overrides[f.name] = value if isinstance(value, bool) else parse_value(f.name, value)
     return config.replace(**overrides)
 
 
@@ -153,29 +117,19 @@ def _cmd_train(args) -> int:
 def _cmd_cluster(args) -> int:
     config = _merge_config(args)
     truth = _maybe_truth(args)
-    model = "ssc_rm" if config.random_metric else "ssc"
+    model = args.model or ("ssc_rm" if config.random_metric else "ssc")
     _, report, record = run_model(model, config, None, truth, args.out)
     _print_json(dict(report, model=model, artifacts=record.artifact_paths))
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    config = _merge_config(args)
-    truth = _maybe_truth(args)
-    _, report, record = run_model(args.model, config, None, truth, args.out)
-    _print_json(dict(report, model=args.model, artifacts=record.artifact_paths))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    from .config import _parse_value  # same typing rules as config files
-
     config = _merge_config(args)
     truth = _maybe_truth(args)
     raw = [part.strip() for part in args.values.split(",") if part.strip()]
     if not raw and args.values.strip():
         raise ConfigError(f"bad --values list {args.values!r}")
-    values = [_parse_value(args.param, part) for part in raw]
+    values = [parse_value(args.param, part) for part in raw]
     records = sweep(config, args.param, values, None, truth, args.out)
 
     rows = []
@@ -234,7 +188,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    config = _merge_config(args)
+    config = _merge_config(args).validate()
     _print_json(footprint_report(args.n, config.landmarks, config.sparsity, config.m))
     return 0
 
@@ -255,14 +209,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--labels", metavar="PATH", help="ground-truth labels for scoring")
     p.add_argument("--out", metavar="DIR", help="artifact directory")
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_cluster, model=None)
 
     p = sub.add_parser("baseline", help="run a reference model")
     p.add_argument("model", choices=BASELINES)
     _add_config_flags(p)
     p.add_argument("--labels", metavar="PATH")
     p.add_argument("--out", metavar="DIR")
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("sweep", help="one aggregated run per hyperparameter value")
     p.add_argument("param", help="config field to vary")

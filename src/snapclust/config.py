@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import dataclass
 
+from .datasets import FORMATS
 from .distances import parse_metric
 from .errors import ConfigError
 
@@ -30,9 +31,6 @@ DOMAINS = {
     "sparsity": (3, 7, 15),
     "metric": ("euclidean", "cosine", "minkowski"),
 }
-
-_LIST_FIELDS = ("hidden", "metrics")
-_BOOL_FIELDS = ("degree_normalize", "row_normalize")
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,8 @@ class PipelineConfig:
         return self.metrics[i % len(self.metrics)]
 
     def validate(self) -> "PipelineConfig":
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
         if self.m < 1:
             raise ConfigError(f"ensemble size must be >= 1, got {self.m}")
         if self.cycle_length < 1:
@@ -147,31 +147,34 @@ class PipelineConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """Type one raw string by the annotation of field `key`.
+
+    Config files, CLI flags and sweep values all go through here.
+    """
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
-    if key in _LIST_FIELDS:
-        if not raw:
-            return ()
+    if kind.startswith("tuple"):
         parts = [part.strip() for part in raw.split(",") if part.strip()]
-        if key == "hidden":
-            try:
-                return tuple(int(part) for part in parts)
-            except ValueError:
-                raise ConfigError(f"bad integer list for {key}: {raw!r}") from None
-        return tuple(parts)
-    if key in _BOOL_FIELDS:
+        if kind == "tuple[str, ...]":
+            return tuple(parts)
+        try:
+            return tuple(int(part) for part in parts)
+        except ValueError:
+            raise ConfigError(f"bad integer list for {key}: {raw!r}") from None
+    if kind == "bool":
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"bad boolean for {key}: {raw!r}")
-    if key in ("dataset", "format", "metric", "activation"):
+    if kind == "str":
         return raw
     try:
-        if key in ("alpha0", "noise_sigma", "momentum"):
-            return float(raw)
-        return int(raw)
+        return float(raw) if kind == "float" else int(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
@@ -196,7 +199,7 @@ def load_config(path) -> PipelineConfig:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     return PipelineConfig(**values)
 
 

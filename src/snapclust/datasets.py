@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .rng import STAGE_SYNTH, SeedStream
 
-FORMATS = ("idx", "csv", "rawf32")
+FORMATS = ("auto", "idx", "csv", "rawf32")
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049

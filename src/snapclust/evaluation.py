@@ -124,18 +124,19 @@ def accuracy(pred, truth) -> float:
     return accuracy_table(contingency(pred, truth))
 
 
-_METRIC_FNS = {"nmi": nmi, "ari": ari, "acc": accuracy}
+_TABLE_FNS = {"nmi": nmi_table, "ari": ari_table, "acc": accuracy_table}
 
 
 def score(pred, truth, metrics=METRIC_KEYS) -> dict:
-    """Evaluate the requested metrics; unknown names are a config error."""
-    out = {}
+    """Evaluate the requested metrics on one contingency table.
+
+    Unknown names are a config error.
+    """
     for name in metrics:
-        fn = _METRIC_FNS.get(name)
-        if fn is None:
+        if name not in _TABLE_FNS:
             raise ConfigError(f"unknown metric {name!r}; expected one of {METRIC_KEYS}")
-        out[name] = fn(pred, truth)
-    return out
+    table = contingency(pred, truth)
+    return {name: _TABLE_FNS[name](table) for name in metrics}
 
 
 def aggregate(runs: list[dict]) -> dict:

@@ -113,15 +113,13 @@ def lloyd(
         mind = sq[np.arange(X.shape[0]), labels]
 
         counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            taken: set[int] = set()
-            for c in np.nonzero(counts == 0)[0]:
-                order = np.argsort(mind, kind="stable")[::-1]
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centers[c] = X[far]
-                labels[far] = c
-                mind[far] = 0.0
+        dead = np.nonzero(counts == 0)[0]
+        if dead.size:
+            # the j-th empty cluster takes the j-th farthest point
+            far = np.argsort(mind, kind="stable")[::-1][: dead.size]
+            centers[dead] = X[far]
+            labels[far] = dead
+            mind[far] = 0.0
             counts = np.bincount(labels, minlength=k)
 
         inertia = float(mind.sum())

@@ -1,5 +1,7 @@
 """CLI: subcommands, config precedence, exit codes, artifact flows."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from snapclust.cli import main
-from snapclust.config import PipelineConfig
+from snapclust.cli import _build_parser, _merge_config, main
+from snapclust.config import PipelineConfig, save_config
 from snapclust.datasets import make_blobs, save_labels, save_rawf32
 
 FAST = [
@@ -297,3 +299,130 @@ def test_cluster_byte_identical_across_blas_threads_at_wide_fusion(tmp_path):
         outs.append(out)
     for name in ("report.json", "labels_rep0.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+# the config flags every pipeline subcommand has carried, with their dests
+CONFIG_FLAG_DESTS = {
+    "--config": "config",
+    "--dataset": "dataset",
+    "--format": "format",
+    "--m": "m",
+    "--cycle-length": "cycle_length",
+    "--alpha0": "alpha0",
+    "--encoding-size": "encoding_size",
+    "--hidden": "hidden",
+    "--landmarks": "landmarks",
+    "--sparsity": "sparsity",
+    "--metric": "metric",
+    "--metrics": "metrics",
+    "--k": "k",
+    "--seed": "seed",
+    "--repeats": "repeats",
+    "--batch-size": "batch_size",
+    "--noise-sigma": "noise_sigma",
+    "--momentum": "momentum",
+    "--activation": "activation",
+    "--degree-normalize": "degree_normalize",
+    "--no-degree-normalize": "degree_normalize",
+    "--row-normalize": "row_normalize",
+    "--no-row-normalize": "row_normalize",
+}
+
+SUBCOMMAND_EXTRA_FLAGS = {
+    "train": {"--out": "out"},
+    "cluster": {"--labels": "labels", "--out": "out"},
+    "baseline": {"--labels": "labels", "--out": "out"},
+    "sweep": {"--values": "values", "--labels": "labels", "--out": "out"},
+    "info": {"--n": "n"},
+}
+
+
+def _subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flag_dests(parser):
+    return {s: a.dest for a in parser._actions for s in a.option_strings}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_EXTRA_FLAGS))
+def test_config_flags_are_one_per_field(command):
+    got = _flag_dests(_subparsers()[command])
+    fields = dataclasses.fields(PipelineConfig)
+    derived = {"--config": "config"}
+    for f in fields:
+        derived["--" + f.name.replace("_", "-")] = f.name
+        if f.type == "bool":
+            derived["--no-" + f.name.replace("_", "-")] = f.name
+    config_flags = {s: d for s, d in got.items() if d in derived.values()}
+    assert config_flags == derived
+    # and the whole surface is exactly the one the CLI has always had
+    want = {"-h": "help", "--help": "help", **CONFIG_FLAG_DESTS}
+    want.update(SUBCOMMAND_EXTRA_FLAGS[command])
+    assert got == want
+
+
+# a non-default value for every PipelineConfig field
+ALL_FIELDS_CHANGED = PipelineConfig(
+    dataset="data/x.csv", format="csv", m=3, cycle_length=15, alpha0=0.03,
+    encoding_size=128, hidden=(16, 8), landmarks=600, sparsity=7, metric="cosine",
+    metrics=("euclidean", "minkowski:3"), k=4, seed=11, repeats=2, batch_size=64,
+    noise_sigma=0.2, momentum=0.5, activation="identity", degree_normalize=True,
+    row_normalize=True,
+)
+
+
+def test_flags_and_config_file_give_one_config(tmp_path):
+    default = PipelineConfig()
+    argv = ["info", "--n", "10"]
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(ALL_FIELDS_CHANGED, f.name)
+        assert value != getattr(default, f.name), f.name
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag)
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            argv += [flag, text]
+    path = tmp_path / "all.cfg"
+    save_config(path, ALL_FIELDS_CHANGED)
+
+    parser = _build_parser()
+    from_flags = _merge_config(parser.parse_args(argv))
+    from_file = _merge_config(parser.parse_args(["info", "--n", "10", "--config", str(path)]))
+    assert from_flags == from_file == ALL_FIELDS_CHANGED
+    assert from_flags.fingerprint() == from_file.fingerprint()
+
+
+SUBCOMMAND_PREFIXES = {
+    "train": ["train", "--out", "never-created"],
+    "cluster": ["cluster"],
+    "baseline": ["baseline", "kmeans"],
+    "sweep": ["sweep", "m", "--values", "1"],
+    "info": ["info", "--n", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_PREFIXES))
+@pytest.mark.parametrize(
+    "key,raw,fragment",
+    [
+        ("m", "abc", "bad value for m: 'abc'"),
+        ("hidden", "8,x", "bad integer list for hidden: '8,x'"),
+        ("format", "bogus", "format must be one of auto, idx, csv, rawf32"),
+        ("activation", "tanh", "activation must be relu or identity"),
+    ],
+)
+def test_bad_flag_value_reports_config_file_error(command, key, raw, fragment, capsys, tmp_path):
+    prefix = SUBCOMMAND_PREFIXES[command]
+    code, _, flag_err = run_cli([*prefix, "--" + key, raw], capsys)
+    assert code == 2
+    assert fragment in flag_err
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    code, _, file_err = run_cli([*prefix, "--config", str(path)], capsys)
+    assert code == 2
+    assert file_err == flag_err
+    assert not os.path.exists("never-created")

@@ -1,10 +1,12 @@
 """PipelineConfig: defaults, validation, flat file round-trips, fingerprints."""
 
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
-from snapclust.config import DOMAINS, PipelineConfig, load_config, save_config
+from snapclust.config import DOMAINS, PipelineConfig, load_config, parse_value, save_config
 from snapclust.errors import ConfigError
 
 
@@ -238,3 +240,48 @@ def test_domains_table():
     assert DOMAINS["landmarks"] == (350, 600, 1000)
     assert DOMAINS["sparsity"] == (3, 7, 15)
     assert set(DOMAINS["metric"]) == {"euclidean", "cosine", "minkowski"}
+
+
+@pytest.mark.parametrize("fmt", ["auto", "idx", "csv", "rawf32"])
+def test_validate_accepts_every_format(fmt):
+    PipelineConfig(format=fmt).validate()
+
+
+def test_validate_rejects_unknown_format_naming_all(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("format = bogus\n")
+    cfg = load_config(path)
+    with pytest.raises(ConfigError, match="format must be one of auto, idx, csv, rawf32"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "key,raw,want",
+    [
+        ("dataset", " data/x.csv ", "data/x.csv"),
+        ("m", " 7 ", 7),
+        ("alpha0", "1e-3", 0.001),
+        ("hidden", "64, 32,", (64, 32)),
+        ("hidden", "", ()),
+        ("metrics", "euclidean, minkowski:3", ("euclidean", "minkowski:3")),
+        ("row_normalize", "ON", True),
+        ("degree_normalize", "no", False),
+    ],
+)
+def test_parse_value_types_by_field_annotation(key, raw, want):
+    got = parse_value(key, raw)
+    assert got == want and type(got) is type(want)
+
+
+def test_parse_value_rejects_unknown_key():
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        parse_value("bogus", "1")
+
+
+def test_readme_ini_example_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    load_config(path).validate()

@@ -243,6 +243,17 @@ def test_score_keys_and_unknown_metric():
         score([0, 1], [0, 1], metrics=("nmi", "f1"))
 
 
+def test_score_equals_the_single_metric_functions():
+    gen = np.random.default_rng(21)
+    for _ in range(10):
+        n = int(gen.integers(2, 40))
+        pred = gen.integers(0, 5, size=n) * 7 - 3  # arbitrary, non-contiguous ids
+        truth = gen.integers(0, 4, size=n)
+        want = {"nmi": nmi(pred, truth), "ari": ari(pred, truth), "acc": accuracy(pred, truth)}
+        assert score(pred, truth) == want
+        assert score(pred, truth, metrics=("acc", "nmi")) == {"acc": want["acc"], "nmi": want["nmi"]}
+
+
 def test_aggregate_mean_and_sample_std():
     runs = [{"nmi": 0.5, "ari": 0.4}, {"nmi": 0.7, "ari": 0.6}]
     agg = aggregate(runs)

@@ -239,3 +239,18 @@ def test_lloyd_empty_cluster_repair_bit_identical():
     assert got[1] == want[1] and got[2] == want[2]
     # the repair did run: a plain assignment of the initial centers leaves gaps
     assert np.bincount(np.argmin(oracle_sq_dists(X, init), axis=1), minlength=5).min() == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lloyd_repairs_several_empty_clusters_among_ties_like_oracle(seed):
+    # grid points repeat, so the farthest-point distances tie; four of seven
+    # centers start on one point, leaving at least three clusters empty
+    gen = np.random.default_rng(seed)
+    X = gen.integers(0, 4, size=(60, 2)).astype(np.float64)
+    init = X[[0, 0, 0, 0, 5, 9, 17]].copy()
+    counts = np.bincount(np.argmin(oracle_sq_dists(X, init), axis=1), minlength=7)
+    assert np.count_nonzero(counts == 0) >= 3
+    got = lloyd(X, init)
+    want = oracle_lloyd(X, init)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
