@@ -124,6 +124,13 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    kind = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}.get(args.param, "")
+    if kind.startswith("tuple"):
+        # --values splits on commas, so a list value could only have one element
+        raise ConfigError(
+            f"cannot sweep list field {args.param!r}: run `snapclust cluster` "
+            f"once per --{args.param.replace('_', '-')} value instead"
+        )
     config = _merge_config(args)
     truth = _maybe_truth(args)
     raw = [part.strip() for part in args.values.split(",") if part.strip()]

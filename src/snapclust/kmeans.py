@@ -3,15 +3,19 @@
 Used both as the final clustering step on the spectral embedding and as
 the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
-index) pair, so results do not depend on evaluation order.
+index) pair, so results do not depend on evaluation order, and every
+restart's inertia and Lloyd iteration count stay on the Partition.
+Assignment and the k-means++ D^2 weights use `distances.nearest_centers`,
+the chunked squared-euclidean kernel, with row norms computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import nearest_centers
 from .errors import ConfigError, DataError
 from .rng import STAGE_RESTART, SeedStream
 
@@ -21,11 +25,16 @@ DEFAULT_MAX_ITERS = 300
 
 @dataclass
 class Partition:
-    """Final clustering: one label in [0, k) per row, plus the KMeans objective."""
+    """Final clustering: one label in [0, k) per row, plus the KMeans objective.
+
+    `restarts` holds one {"inertia", "lloyd_iters"} record per restart, in
+    restart order, for diagnostics.
+    """
 
     labels: np.ndarray
     inertia: float
     k: int
+    restarts: list = field(default_factory=list)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -35,28 +44,6 @@ class Partition:
             raise DataError(f"labels outside [0, {self.k})")
         if not (np.isfinite(self.inertia) and self.inertia >= 0.0):
             raise DataError(f"inertia must be finite and >= 0, got {self.inertia}")
-
-
-def _sq_dists(
-    X: np.ndarray,
-    C: np.ndarray,
-    xx: np.ndarray,
-    out: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared euclidean distances, (n, k), clamped at 0.
-
-    `xx` holds the row norms sum(X * X, axis=1), computed once by the
-    caller; `out` and `gram` are optional (n, k) buffers reused across
-    calls. The arithmetic is (xx + cc) - 2 X C^T in that order, so results
-    do not depend on whether buffers are given.
-    """
-    sq = np.add(xx[:, None], np.sum(C * C, axis=1)[None, :], out=out)
-    G = np.matmul(X, C.T, out=gram)
-    G *= 2.0
-    sq -= G
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def _center_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -78,14 +65,14 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
     if k == 1:
         return centers
     xx = np.sum(X * X, axis=1)
-    d2 = _sq_dists(X, centers[:1], xx)[:, 0]
+    _, d2 = nearest_centers(X, centers[:1], xx)
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
             raise DataError(f"kmeans++: fewer than {k} distinct points")
         nxt = int(gen.choice(n, p=d2 / total))
         centers[i] = X[nxt]
-        d2 = np.minimum(d2, _sq_dists(X, centers[i : i + 1], xx)[:, 0])
+        d2 = np.minimum(d2, nearest_centers(X, centers[i : i + 1], xx)[1])
     return centers
 
 
@@ -101,16 +88,13 @@ def lloyd(
     k = centers.shape[0]
     centers = centers.copy()
     xx = np.sum(X * X, axis=1)
-    sq = np.empty((X.shape[0], k), dtype=np.float64)
-    gram = np.empty_like(sq)
+    gram = np.empty((X.shape[0], k), dtype=np.float64)
     prev_labels = None
     labels = None
     inertia = float("inf")
     history: list[float] = []
     for _ in range(max_iters):
-        _sq_dists(X, centers, xx, sq, gram)
-        labels = np.argmin(sq, axis=1)
-        mind = sq[np.arange(X.shape[0]), labels]
+        labels, mind = nearest_centers(X, centers, xx, gram)
 
         counts = np.bincount(labels, minlength=k)
         dead = np.nonzero(counts == 0)[0]
@@ -154,12 +138,14 @@ def kmeans(
 
     best: tuple[float, int] | None = None
     best_labels = None
+    log = []
     for i in range(restarts):
         gen = rng.child(STAGE_RESTART, i).generator()
         centers = kmeans_pp_init(X, k, gen)
-        labels, inertia, _ = lloyd(X, centers, max_iters)
+        labels, inertia, history = lloyd(X, centers, max_iters)
+        log.append({"inertia": inertia, "lloyd_iters": len(history)})
         key = (inertia, i)
         if best is None or key < best:
             best = key
             best_labels = labels
-    return Partition(best_labels, best[0], k)
+    return Partition(best_labels, best[0], k, restarts=log)

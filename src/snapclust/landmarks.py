@@ -2,8 +2,10 @@
 
 Landmarks are the cluster centers of a streamed KMeans over the embedding;
 selection always measures euclidean distance, independent of the metric
-later used for affinities. Per-batch center updates use the running-mean
-form, which is the sequential per-point rule in closed form.
+later used for affinities. Each batch is assigned by
+`distances.nearest_centers`, the chunked squared-euclidean kernel, into a
+Gram buffer reused across batches. Per-batch center updates use the
+running-mean form, which is the sequential per-point rule in closed form.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import nearest_centers
 from .errors import ConfigError, DataError
 from .io import LANDMARK_MAGIC, read_container, write_container
-from .kmeans import _center_sums, _sq_dists, kmeans_pp_init
+from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
 DEFAULT_BATCH_SIZE = 1024
@@ -85,14 +88,12 @@ def minibatch_kmeans(
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
     yy = np.sum(Y * Y, axis=1)
-    sq = np.empty((bsz, p), dtype=np.float64)
-    gram = np.empty_like(sq)
+    gram = np.empty((bsz, p), dtype=np.float64)
     batches = dead_repairs = 0
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         B = Y[idx]
-        _sq_dists(B, centers, yy[idx], sq, gram)
-        assign = np.argmin(sq, axis=1)
+        assign, mind = nearest_centers(B, centers, yy[idx], gram)
         batches += 1
 
         old = centers.copy()
@@ -108,7 +109,6 @@ def minibatch_kmeans(
         dead = np.nonzero(counts == 0)[0]
         if dead.size:
             # farthest batch points from their assigned centers, one per dead center
-            mind = sq[np.arange(bsz), assign]
             order = np.argsort(mind, kind="stable")[::-1]
             for j, c in enumerate(dead[: bsz]):
                 centers[c] = B[order[j]]

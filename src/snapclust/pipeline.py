@@ -5,10 +5,11 @@ against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
 run.json. Wall-clock timings, the process's peak resident memory and
-per-repeat diagnostics (the spectral solver and spectrum; per member the
-metric, the landmark and affinity seconds, the minibatch batches run and
-the dead-center repairs) appear only in run.json so every other artifact
-is byte-reproducible. Its footprint gives a member affinity's modelled
+per-repeat diagnostics of the spectral models (the solver and spectrum;
+per member the metric, the landmark and affinity seconds, the minibatch
+batches run and the dead-center repairs; per final k-means restart its
+inertia and Lloyd iteration count) appear only in run.json so every
+other artifact is byte-reproducible. Its footprint gives a member affinity's modelled
 compact CSR size and the bytes its scipy `csr_array` actually holds.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
@@ -181,6 +182,7 @@ def _single_run(
         }
         diagnostics["spectrum"] = U.meta
         diagnostics["members"] = member_diagnostics
+        diagnostics["kmeans"] = partition.restarts
     else:
         with _stage(timings, "kmeans"):
             partition = kmeans(members_Y[0], config.k, rep.child(STAGE_KMEANS))
@@ -349,17 +351,19 @@ def sweep(
 ) -> list[RunRecord]:
     """One aggregated run per value of a single config field.
 
-    All other fields stay at the template's values. Output directories are
-    suffixed with the swept value so runs never collide.
+    All other fields stay at the template's values. Every swept config is
+    validated before the dataset is read; the template itself need not be
+    valid. Output directories are suffixed with the swept value so runs
+    never collide.
     """
     field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
     if name not in field_names:
         raise ConfigError(f"unknown hyperparameter {name!r}; expected a config field")
+    configs = [config.replace(**{name: value}).validate() for value in values]
     records: list[RunRecord] = []
     if X is None and config.dataset and name not in ("dataset", "format"):
         X = load_dataset(config.dataset, config.format)
-    for value in values:
-        cfg = config.replace(**{name: value})
+    for value, cfg in zip(values, configs):
         model = "ssc_rm" if cfg.random_metric else "ssc"
         sub_dir = os.path.join(out_dir, f"{name}_{value}") if out_dir else None
         _, _, record = run_model(model, cfg, X, truth, sub_dir)

@@ -166,6 +166,27 @@ def test_sweep_subcommand(blob_files, capsys):
     assert "mean NMI" in err
 
 
+def test_sweep_bad_format_fails_like_cluster_without_reading(capsys, tmp_path):
+    missing = str(tmp_path / "x.rawf32")  # reading it would be a data error, exit 3
+    flags = ["--dataset", missing, "--format", "bogus"]
+    code, _, sweep_err = run_cli(["sweep", "m", "--values", "1", *flags], capsys)
+    assert code == 2
+    code, _, cluster_err = run_cli(["cluster", *flags], capsys)
+    assert code == 2
+    assert sweep_err == cluster_err
+    assert "format must be one of" in sweep_err
+
+
+@pytest.mark.parametrize("field,values", [("hidden", "64,32"), ("metrics", "cosine")])
+def test_sweep_rejects_list_fields(field, values, blob_files, capsys):
+    data, _ = blob_files
+    code, out, err = run_cli(["sweep", field, "--values", values, "--dataset", data], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"cannot sweep list field {field!r}" in err
+    assert "snapclust cluster" in err
+
+
 def test_sweep_m_reports_trend(blob_files, capsys):
     data, labels = blob_files
     code, out, _ = run_cli(

@@ -11,6 +11,7 @@ from snapclust.distances import (
     MINKOWSKI3,
     Metric,
     distance,
+    nearest_centers,
     pairwise_distance,
     parse_metric,
 )
@@ -133,3 +134,76 @@ def test_pairwise_nonnegative_under_cancellation():
     x = np.full((3, 8), 1e8)
     got = pairwise_distance(x, x + 1e-8, EUCLIDEAN)
     assert np.all(got >= 0.0)
+
+
+# --- the chunked squared-euclidean kernel against the unchunked formulation -
+
+
+def oracle_sq_dists(X, C):
+    sq = (
+        np.sum(X * X, axis=1)[:, None]
+        + np.sum(C * C, axis=1)[None, :]
+        - 2.0 * (X @ C.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def assert_kernel_matches_oracle(X, C):
+    want = oracle_sq_dists(X, C)
+    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    assert np.array_equal(labels, np.argmin(want, axis=1))
+    assert np.array_equal(mind, want[np.arange(X.shape[0]), labels])
+    assert np.array_equal(pairwise_distance(X, C, EUCLIDEAN), np.sqrt(want))
+    return want
+
+
+def test_kernel_clamp_ties_on_duplicates_and_points_on_centers():
+    gen = np.random.default_rng(20)
+    C = gen.normal(size=(6, 4)) + 10.0
+    # every point repeats and sits on a center; centers 0 and 6 coincide
+    X = np.concatenate([C, C[::-1], np.repeat(C[:1], 5, axis=0)])
+    C = np.concatenate([C, C[:1]])
+    want = assert_kernel_matches_oracle(X, C)
+    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+    assert np.any(raw < 0.0)  # the clamp ran and made more ties at 0
+    assert np.count_nonzero(want == 0.0) > np.count_nonzero(raw == 0.0)
+    labels, _ = nearest_centers(X, C, np.sum(X * X, axis=1))
+    assert not np.any(labels == 6)  # ties go to the lower index
+
+
+def test_kernel_single_center():
+    gen = np.random.default_rng(21)
+    X = gen.normal(size=(500, 3))
+    labels, mind = nearest_centers(X, X[7:8], np.sum(X * X, axis=1))
+    assert np.array_equal(labels, np.zeros(500, dtype=np.int64))
+    assert np.array_equal(mind, oracle_sq_dists(X, X[7:8])[:, 0])
+
+
+@pytest.mark.parametrize("n", [1, 50, 93, 2995])
+def test_kernel_row_counts_around_the_chunk(n):
+    # p = 350 gives 93-row chunks: n below, at and off a multiple of one chunk
+    gen = np.random.default_rng(n)
+    X = np.maximum(gen.normal(size=(n, 16)), 0.0)
+    C = np.maximum(gen.normal(size=(350, 16)), 0.0)
+    assert_kernel_matches_oracle(X, C)
+
+
+def test_kernel_one_row_per_chunk_when_p_exceeds_chunk():
+    gen = np.random.default_rng(22)
+    C = gen.normal(size=(2**15 + 5, 3))
+    X = np.concatenate([gen.normal(size=(4, 3)), C[-2:]])
+    assert_kernel_matches_oracle(X, C)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100, 2**20])
+def test_kernel_bits_do_not_depend_on_chunk_size(entries, monkeypatch):
+    gen = np.random.default_rng(23)
+    X = gen.normal(size=(301, 8))
+    C = np.concatenate([gen.normal(size=(11, 8)), X[:2]])
+    xx = np.sum(X * X, axis=1)
+    want = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
+    monkeypatch.setattr(distances, "_CHUNK_ENTRIES", entries)
+    (labels, mind), dist = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
+    assert np.array_equal(labels, want[0][0]) and np.array_equal(mind, want[0][1])
+    assert np.array_equal(dist, want[1])

@@ -144,6 +144,14 @@ def test_kmeans_restart_count_improves_or_ties():
     assert best.inertia <= worst.inertia + 1e-12
 
 
+def test_kmeans_keeps_every_restart_inertia_and_iterations():
+    X = np.random.default_rng(9).normal(size=(60, 2))
+    part = kmeans(X, 4, SeedStream(2), restarts=5)
+    assert len(part.restarts) == 5
+    assert min(r["inertia"] for r in part.restarts) == part.inertia
+    assert all(1 <= r["lloyd_iters"] <= 300 for r in part.restarts)
+
+
 # --- bit-identity against the buffer-free formulation -----------------------
 
 

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from snapclust import distances, pipeline
 from snapclust.config import PipelineConfig, load_config
 from snapclust.datasets import make_blobs
 from snapclust.errors import ConfigError, DataError, NumericalError
+from snapclust.kmeans import DEFAULT_RESTARTS
 from snapclust.pipeline import (
     BASELINES,
     MODELS,
@@ -258,6 +260,39 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
             assert 0 <= member["dead_repairs"] < cfg.landmarks
 
 
+def test_final_kmeans_restarts_only_in_run_json(tmp_path):
+    X, y = small_data()
+    cfg = small_config()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_ssc(cfg, X, y, out_dir=out)
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    report = (outs[0] / "report.json").read_bytes()
+    assert b"lloyd_iters" not in report and b"restarts" not in report
+    runs = json.loads(report)["runs"]
+    diagnostics = json.loads((outs[0] / "run.json").read_text())["diagnostics"]
+    assert len(diagnostics) == len(runs) == cfg.repeats
+    for repeat, entry in zip(diagnostics, runs):
+        restarts = repeat["kmeans"]
+        assert len(restarts) == DEFAULT_RESTARTS
+        assert min(r["inertia"] for r in restarts) == entry["inertia"]
+        assert all(r["lloyd_iters"] >= 1 for r in restarts)
+
+
+def test_chunk_size_does_not_change_outputs(tmp_path, monkeypatch):
+    # 7-entry chunks: one row per chunk at p = 10 landmarks, two in Lloyd at k = 3
+    X, y = small_data()
+    X = np.abs(X) + 0.1
+    cfg = small_config(m=3, metrics=("euclidean", "cosine", "minkowski"))
+    run_ssc_rm(cfg, X, y, out_dir=tmp_path / "default")
+    monkeypatch.setattr(distances, "_CHUNK_ENTRIES", 7)
+    run_ssc_rm(cfg, X, y, out_dir=tmp_path / "chunk7")
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        default = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "chunk7" / name).read_bytes() == default, name
+
+
 def test_dataset_loaded_from_config(tmp_path):
     from snapclust.datasets import save_rawf32
 
@@ -302,6 +337,25 @@ def test_sweep_unknown_field():
     X, _ = small_data()
     with pytest.raises(ConfigError, match="unknown hyperparameter"):
         sweep(small_config(), "learning_rate", [0.1], X)
+
+
+def test_sweep_validates_every_config_before_loading(monkeypatch):
+    def no_load(*args):
+        raise AssertionError("dataset read before validation")
+
+    monkeypatch.setattr(pipeline, "load_dataset", no_load)
+    cfg = small_config(dataset="never-read.rawf32", format="bogus")
+    with pytest.raises(ConfigError, match="format must be one of"):
+        sweep(cfg, "m", [1])
+    # a later swept value is invalid: nothing runs, nothing is read
+    with pytest.raises(ConfigError, match="ensemble size must be >= 1"):
+        sweep(small_config(dataset="never-read.rawf32"), "m", [1, 0])
+
+
+def test_sweep_template_may_be_invalid_until_the_value_is_applied():
+    X, y = small_data()
+    records = sweep(small_config(m=0, repeats=1), "m", [1], X, y)
+    assert [r.report["repeats"] for r in records] == [1]
 
 
 def test_sweep_runs_per_value(tmp_path):
