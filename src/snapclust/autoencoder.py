@@ -153,12 +153,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def forward(X: np.ndarray, params: Params, activation: str) -> list[np.ndarray]:
     """Activations [a0=X, a1, ..., aL]; hidden layers activated, output linear."""
     acts = [X]
@@ -193,8 +187,9 @@ def backward(
         grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         if i > 0:
             delta = delta @ W.T
-            # acts[i] is post-activation; for relu its positivity marks z > 0
-            delta = delta * _act_grad(acts[i], activation)
+            if activation == "relu":
+                # acts[i] is post-activation; its positivity marks z > 0
+                delta *= acts[i] > 0.0
     return loss, grads
 
 

@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import dataclass
 
+from .autoencoder import ACTIVATIONS
 from .datasets import FORMATS
 from .distances import parse_metric
 from .errors import ConfigError
@@ -105,7 +106,7 @@ class PipelineConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
-        if self.activation not in ("relu", "identity"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be relu or identity, got {self.activation!r}")
         parse_metric(self.metric)
         for name in self.metrics:

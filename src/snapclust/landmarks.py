@@ -1,11 +1,14 @@
-"""Landmark selection via minibatch KMeans (Sculley-style online updates).
+"""Landmark selection via minibatch KMeans (Sculley, WWW 2010).
 
-Landmarks are the cluster centers of a streamed KMeans over the embedding;
-selection always measures euclidean distance, independent of the metric
-later used for affinities. Each batch is assigned by
+Landmarks are the cluster centers of a streamed KMeans over the embedding,
+seeded by k-means++; selection always measures euclidean distance,
+independent of the metric later used for affinities. The loop runs a fixed
+budget of batches with no early stop. Each batch is assigned by
 `distances.nearest_centers`, the chunked squared-euclidean kernel, into a
 Gram buffer reused across batches. Per-batch center updates use the
 running-mean form, which is the sequential per-point rule in closed form.
+A center that no batch point reaches keeps its k-means++ position, which
+is a data point and so still a valid landmark.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
 DEFAULT_BATCH_SIZE = 1024
 DEFAULT_MAX_BATCHES = 100
-MOVEMENT_TOL = 1e-4
 
 
 @dataclass
@@ -32,7 +34,6 @@ class LandmarkSet:
 
     centers: np.ndarray
     seed: int
-    source_metric: str = "euclidean"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -53,7 +54,7 @@ class LandmarkSet:
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.centers.tobytes())
-        h.update(f"{self.p}:{self.source_metric}:{self.seed}".encode())
+        h.update(f"{self.p}:{self.seed}".encode())
         return h.hexdigest()[:16]
 
 
@@ -67,10 +68,10 @@ def minibatch_kmeans(
     """Select p landmarks from embedding Y by streamed KMeans.
 
     Initialization is k-means++ on a uniform subset of max(10p, 2048)
-    points. Each batch assigns its points to the nearest center and moves
-    every touched center to the running mean of all points it has ever
-    absorbed. Stops after `max_iters` batches or when relative center
-    movement falls below 1e-4. Centers never leave the bounding box of Y.
+    points. Runs `max_iters` batches; each assigns its points to the
+    nearest center and moves every touched center to the running mean of
+    all points it has ever absorbed. `meta["empty"]` counts the centers no
+    batch point reached. Centers never leave the bounding box of Y.
     """
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] == 0:
@@ -89,14 +90,10 @@ def minibatch_kmeans(
     bsz = min(batch_size, n)
     yy = np.sum(Y * Y, axis=1)
     gram = np.empty((bsz, p), dtype=np.float64)
-    batches = dead_repairs = 0
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         B = Y[idx]
-        assign, mind = nearest_centers(B, centers, yy[idx], gram)
-        batches += 1
-
-        old = centers.copy()
+        assign, _ = nearest_centers(B, centers, yy[idx], gram)
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)
         touched = batch_counts > 0
@@ -106,25 +103,11 @@ def minibatch_kmeans(
         ) / new_total[touched, None]
         counts = new_total
 
-        dead = np.nonzero(counts == 0)[0]
-        if dead.size:
-            # farthest batch points from their assigned centers, one per dead center
-            order = np.argsort(mind, kind="stable")[::-1]
-            for j, c in enumerate(dead[: bsz]):
-                centers[c] = B[order[j]]
-                counts[c] = 1
-            dead_repairs += min(dead.size, bsz)
-
-        movement = np.linalg.norm(centers - old) / max(np.linalg.norm(old), 1e-300)
-        if movement < MOVEMENT_TOL:
-            break
-
     meta = {
         "n": n,
         "batch_size": bsz,
         "max_iters": max_iters,
-        "batches": batches,
-        "dead_repairs": dead_repairs,
+        "empty": int(np.count_nonzero(counts == 0)),
     }
     return LandmarkSet(centers, seed=rng.seed, meta=meta)
 
@@ -133,7 +116,6 @@ def save_landmarks(path, landmarks: LandmarkSet) -> None:
     """Write a landmark set as a single-block binary container."""
     meta = {
         "seed": landmarks.seed,
-        "source_metric": landmarks.source_metric,
         "meta": landmarks.meta,
     }
     empty_bias = np.zeros(landmarks.dims, dtype=np.float64)
@@ -148,6 +130,5 @@ def load_landmarks(path) -> LandmarkSet:
     return LandmarkSet(
         centers,
         seed=int(meta.get("seed", 0)),
-        source_metric=str(meta.get("source_metric", "euclidean")),
         meta=dict(meta.get("meta", {})),
     )

@@ -6,8 +6,8 @@ Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
 run.json. Wall-clock timings, the process's peak resident memory and
 per-repeat diagnostics of the spectral models (the solver and spectrum;
-per member the metric, the landmark and affinity seconds, the minibatch
-batches run and the dead-center repairs; per final k-means restart its
+per member the metric, the landmark and affinity seconds and the count
+of landmarks no minibatch point reached; per final k-means restart its
 inertia and Lloyd iteration count) appear only in run.json so every
 other artifact is byte-reproducible. Its footprint gives a member affinity's modelled
 compact CSR size and the bytes its scipy `csr_array` actually holds.
@@ -157,8 +157,7 @@ def _single_run(
                     "metric": params.metric.label(),
                     "landmarks_s": landmarks_done - start,
                     "affinity_s": time.perf_counter() - landmarks_done,
-                    "batches": lm.meta["batches"],
-                    "dead_repairs": lm.meta["dead_repairs"],
+                    "empty_landmarks": lm.meta["empty"],
                 }
             )
         with _stage(timings, "fuse"):
@@ -190,16 +189,12 @@ def _single_run(
     return partition, footprint, diagnostics
 
 
-def _build_report(config: PipelineConfig, per_run: list[dict] | None) -> dict:
+def _build_report(config: PipelineConfig, per_run: list[dict]) -> dict:
     report = {
         "config_fingerprint": config.fingerprint(),
         "repeats": config.repeats,
         "nmi_variant": NMI_VARIANT,
     }
-    if not per_run:
-        report.update({key: None for key in METRIC_KEYS})
-        report.update({"mean": None, "std": None, "runs": []})
-        return report
     agg = aggregate(per_run)
     report["runs"] = per_run
     report["mean"] = {key: agg[key]["mean"] for key in agg}

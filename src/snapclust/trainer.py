@@ -20,7 +20,6 @@ from .autoencoder import (
     backward,
     encode,
     init_params,
-    reconstruction_loss,
     sgd_step,
 )
 from .errors import ConfigError, DataError, NumericalError

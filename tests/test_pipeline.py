@@ -240,7 +240,7 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     report = (outs[0] / "report.json").read_bytes()
-    for key in (b"batches", b"nbytes", b"peak_rss", b"minkowski"):
+    for key in (b"empty_landmarks", b"nbytes", b"peak_rss", b"minkowski"):
         assert key not in report, key
     run_doc = json.loads((outs[0] / "run.json").read_text())
     assert run_doc["footprint"]["member_affinity_nbytes"] > 0
@@ -253,11 +253,10 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
         ]
         for member in members:
             assert set(member) == {
-                "metric", "landmarks_s", "affinity_s", "batches", "dead_repairs"
+                "metric", "landmarks_s", "affinity_s", "empty_landmarks"
             }
             assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
-            assert 1 <= member["batches"] <= 100
-            assert 0 <= member["dead_repairs"] < cfg.landmarks
+            assert 0 <= member["empty_landmarks"] < cfg.landmarks
 
 
 def test_final_kmeans_restarts_only_in_run_json(tmp_path):
