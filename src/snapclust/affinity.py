@@ -84,17 +84,38 @@ def _nearest_rows(dists: np.ndarray, r: int) -> np.ndarray:
     return nearest
 
 
+def _nearest_landmark_rows(
+    Y: np.ndarray, centers: np.ndarray, r: int, metric: Metric
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, r nearest landmark indices) for each row of Y.
+
+    Under cosine a zero-norm row is at distance 1 from every nonzero
+    landmark, so instead of the first r by index it takes the r landmarks
+    of smallest euclidean norm (stable order), the ones a zero row picks
+    under euclidean distance. Zero landmarks, at distance 0, come first.
+    """
+    dists = pairwise_distance(Y, centers, metric)
+    nearest = _nearest_rows(dists, r)
+    if metric.name == "cosine":
+        zero = np.sum(Y * Y, axis=1) == 0.0
+        if np.any(zero):
+            nearest[zero] = np.argsort(np.sum(centers * centers, axis=1), kind="stable")[:r]
+    return dists, nearest
+
+
 def nearest_landmarks(
     x: np.ndarray, landmarks: LandmarkSet, r: int, metric: Metric = EUCLIDEAN
 ) -> np.ndarray:
-    """Indices of the r landmarks nearest to x, ties to the lower index."""
+    """Indices of the r landmarks nearest to x, ties to the lower index.
+
+    A zero x under cosine takes the r landmarks of smallest norm.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DataError("nearest_landmarks expects a single vector")
     if not 1 <= r < landmarks.p:
         raise ConfigError(f"need 1 <= r < p, got r={r}, p={landmarks.p}")
-    dists = pairwise_distance(x[None, :], landmarks.centers, metric)
-    return _nearest_rows(dists, r)[0]
+    return _nearest_landmark_rows(x[None, :], landmarks.centers, r, metric)[1][0]
 
 
 @dataclass
@@ -157,7 +178,10 @@ def build_affinity(
     Points are processed in row blocks of max(1, BLOCK_ENTRIES // p):
     each block gets its own distance matrix and keeps only its r nearest
     landmarks (ties to the lower index), so peak memory is
-    O(block * p + n * r) rather than O(n * p).
+    O(block * p + n * r) rather than O(n * p). Under cosine a zero-norm
+    point takes the r landmarks of smallest euclidean norm; they are all
+    at distance 1 from it unless some are zero too, so its weights are
+    uniform, 1/r.
     """
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if isinstance(landmarks, LandmarkSet):
@@ -177,13 +201,9 @@ def build_affinity(
     sel = np.empty((n, r), dtype=np.float64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        try:
-            dists = pairwise_distance(Y[start:stop], centers, params.metric)
-        except DataError as exc:
-            raise DataError(
-                f"{exc}; A is embedding rows {start}-{stop - 1}, B the landmarks"
-            ) from exc
-        nearest[start:stop] = _nearest_rows(dists, r)
+        dists, nearest[start:stop] = _nearest_landmark_rows(
+            Y[start:stop], centers, r, params.metric
+        )
         sel[start:stop] = np.take_along_axis(dists, nearest[start:stop], axis=1)
     sel_sq = sel**2
     shifted = sel_sq - sel_sq.min(axis=1, keepdims=True)

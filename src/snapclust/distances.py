@@ -1,16 +1,22 @@
 """Distance metrics: euclidean, cosine and minkowski q-norm.
 
-Cosine distance is 1 - cosine similarity and rejects zero-norm vectors
-instead of silently returning 0. Minkowski defaults to q=3 so it is a
+Cosine distance is 1 - cosine similarity. It is defined on zero-norm
+vectors too: d(0, b) = 1 for b != 0, as for orthogonal vectors, and
+d(0, 0) = 0, which keeps d(x, x) = 0. Minkowski defaults to q=3 so it is a
 genuinely different metric from euclidean. All accumulation is float64.
 
-Squared euclidean distances have one kernel, `_sq_euclidean_chunks`,
-shared by euclidean `pairwise_distance` and by `nearest_centers` (landmark
-assignment, Lloyd and k-means++). It forms the Gram product in one GEMM
-over all rows, then evaluates (||a||^2 + ||b||^2) - 2 a.b, clamped at 0,
-in row chunks of _CHUNK_ENTRIES // p rows, so every elementwise pass runs
-over an L2-sized buffer. Chunking changes no rounding: the result equals
-the unchunked formulation bit for bit, whatever the chunk size.
+Squared euclidean distances have one kernel, `_sq_euclidean`, shared by
+euclidean `pairwise_distance` and by `nearest_centers` (landmark
+assignment and Lloyd). It prefills the (n, p) output with ||a||^2 + ||b||^2
+in row chunks of _CHUNK_ENTRIES // p rows, so those passes run over an
+L2-sized block, and then subtracts 2 a.b with one unsplit dgemm into the
+same buffer (C <- -2 A B^T + C). Scaling by -2 is exact, so the values
+equal (||a||^2 + ||b||^2) - 2 (A @ B.T) bit for bit, whatever the chunk
+size. Shapes where one dgemm would round differently (a GEMV in NumPy,
+or an inner sum that BLAS splits) run that two-pass form itself.
+`nearest_centers` takes the argmin of the unclamped values and
+clamps only rows whose minimum is negative; euclidean `pairwise_distance`
+clamps at 0 and takes the square root in place, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import ConfigError, DataError
 
@@ -28,6 +35,11 @@ DEFAULT_MINKOWSKI_Q = 3.0
 # row chunk size for elementwise passes: 2**15 float64 entries (256 KiB)
 # per buffer stays in L2
 _CHUNK_ENTRIES = 2**15
+
+# widest d for which one dgemm rounds like the two-pass form: OpenBLAS
+# splits the inner sum into blocks of 128 (generic x86-64 kernels), 256
+# (Nehalem to Zen) or 384 (Skylake-X) and updates C after each block
+_FUSED_MAX_DIMS = 128
 
 
 @dataclass(frozen=True)
@@ -91,39 +103,36 @@ def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
     na = float(np.sqrt(np.dot(a, a)))
     nb = float(np.sqrt(np.dot(b, b)))
     if na == 0.0 or nb == 0.0:
-        raise DataError("cosine distance undefined for zero-norm vector")
+        return 0.0 if na == nb else 1.0
     sim = float(np.dot(a, b)) / (na * nb)
     sim = min(1.0, max(-1.0, sim))
     return 1.0 - sim
 
 
-def _sq_euclidean_chunks(A: np.ndarray, B: np.ndarray, aa: np.ndarray, gram: np.ndarray):
-    """Squared euclidean distances between rows of A (n x d) and B (p x d).
+def _sq_euclidean(A: np.ndarray, B: np.ndarray, aa: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unclamped (aa + bb) - 2 A B^T into the C-contiguous (n, p) `out`.
 
-    Yields (rows, sq) per row chunk of _CHUNK_ENTRIES // p rows: `sq`
-    holds (aa + bb) - 2 A B^T for A[rows], clamped at 0, in a chunk-sized
-    scratch buffer that the next chunk overwrites. `aa` holds the row
-    norms sum(A * A, axis=1), which callers may compute once and index;
-    `gram` is an (n, p) buffer that receives A B^T in one GEMM and is left
-    doubled. The GEMM is never split, so the values do not depend on the
-    chunk size.
+    `aa` holds sum(A * A, axis=1), which callers may compute once and
+    index. `out` is prefilled with bb + aa (the same sum as aa + bb;
+    filling with bb first avoids NumPy's slower two-way broadcast add) in
+    row chunks, then one unsplit dgemm computes out <- -2 A B^T + out.
+    GEMV shapes (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would
+    round differently there, so they subtract 2 (A @ B.T) instead.
     """
-    np.matmul(A, B.T, out=gram)
+    n, p = out.shape
     bb = np.sum(B * B, axis=1)
-    step = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
-    scratch = np.empty((min(step, A.shape[0]), B.shape[0]), dtype=np.float64)
-    for start in range(0, A.shape[0], step):
-        rows = slice(start, start + step)
-        g = gram[rows]
-        sq = scratch[: g.shape[0]]
-        # bb + aa, the same sum as aa + bb; filling rows with bb first
-        # avoids NumPy's slower two-way broadcast add
-        sq[:] = bb
-        sq += aa[rows, None]
-        g *= 2.0
-        sq -= g
-        np.maximum(sq, 0.0, out=sq)
-        yield rows, sq
+    step = max(1, _CHUNK_ENTRIES // max(1, p))
+    for start in range(0, n, step):
+        rows = out[start : start + step]
+        rows[:] = bb
+        rows += aa[start : start + step, None]
+    if n > 1 and p > 1 and A.shape[1] <= _FUSED_MAX_DIMS:
+        dgemm(-2.0, B.T, A.T, 1.0, out.T, trans_a=1, overwrite_c=1)
+    else:
+        gram = A @ B.T
+        gram *= 2.0
+        out -= gram
+    return out
 
 
 def nearest_centers(
@@ -131,30 +140,31 @@ def nearest_centers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, squared distance) of each row of X to its nearest row of C.
 
-    Ties go to the lower center index. `xx` holds sum(X * X, axis=1);
-    `gram` is an optional (n, k) buffer reused across calls. With one
-    center (k-means++) the distances are the clamped column itself: a
-    row-wise argmin over one column would cost one call per row.
+    Equals the argmin and minimum of the distances clamped at 0, ties to
+    the lower center index. `xx` holds sum(X * X, axis=1); `gram` is an
+    optional C-contiguous (n, k) float64 buffer reused across calls. The
+    argmin runs on the unclamped values; only a row whose minimum is
+    negative is then fixed up: clamping would make every entry <= 0 of it
+    a tie at 0, so its label becomes the first such index.
     """
     n, k = X.shape[0], C.shape[0]
     if gram is None:
         gram = np.empty((n, k), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.int64)
-    mind = np.empty(n, dtype=np.float64)
-    for rows, sq in _sq_euclidean_chunks(X, C, xx, gram):
-        if k == 1:
-            mind[rows] = sq[:, 0]
-        else:
-            lab = np.argmin(sq, axis=1, out=labels[rows])
-            mind[rows] = sq[np.arange(sq.shape[0]), lab]
+    sq = _sq_euclidean(X, C, xx, gram)
+    labels = np.argmin(sq, axis=1)
+    mind = sq[np.arange(n), labels]
+    neg = np.flatnonzero(mind < 0.0)
+    if neg.size:
+        labels[neg] = np.argmax(sq[neg] <= 0.0, axis=1)
+        mind[neg] = np.maximum(sq[neg, labels[neg]], 0.0)
     return labels, mind
 
 
 def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarray:
     """All-pairs distances between rows of A (n x d) and rows of B (p x d).
 
-    Euclidean writes the square root of each `_sq_euclidean_chunks` chunk
-    back into the rows of its Gram buffer, cosine normalizes rows once,
+    Euclidean clamps the `_sq_euclidean` output at 0 and takes its square
+    root in place, chunk by chunk; cosine normalizes nonzero rows once;
     and minkowski accumulates |a_j - b_j|^q one coordinate j at a time
     into the n x p output before taking the 1/q root, working through
     row chunks of _CHUNK_ENTRIES // p rows with two chunk-sized scratch
@@ -167,8 +177,12 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
 
     if metric.name == "euclidean":
         out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-        for rows, sq in _sq_euclidean_chunks(A, B, np.sum(A * A, axis=1), out):
-            np.sqrt(sq, out=out[rows])
+        _sq_euclidean(A, B, np.sum(A * A, axis=1), out)
+        step = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
+        for start in range(0, A.shape[0], step):
+            rows = out[start : start + step]
+            np.maximum(rows, 0.0, out=rows)
+            np.sqrt(rows, out=rows)
         return out
 
     if metric.name == "minkowski":
@@ -193,13 +207,15 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
                 acc += t
         return np.power(out, 1.0 / q, out=out)
 
-    # cosine
+    # cosine; a zero-norm row is divided by 1 instead, stays zero and so has
+    # similarity 0 (distance 1) to every row; zero against zero is set to 0
     na = np.sqrt(np.sum(A * A, axis=1))
     nb = np.sqrt(np.sum(B * B, axis=1))
-    if np.any(na == 0.0):
-        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(na))} of A")
-    if np.any(nb == 0.0):
-        raise DataError(f"cosine distance undefined: zero-norm row {int(np.argmin(nb))} of B")
+    zero_a, zero_b = na == 0.0, nb == 0.0
+    na[zero_a] = 1.0
+    nb[zero_b] = 1.0
     sim = (A / na[:, None]) @ (B / nb[:, None]).T
     np.clip(sim, -1.0, 1.0, out=sim)
-    return 1.0 - sim
+    dist = 1.0 - sim
+    dist[np.ix_(zero_a, zero_b)] = 0.0
+    return dist

@@ -5,8 +5,12 @@ the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
 index) pair, so results do not depend on evaluation order, and every
 restart's inertia and Lloyd iteration count stay on the Partition.
-Assignment and the k-means++ D^2 weights use `distances.nearest_centers`,
-the chunked squared-euclidean kernel, with row norms computed once.
+Assignment uses `distances.nearest_centers`, the fused squared-euclidean
+kernel, with row norms computed once and the distance buffer reused across
+Lloyd iterations. k-means++ computes each new center's distances as one
+GEMV in buffers allocated once and draws each D^2-weighted index with
+NumPy's own inverse-CDF rule, so it picks the centers `Generator.choice`
+would pick.
 """
 
 from __future__ import annotations
@@ -55,7 +59,15 @@ def _center_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest D^2-weighted."""
+    """k-means++ seeding: first center uniform, the rest D^2-weighted.
+
+    Each D^2 draw is `gen.choice(n, p=d2 / d2.sum())` without the checks
+    NumPy repeats on every call: the same cumulative sum, normalized by
+    its last entry, searched with the same one uniform draw, so the index
+    and the generator state match. Distances to each new center are one
+    GEMV, then (||c||^2 + ||x||^2) - 2 x.c clamped at 0, the arithmetic
+    of `distances.nearest_centers`, in buffers allocated once.
+    """
     n = X.shape[0]
     if k > n:
         raise ConfigError(f"kmeans++: k={k} exceeds n={n}")
@@ -65,14 +77,25 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
     if k == 1:
         return centers
     xx = np.sum(X * X, axis=1)
-    _, d2 = nearest_centers(X, centers[:1], xx)
+    gram, dist, cdf = np.empty(n), np.empty(n), np.empty(n)
+    d2 = np.full(n, np.inf)
     for i in range(1, k):
+        c = centers[i - 1 : i]
+        np.matmul(X, c[0], out=gram)
+        gram *= 2.0
+        np.add(np.sum(c * c, axis=1), xx, out=dist)
+        dist -= gram
+        np.maximum(dist, 0.0, out=dist)
+        np.minimum(d2, dist, out=d2)
         total = float(d2.sum())
         if total <= 0.0:
             raise DataError(f"kmeans++: fewer than {k} distinct points")
-        nxt = int(gen.choice(n, p=d2 / total))
-        centers[i] = X[nxt]
-        d2 = np.minimum(d2, nearest_centers(X, centers[i : i + 1], xx)[1])
+        if not np.isfinite(total):
+            raise DataError("kmeans++: squared distances are not finite")
+        np.divide(d2, total, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        centers[i] = X[int(cdf.searchsorted(gen.random(), side="right"))]
     return centers
 
 

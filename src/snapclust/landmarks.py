@@ -4,8 +4,10 @@ Landmarks are the cluster centers of a streamed KMeans over the embedding,
 seeded by k-means++; selection always measures euclidean distance,
 independent of the metric later used for affinities. The loop runs a fixed
 budget of batches with no early stop. Each batch is assigned by
-`distances.nearest_centers`, the chunked squared-euclidean kernel, into a
-Gram buffer reused across batches. Per-batch center updates use the
+`distances.nearest_centers`: the squared distances are prefilled with the
+row norms and completed by one fused dgemm in a buffer reused across
+batches, and the argmin runs on them unclamped. The k-means++ seeding
+draws each center exactly as `Generator.choice` would. Per-batch center updates use the
 running-mean form, which is the sequential per-point rule in closed form.
 A center that no batch point reaches keeps its k-means++ position, which
 is a data point and so still a valid landmark.

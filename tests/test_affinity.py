@@ -218,11 +218,25 @@ def test_sparse_affinity_validates_row_sums():
         SparseAffinity(bad, AffinityParams(r=2, sigma=1.0), bandwidth=1.0)
 
 
-def test_cosine_rejects_zero_rows():
-    lm = landmarks_from([[1.0, 0.0], [0.0, 1.0]])
-    Y = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(DataError, match="zero-norm"):
-        build_affinity(Y, lm, AffinityParams(r=1, metric=COSINE))
+def test_cosine_zero_point_takes_smallest_norm_landmarks(monkeypatch):
+    # a zero code is at cosine distance 1 from every landmark: it takes the
+    # r of smallest norm (ties in index order), not the first r by index
+    lm = landmarks_from([[3.0, 0.0], [0.0, 2.0], [1.0, 1.0], [0.5, 0.0], [0.0, 0.5]])
+    Y = np.ones((7, 2))
+    Y[[2, 5]] = 0.0
+    params = AffinityParams(r=3, metric=COSINE)
+    aff = build_affinity(Y, lm, params)
+    dense = aff.matrix.toarray()
+    for i in (2, 5):
+        assert np.array_equal(np.nonzero(dense[i])[0], [2, 3, 4])
+        assert np.all(dense[i][[2, 3, 4]] == 1.0 / 3.0)
+    assert np.array_equal(nearest_landmarks(np.zeros(2), lm, 3, COSINE), [3, 4, 2])
+    # the nonzero rows are as without the zero ones
+    nonzero = [0, 1, 3, 4, 6]
+    rest = build_affinity(Y[nonzero], lm, AffinityParams(r=3, metric=COSINE, sigma=aff.bandwidth))
+    assert np.array_equal(dense[nonzero], rest.matrix.toarray())
+    monkeypatch.setattr(affinity, "BLOCK_ENTRIES", 2 * lm.p)  # 2-row blocks
+    assert np.array_equal(build_affinity(Y, lm, params).matrix.toarray(), dense)
 
 
 def stable_oracle(d, r):
@@ -287,10 +301,15 @@ def test_blocked_build_matches_one_block(monkeypatch):
             assert blocked.bandwidth == whole.bandwidth
 
 
-def test_blocked_cosine_error_names_the_block(monkeypatch):
-    lm = landmarks_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    Y = np.ones((7, 2))
-    Y[5] = 0.0
-    monkeypatch.setattr(affinity, "BLOCK_ENTRIES", 2 * 3)  # 2-row blocks
-    with pytest.raises(DataError, match="zero-norm row 1 of A; A is embedding rows 4-5"):
-        build_affinity(Y, lm, AffinityParams(r=1, metric=COSINE))
+def test_cosine_zero_landmark():
+    # a zero landmark is at distance 1 from every nonzero point, like an
+    # orthogonal one, and at distance 0 from a zero point, which takes it first
+    lm = landmarks_from([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    Y = np.array([[1.0, 0.1], [0.0, 0.0], [0.1, 1.0]])
+    aff = build_affinity(Y, lm, AffinityParams(r=2, metric=COSINE, sigma=1.0))
+    dense = aff.matrix.toarray()
+    assert np.array_equal(np.nonzero(dense[0])[0], [0, 3])
+    assert np.array_equal(np.nonzero(dense[2])[0], [2, 3])
+    assert np.array_equal(np.nonzero(dense[1])[0], [0, 1])
+    assert dense[1, 1] > dense[1, 0]  # distance 0 weighs more than distance 1
+    assert np.array_equal(nearest_landmarks(np.zeros(2), lm, 2, COSINE), [1, 0])

@@ -55,11 +55,25 @@ def test_dimension_mismatch():
         distance(np.zeros(3), np.zeros(4), EUCLIDEAN)
 
 
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(DataError):
-        distance(np.zeros(3), np.ones(3), COSINE)
-    with pytest.raises(DataError):
-        pairwise_distance(np.zeros((2, 3)), np.ones((2, 3)), COSINE)
+def test_cosine_zero_norm_rows_are_defined():
+    # d(0, b) = 1 for b != 0, d(0, 0) = 0, so d(x, x) = 0 holds for every x
+    assert distance(np.zeros(3), np.ones(3), COSINE) == 1.0
+    assert distance(np.ones(3), np.zeros(3), COSINE) == 1.0
+    assert distance(np.zeros(3), np.zeros(3), COSINE) == 0.0
+    gen = np.random.default_rng(2)
+    A = np.maximum(gen.normal(size=(6, 4)), 0.0)
+    A[[1, 4]] = 0.0
+    B = np.concatenate([A, np.maximum(gen.normal(size=(3, 4)), 0.0) + 0.1])
+    got = pairwise_distance(A, B, COSINE)
+    want = np.array([[distance(a, b, COSINE) for b in B] for a in A])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.all(got[[1, 4]][:, [1, 4]] == 0.0)
+    assert np.all(np.delete(got[[1, 4]], [1, 4], axis=1) == 1.0)
+    assert np.all(np.diag(got) <= 1e-12)
+    nonzero = [0, 2, 3, 5]
+    assert np.array_equal(
+        got[nonzero], pairwise_distance(A[nonzero], B, COSINE)
+    )  # zero rows leave the others' bits alone
 
 
 def test_symmetry_and_identity():
@@ -207,3 +221,31 @@ def test_kernel_bits_do_not_depend_on_chunk_size(entries, monkeypatch):
     (labels, mind), dist = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
     assert np.array_equal(labels, want[0][0]) and np.array_equal(mind, want[0][1])
     assert np.array_equal(dist, want[1])
+
+
+@pytest.mark.parametrize(
+    "n, p, d, dups",
+    [(1024, 600, 16, 60), (1024, 350, 16, 35), (20000, 10, 10, 5), (300, 40, 520, 4)],
+)
+def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups):
+    # landmark-assignment shapes on ReLU codes, a Lloyd shape on spectral rows
+    # and a code wider than any OpenBLAS inner block; `dups` centers appear
+    # twice and every center is also a point, so some rows hold several
+    # slightly negative raw entries that the clamp ties
+    gen = np.random.default_rng(n + p)
+    relu = d != 10
+    if relu:
+        C = 4.0 * np.maximum(gen.normal(size=(p, d)), 0.0)
+    else:
+        C = gen.normal(size=(p, d)) + 8.0
+    C[p - dups :] = C[:dups]
+    X = np.concatenate([C, C[0] + 0.5 * gen.standard_normal(size=(n - p, d))])
+    if relu:
+        X = np.maximum(X, 0.0)
+    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+    assert np.count_nonzero(np.count_nonzero(raw < 0.0, axis=1) >= 2) > 0
+    want = oracle_sq_dists(X, C)
+    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    assert np.array_equal(labels, np.argmin(want, axis=1))
+    assert mind.tobytes() == want[np.arange(n), labels].tobytes()
+    assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()

@@ -216,12 +216,21 @@ def oracle_lloyd(X, centers, max_iters=300):
 
 def test_pp_init_bit_identical_to_oracle():
     gen = np.random.default_rng(10)
-    for n, d, k in ((300, 5, 8), (2048, 16, 60), (50, 3, 1)):
-        X = gen.normal(size=(n, d)) * gen.uniform(0.1, 10.0, size=d)
+    cases = [
+        (gen.normal(size=(n, d)) * gen.uniform(0.1, 10.0, size=d), k)
+        for n, d, k in ((300, 5, 8), (2048, 16, 60), (50, 3, 1))
+    ]
+    # benchmark-like: ReLU codes, every row twice, so the D^2 weight of each
+    # picked row's twin (and of many repeats later) is exactly 0
+    codes = np.maximum(gen.normal(size=(2500, 16)), 0.0)
+    relu = np.concatenate([codes, codes[::-1]])
+    cases.append((relu, 600))
+    for X, k in cases:
         for seed in range(3):
             got = kmeans_pp_init(X, k, SeedStream(seed).generator())
             want = oracle_pp_init(X, k, SeedStream(seed).generator())
             assert np.array_equal(got, want)
+    assert np.count_nonzero(oracle_sq_dists(relu, got).min(axis=1) == 0.0) >= 600
 
 
 def test_lloyd_bit_identical_to_oracle():
