@@ -115,10 +115,16 @@ class EncoderSnapshot:
 
 @dataclass
 class EmbeddingSet:
-    """The m data embeddings produced by one snapshot training run."""
+    """The m data embeddings produced by one snapshot training run.
+
+    `history` holds one {"epoch", "lr", "loss"} record per training epoch,
+    the loss being the mean over its minibatches. It is kept apart from
+    `provenance`, which the snapshot files carry.
+    """
 
     members: list[np.ndarray]
     provenance: dict = field(default_factory=dict)
+    history: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.members:

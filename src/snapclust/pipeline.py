@@ -4,13 +4,28 @@ One run = `repeats` independent executions with derived seeds, evaluated
 against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
-run.json. Wall-clock timings, the process's peak resident memory and
-per-repeat diagnostics of the spectral models (the solver and spectrum;
-per member the metric, the landmark and affinity seconds and the count
-of landmarks no minibatch point reached; per final k-means restart its
-inertia and Lloyd iteration count) appear only in run.json so every
-other artifact is byte-reproducible. Its footprint gives a member affinity's modelled
-compact CSR size and the bytes its scipy `csr_array` actually holds.
+run.json. Only run.json holds wall-clock timings, memory and diagnostics,
+so every other artifact is byte-reproducible. It records the peak
+resident memory of this process and of the largest child it has waited
+for, and per repeat: each training epoch's learning rate and mean loss;
+for the spectral models the solver and spectrum, the member worker count
+and the members' wall seconds, per member the metric, the landmark and
+affinity seconds and the count of landmarks no minibatch point reached,
+and per final k-means restart its inertia and Lloyd iteration count. Its
+footprint gives a member affinity's modelled compact CSR size and the
+bytes its scipy `csr_array` actually holds.
+
+Ensemble members are independent: member j draws its landmarks from its
+own seed stream, so they are built in parallel. Landmark selection and
+affinity of each member run in forked worker processes, one per CPU in
+the process's affinity mask and at most m, and only the affinity and its
+diagnostics come back; fusion, the SVD and the final k-means stay in this
+process. Outputs are byte-identical to a serial run. A one-CPU mask
+(`taskset -c 0`), single-member models and the k-means baselines run
+serially, in this process. Memory grows to about one member's
+O(block * p + nnz) per worker. The "landmarks" and "affinity" stage
+seconds sum the members' own seconds, so with several workers they can
+exceed the members' wall time.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -22,9 +37,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import resource
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -79,6 +97,54 @@ def _stage(timings: dict, name: str):
         raise type(exc)(f"{name} stage: {exc}") from exc
     finally:
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+
+
+def pool_workers(count: int) -> int:
+    """Worker processes for `count` independent tasks; below 2, run them here.
+
+    One per CPU in this process's affinity mask, at most `count`. Serial
+    where the mask cannot be read, inside a multiprocessing worker, and
+    while other Python threads are alive, since forking a threaded process
+    can deadlock in the child.
+    """
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+# set only in fork_map's workers, by the pool initializer, never in the caller
+_forked_fn = None
+
+
+def _adopt(fn) -> None:
+    global _forked_fn
+    _forked_fn = fn
+
+
+def _call_forked(index: int):
+    return _forked_fn(index)
+
+
+def fork_map(fn, count: int, workers: int) -> list:
+    """[fn(0), ..., fn(count - 1)], in index order, on `workers` forked processes.
+
+    `fn` reaches the workers through fork, not pickling: only the index
+    goes out and only `fn`'s pickled result comes back. An exception from
+    `fn` is raised here as the one from the lowest failing index, as in a
+    serial loop. Every worker has exited when this returns or raises.
+    With fewer than 2 workers it is a plain loop in this process.
+    """
+    if workers < 2:
+        return [fn(i) for i in range(count)]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_adopt, initargs=(fn,)
+    ) as pool:
+        return list(pool.map(_call_forked, range(count)))
 
 
 def _check_matrix(X) -> np.ndarray:
@@ -136,29 +202,40 @@ def _single_run(
         with _stage(timings, "train"):
             _, embeddings = train_ensemble(X, config, repeat_index, cycles)
         members_Y = embeddings.members
+        diagnostics["train"] = embeddings.history
     else:
         members_Y = [X]
 
     if model in _SPECTRAL:
-        members = []
-        member_diagnostics = []
-        for j, Y in enumerate(members_Y):
-            start = time.perf_counter()
-            with _stage(timings, "landmarks"):
+
+        def build_member(j: int):
+            # may run in a forked worker, so its seconds return with the result
+            seconds: dict = {}
+            Y = members_Y[j]
+            with _stage(seconds, "landmarks"):
                 lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
-            landmarks_done = time.perf_counter()
-            with _stage(timings, "affinity"):
+            with _stage(seconds, "affinity"):
                 params = AffinityParams(
                     config.sparsity, parse_metric(config.member_metric(j))
                 )
-                members.append(build_affinity(Y, lm, params))
-            member_diagnostics.append(
-                {
-                    "metric": params.metric.label(),
-                    "landmarks_s": landmarks_done - start,
-                    "affinity_s": time.perf_counter() - landmarks_done,
-                    "empty_landmarks": lm.meta["empty"],
-                }
+                affinity = build_affinity(Y, lm, params)
+            return affinity, {
+                "metric": params.metric.label(),
+                "landmarks_s": seconds["landmarks"],
+                "affinity_s": seconds["affinity"],
+                "empty_landmarks": lm.meta["empty"],
+            }
+
+        workers = pool_workers(len(members_Y))
+        start = time.perf_counter()
+        built = fork_map(build_member, len(members_Y), workers)
+        diagnostics["workers"] = workers
+        diagnostics["members_wall_s"] = time.perf_counter() - start
+        members = [affinity for affinity, _ in built]
+        member_diagnostics = [member for _, member in built]
+        for name in ("landmarks", "affinity"):
+            timings[name] = timings.get(name, 0.0) + sum(
+                member[f"{name}_s"] for member in member_diagnostics
             )
         with _stage(timings, "fuse"):
             fused = fuse(members)
@@ -301,6 +378,10 @@ def run_model(
         "diagnostics": diagnostics,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # the largest child this process has waited for: member workers included
+        "peak_rss_children_mib": (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        ),
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}
     record = RunRecord(

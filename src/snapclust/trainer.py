@@ -111,7 +111,8 @@ def train_snapshots(
     Returns
     -------
     (snapshots, embeddings) : exactly M snapshots in cycle order, and the
-        noise-free embedding of X under each snapshot.
+        noise-free embedding of X under each snapshot. `embeddings.history`
+        holds each epoch's learning rate and mean minibatch loss.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -130,6 +131,7 @@ def train_snapshots(
     params = init_params(spec)
     velocity = None
     snapshots: list[EncoderSnapshot] = []
+    history: list[dict] = []
 
     for t in range(1, schedule.total_epochs + 1):
         epoch_stream = rng.child(STAGE_EPOCH, t)
@@ -155,6 +157,7 @@ def train_snapshots(
             loss_sum += loss
             params, velocity = sgd_step(params, grads, lr, momentum, velocity)
         epoch_loss = loss_sum / n_batches
+        history.append({"epoch": t, "lr": lr, "loss": epoch_loss})
         for _ in range(capture_epochs.count(t)):
             snapshots.append(_capture(params, spec, len(snapshots) + 1, epoch_loss))
 
@@ -169,7 +172,7 @@ def train_snapshots(
             raise NumericalError(
                 f"embedding of snapshot {i + 1} overflowed; lower alpha0 or add noise"
             )
-    return snapshots, EmbeddingSet(members, provenance)
+    return snapshots, EmbeddingSet(members, provenance, history)
 
 
 def _capture(params, spec: AutoencoderSpec, cycle_index: int, loss: float) -> EncoderSnapshot:

@@ -1,14 +1,16 @@
 """End-to-end pipeline runs, baselines, artifacts, sweeps, footprints."""
 
 import json
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from snapclust import distances, pipeline
+from snapclust import cli, distances, pipeline
 from snapclust.config import PipelineConfig, load_config
-from snapclust.datasets import make_blobs
+from snapclust.datasets import make_blobs, save_rawf32
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.kmeans import DEFAULT_RESTARTS
 from snapclust.pipeline import (
@@ -23,7 +25,7 @@ from snapclust.pipeline import (
     train_ensemble,
 )
 from snapclust.rng import STAGE_REPEAT, STAGE_TRAIN, SeedStream
-from snapclust.trainer import SnapshotSchedule, train_snapshots
+from snapclust.trainer import SnapshotSchedule, cosine_lr, train_snapshots
 
 DATA_SEED = 42
 
@@ -245,7 +247,12 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     run_doc = json.loads((outs[0] / "run.json").read_text())
     assert run_doc["footprint"]["member_affinity_nbytes"] > 0
     assert 0 < run_doc["peak_rss_mib"] < 2**20
+    assert 0 <= run_doc["peak_rss_children_mib"] < 2**20
+    for key in (b"members_wall_s", b"workers", b"peak_rss_children"):
+        assert key not in report, key
     for repeat in run_doc["diagnostics"]:
+        assert 1 <= repeat["workers"] <= cfg.m
+        assert repeat["members_wall_s"] > 0
         members = repeat["members"]
         assert len(members) == cfg.m
         assert [member["metric"] for member in members] == [
@@ -290,6 +297,144 @@ def test_chunk_size_does_not_change_outputs(tmp_path, monkeypatch):
     for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
         default = (tmp_path / "default" / name).read_bytes()
         assert (tmp_path / "chunk7" / name).read_bytes() == default, name
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(pipeline, "pool_workers", lambda count: min(count, workers))
+
+
+RM_METRICS = ("euclidean", "cosine", "minkowski")
+
+
+@pytest.mark.parametrize("model", ["ssc", "ssc_rm"])
+def test_pooled_members_match_serial_byte_for_byte(tmp_path, monkeypatch, model):
+    X, y = small_data()
+    X = np.abs(X) + 0.1
+    metrics = RM_METRICS if model == "ssc_rm" else ()
+    cfg = small_config(m=3, metrics=metrics)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        run_model(model, cfg, X, y, out_dir=tmp_path / str(workers))
+        assert multiprocessing.active_children() == []
+        run_doc = json.loads((tmp_path / str(workers) / "run.json").read_text())
+        assert [repeat["workers"] for repeat in run_doc["diagnostics"]] == [workers] * 2
+        labels = [member["metric"] for member in run_doc["diagnostics"][0]["members"]]
+        expected = ["euclidean", "cosine", "minkowski(q=3)"] if metrics else ["euclidean"] * 3
+        assert labels == expected
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        serial = (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "2" / name).read_bytes() == serial, name
+
+
+def test_failing_member_worker_raises_as_serial(tmp_path, monkeypatch, capsys):
+    # landmarks = n: every member's landmark stage rejects the config
+    X, _ = small_data()
+    data = tmp_path / "data.rawf32"
+    save_rawf32(data, X)
+    cfg = small_config(m=2, landmarks=X.shape[0], repeats=1)
+    argv = [
+        "cluster", "--dataset", str(data), "--m", "2", "--cycle-length", "2",
+        "--alpha0", "0.001", "--encoding-size", "3", "--hidden", "8",
+        "--landmarks", str(X.shape[0]), "--sparsity", "2", "--k", "3",
+        "--repeats", "1", "--batch-size", "32", "--activation", "identity",
+    ]
+    outcomes = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(ConfigError) as raised:
+            run_ssc(cfg, X)
+        assert multiprocessing.active_children() == []
+        assert type(raised.value) is ConfigError
+        code = cli.main(argv)
+        assert multiprocessing.active_children() == []
+        outcomes.append((str(raised.value), code, capsys.readouterr().err))
+    serial, pooled = outcomes
+    assert pooled == serial
+    message, code, err = serial
+    assert message.startswith("landmarks stage: landmark count must satisfy")
+    assert code == ConfigError.exit_code
+    assert "landmarks stage: landmark count" in err
+
+
+def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    X, y = small_data()
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        run_ssc(small_config(m=3, repeats=1), X, y, out_dir=tmp_path)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["workers"] == 1
+
+
+def test_pool_workers_runs_serially_beside_threads():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    cpus = len(os.sched_getaffinity(0))
+    assert pipeline.pool_workers(1) == 1
+    assert pipeline.pool_workers(64) == min(64, cpus)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert pipeline.pool_workers(64) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_fork_map_keeps_index_order_and_the_first_error():
+    parent = os.getpid()
+    # a generator cannot be pickled: the function reaches the workers by fork
+    unpicklable = (i for i in range(3))
+
+    def task(i):
+        assert unpicklable is not None
+        return i * i, os.getpid() != parent
+
+    assert pipeline.fork_map(task, 5, 2) == [(i * i, True) for i in range(5)]
+    assert pipeline.fork_map(task, 3, 1) == [(i * i, False) for i in range(3)]
+
+    def fail_from_two(i):
+        if i >= 2:
+            raise NumericalError(f"task {i}")
+        return i
+
+    with pytest.raises(NumericalError, match="^task 2$"):
+        pipeline.fork_map(fail_from_two, 5, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_training_history_only_in_run_json(tmp_path):
+    X, y = small_data()
+    cfg = small_config()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_ssc(cfg, X, y, out_dir=out)
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    report = (outs[0] / "report.json").read_bytes()
+    assert b"loss" not in report and b"history" not in report and b"train" not in report
+    schedule = SnapshotSchedule(cfg.alpha0, cfg.total_epochs, cfg.m)
+    for repeat in json.loads((outs[0] / "run.json").read_text())["diagnostics"]:
+        history = repeat["train"]
+        assert [e["epoch"] for e in history] == list(range(1, cfg.total_epochs + 1))
+        assert [e["lr"] for e in history] == [cosine_lr(e["epoch"], schedule) for e in history]
+        assert all(np.isfinite(e["loss"]) and e["loss"] > 0 for e in history)
+    # the history stays out of the provenance the snapshot files carry
+    snapshots, embeddings = train_ensemble(X, cfg)
+    assert set(embeddings.provenance) == {"schedule", "autoencoder"}
+    by_epoch = {e["epoch"]: e["loss"] for e in embeddings.history}
+    for snap, epoch in zip(snapshots, (2, 4)):
+        assert snap.train_loss == by_epoch[epoch]
 
 
 def test_dataset_loaded_from_config(tmp_path):
