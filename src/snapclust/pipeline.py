@@ -20,7 +20,9 @@ own seed stream, so they are built in parallel. Landmark selection and
 affinity of each member run in forked worker processes, one per CPU in
 the process's affinity mask and at most m, and only the affinity and its
 diagnostics come back; fusion, the SVD and the final k-means stay in this
-process. Outputs are byte-identical to a serial run. A one-CPU mask
+process. Each worker caps its OpenBLAS threads at cpus // workers, and on
+Linux it is killed when this process dies. Outputs are byte-identical to
+a serial run at the workers' BLAS thread count. A one-CPU mask
 (`taskset -c 0`), single-member models and the k-means baselines run
 serially, in this process. Memory grows to about one member's
 O(block * p + nnz) per worker. The "landmarks" and "affinity" stage
@@ -35,11 +37,15 @@ holds structurally instead of by test luck.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
 import resource
+import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -119,10 +125,52 @@ def pool_workers(count: int) -> int:
 # set only in fork_map's workers, by the pool initializer, never in the caller
 _forked_fn = None
 
+# <linux/prctl.h>: deliver a signal to this process when its parent dies
+_PR_SET_PDEATHSIG = 1
 
-def _adopt(fn) -> None:
+
+def _openblas_thread_controls() -> list:
+    """(get, set) of the thread count of each OpenBLAS loaded in this process.
+
+    Linux only: the libraries are found in /proc/self/maps. Covers stock
+    OpenBLAS and the builds bundled with the numpy and scipy wheels.
+    """
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {
+            fields[-1]
+            for fields in map(str.split, fh)
+            if "openblas" in os.path.basename(fields[-1])
+        }
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            if hasattr(lib, f"{prefix}_set_num_threads{suffix}"):
+                controls.append(
+                    (
+                        getattr(lib, f"{prefix}_get_num_threads{suffix}"),
+                        getattr(lib, f"{prefix}_set_num_threads{suffix}"),
+                    )
+                )
+                break
+    return controls
+
+
+def _adopt(fn, parent: int, blas_threads: int) -> None:
     global _forked_fn
     _forked_fn = fn
+    if sys.platform.startswith("linux"):
+        # A worker outlives a killed caller otherwise: it waits on the task
+        # queue forever, since it holds that queue's write end itself, and
+        # keeps the caller's stdout open.
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        # the workers share the caller's CPUs, BLAS threads included
+        for get, set_threads in _openblas_thread_controls():
+            if get() > blas_threads:
+                set_threads(blas_threads)
+    # the caller died before the prctl call
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _call_forked(index: int):
@@ -137,12 +185,20 @@ def fork_map(fn, count: int, workers: int) -> list:
     `fn` is raised here as the one from the lowest failing index, as in a
     serial loop. Every worker has exited when this returns or raises.
     With fewer than 2 workers it is a plain loop in this process.
+
+    On Linux a worker is killed when this process dies, and each worker
+    runs at most cpus // workers OpenBLAS threads (at least one), so the
+    pool does not oversubscribe the CPUs when BLAS is multithreaded.
     """
     if workers < 2:
         return [fn(i) for i in range(count)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else workers
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_adopt, initargs=(fn,)
+        workers,
+        mp_context=context,
+        initializer=_adopt,
+        initargs=(fn, os.getpid(), max(1, cpus // workers)),
     ) as pool:
         return list(pool.map(_call_forked, range(count)))
 

@@ -3,7 +3,13 @@
 import json
 import multiprocessing
 import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -411,6 +417,120 @@ def test_fork_map_keeps_index_order_and_the_first_error():
     with pytest.raises(NumericalError, match="^task 2$"):
         pipeline.fork_map(fail_from_two, 5, 2)
     assert multiprocessing.active_children() == []
+
+
+def test_fork_map_workers_share_the_cpus_with_blas():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("OpenBLAS threads are capped on Linux only")
+    controls = pipeline._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    cap = max(1, len(os.sched_getaffinity(0)) // 2)
+
+    def threads(i):
+        return [get() for get, _ in pipeline._openblas_thread_controls()]
+
+    try:
+        # more BLAS threads than CPUs: the workers must come down to their share
+        for _, set_threads in controls:
+            set_threads(cap + 2)
+        assert pipeline.fork_map(threads, 2, 2) == [[cap] * len(controls)] * 2
+        assert threads(0) == [cap + 2] * len(controls)
+        # a count already below the share is kept
+        for _, set_threads in controls:
+            set_threads(1)
+        assert pipeline.fork_map(threads, 2, 2) == [[1] * len(controls)] * 2
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+
+
+# a pooled `snapclust cluster` whose members report their pid and then stall
+STALLED_MEMBERS = r"""
+import os, sys, time
+from snapclust import cli, pipeline
+
+pipeline.pool_workers = lambda count: min(count, 2)
+minibatch_kmeans = pipeline.minibatch_kmeans
+
+def stalled(*args, **kwargs):
+    # one write, so that the two workers' lines cannot interleave
+    os.write(2, f"member {os.getpid()}\n".encode())
+    time.sleep(60)
+    return minibatch_kmeans(*args, **kwargs)
+
+pipeline.minibatch_kmeans = stalled
+sys.exit(cli.main(sys.argv[1:]))
+"""
+STALLED_MEMBER = re.compile(rb"^member (\d+)\n", re.MULTILINE)
+
+
+def _read_pipe(fd: int, timeout: float, until=lambda data: False) -> tuple[bytes, bool]:
+    """What a pipe yields within `timeout` s or until `until(data)`; and whether it closed."""
+    data = b""
+    deadline = time.monotonic() + timeout
+    while not until(data):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return data, False
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            return data, True
+        data += chunk
+    return data, False
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_killed_caller_takes_its_member_workers_along(tmp_path):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the parent-death signal is Linux only")
+    X, _ = small_data()
+    data = tmp_path / "data.rawf32"
+    save_rawf32(data, X)
+    argv = [
+        "cluster", "--dataset", str(data), "--m", "2", "--cycle-length", "2",
+        "--alpha0", "0.001", "--encoding-size", "3", "--hidden", "8",
+        "--landmarks", "10", "--sparsity", "2", "--k", "3",
+        "--repeats", "1", "--batch-size", "32", "--activation", "identity",
+    ]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALLED_MEMBERS, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    workers = []
+    try:
+        err, _ = _read_pipe(
+            proc.stderr.fileno(), 60, until=lambda data: len(STALLED_MEMBER.findall(data)) == 2
+        )
+        workers = [int(pid) for pid in STALLED_MEMBER.findall(err)]
+        assert len(workers) == 2, err.decode(errors="replace")
+        assert proc.pid not in workers
+        proc.kill()
+        proc.wait()
+        # every worker holds the caller's stdout: it closes once they are all gone
+        out, closed = _read_pipe(proc.stdout.fileno(), 10)
+        assert closed, "a member worker kept the killed caller's stdout open"
+        assert out == b""
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_training_history_only_in_run_json(tmp_path):
