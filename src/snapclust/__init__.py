@@ -8,7 +8,7 @@ left singular vectors. The package also ships the reference baselines,
 agreement metrics, seeded synthetic datasets and a CLI.
 """
 
-from .affinity import AffinityParams, SparseAffinity, build_affinity, nearest_landmarks, scott_bandwidth
+from .affinity import AffinityParams, SparseAffinity, build_affinity, scott_bandwidth
 from .autoencoder import AutoencoderSpec, EmbeddingSet, EncoderSnapshot, encode
 from .config import PipelineConfig, load_config, save_config
 from .consensus import FusedAffinity, SpectralEmbedding, fuse, left_singular_vectors
@@ -25,7 +25,7 @@ from .distances import EUCLIDEAN, Metric, distance, pairwise_distance, parse_met
 from .errors import ConfigError, DataError, NumericalError, SnapclustError
 from .evaluation import accuracy, aggregate, ari, contingency, nmi, score
 from .kmeans import Partition, kmeans, kmeans_pp_init
-from .landmarks import LandmarkSet, load_landmarks, minibatch_kmeans, save_landmarks
+from .landmarks import LandmarkSet, minibatch_kmeans
 from .pipeline import (
     RunRecord,
     footprint_report,
@@ -85,12 +85,10 @@ __all__ = [
     "load_config",
     "load_dataset",
     "load_labels",
-    "load_landmarks",
     "load_snapshot",
     "make_blobs",
     "make_moons",
     "minibatch_kmeans",
-    "nearest_landmarks",
     "nmi",
     "pairwise_distance",
     "parse_metric",
@@ -100,7 +98,6 @@ __all__ = [
     "run_ssc_rm",
     "save_config",
     "save_labels",
-    "save_landmarks",
     "save_rawf32",
     "save_snapshot",
     "scott_bandwidth",

@@ -103,21 +103,6 @@ def _nearest_landmark_rows(
     return dists, nearest
 
 
-def nearest_landmarks(
-    x: np.ndarray, landmarks: LandmarkSet, r: int, metric: Metric = EUCLIDEAN
-) -> np.ndarray:
-    """Indices of the r landmarks nearest to x, ties to the lower index.
-
-    A zero x under cosine takes the r landmarks of smallest norm.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError("nearest_landmarks expects a single vector")
-    if not 1 <= r < landmarks.p:
-        raise ConfigError(f"need 1 <= r < p, got r={r}, p={landmarks.p}")
-    return _nearest_landmark_rows(x[None, :], landmarks.centers, r, metric)[1][0]
-
-
 @dataclass
 class SparseAffinity:
     """Row-stochastic n x p CSR affinity: r sorted, distinct columns per row."""
@@ -125,7 +110,6 @@ class SparseAffinity:
     matrix: csr_array
     params: AffinityParams
     bandwidth: float
-    landmark_ref: str = ""
 
     def __post_init__(self):
         M = self.matrix
@@ -144,25 +128,13 @@ class SparseAffinity:
             raise DataError("bandwidth must be positive")
 
     @property
-    def r(self) -> int:
-        return self.params.r
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    @property
     def density(self) -> float:
         return self.params.r / self.matrix.shape[1]
 
 
 def build_affinity(
     Y: np.ndarray,
-    landmarks: LandmarkSet | np.ndarray,
+    landmarks: LandmarkSet,
     params: AffinityParams,
 ) -> SparseAffinity:
     """Gaussian affinities from every point to its r nearest landmarks.
@@ -184,11 +156,8 @@ def build_affinity(
     uniform, 1/r.
     """
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if isinstance(landmarks, LandmarkSet):
-        centers, ref = landmarks.centers, landmarks.fingerprint()
-    else:
-        centers, ref = np.ascontiguousarray(landmarks, dtype=np.float64), ""
-    if Y.ndim != 2 or centers.ndim != 2 or Y.shape[1] != centers.shape[1]:
+    centers = landmarks.centers
+    if Y.ndim != 2 or Y.shape[1] != centers.shape[1]:
         raise DataError(f"embedding/landmark dims disagree: {Y.shape} vs {centers.shape}")
     n, p = Y.shape[0], centers.shape[0]
     r = params.r
@@ -222,4 +191,4 @@ def build_affinity(
     vals = np.take_along_axis(weights, order, axis=1).reshape(-1)
     offsets = np.arange(n + 1, dtype=np.int64) * r
     matrix = csr_array((vals, cols, offsets), shape=(n, p))
-    return SparseAffinity(matrix, params=params, bandwidth=sigma, landmark_ref=ref)
+    return SparseAffinity(matrix, params=params, bandwidth=sigma)

@@ -108,10 +108,6 @@ class EncoderSnapshot:
     def input_size(self) -> int:
         return self.weights[0][0].shape[0]
 
-    @property
-    def encoding_size(self) -> int:
-        return self.weights[-1][0].shape[1]
-
 
 @dataclass
 class EmbeddingSet:
@@ -133,10 +129,6 @@ class EmbeddingSet:
         for k, Y in enumerate(self.members):
             if Y.shape != (n, dp):
                 raise DataError(f"embedding {k} shape {Y.shape} != {(n, dp)}")
-
-    @property
-    def m(self) -> int:
-        return len(self.members)
 
 
 def init_params(spec: AutoencoderSpec) -> Params:

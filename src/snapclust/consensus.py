@@ -58,10 +58,6 @@ class FusedAffinity:
             raise DataError(f"fused rows must sum to sqrt(m) = {target:.6g}")
 
     @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def nnz(self) -> int:
         return self.matrix.nnz
 

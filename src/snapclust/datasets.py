@@ -9,7 +9,6 @@ need no downloads.
 
 from __future__ import annotations
 
-import io
 import struct
 
 import numpy as np
@@ -135,11 +134,8 @@ def load_labels(path) -> np.ndarray:
 
 def save_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels).astype(np.int64)
-    buf = io.StringIO()
-    for v in labels:
-        buf.write(f"{int(v)}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write("".join(f"{v}\n" for v in labels.tolist()))
 
 
 def make_blobs(

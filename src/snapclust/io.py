@@ -1,11 +1,9 @@
-"""SSCW/SSCL binary containers for encoder snapshots and landmark sets.
+"""SSCW binary container for encoder snapshots.
 
 Layout (all little-endian):
   magic[4] | version u16 | layer_count u32
   per layer: rows u32 | cols u32 | f64 weights row-major | f64 biases[cols]
   meta_len u32 | UTF-8 JSON metadata
-Snapshots use magic SSCW, landmark sets SSCL (a single "layer" holding the
-p x d' center matrix with an empty bias vector).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import numpy as np
 from .errors import DataError
 
 SNAPSHOT_MAGIC = b"SSCW"
-LANDMARK_MAGIC = b"SSCL"
 CONTAINER_VERSION = 1
 
 

@@ -15,14 +15,12 @@ is a data point and so still a valid landmark.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distances import nearest_centers
 from .errors import ConfigError, DataError
-from .io import LANDMARK_MAGIC, read_container, write_container
 from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
@@ -49,15 +47,6 @@ class LandmarkSet:
     def p(self) -> int:
         return self.centers.shape[0]
 
-    @property
-    def dims(self) -> int:
-        return self.centers.shape[1]
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.centers.tobytes())
-        h.update(f"{self.p}:{self.seed}".encode())
-        return h.hexdigest()[:16]
 
 
 def minibatch_kmeans(
@@ -105,32 +94,4 @@ def minibatch_kmeans(
         ) / new_total[touched, None]
         counts = new_total
 
-    meta = {
-        "n": n,
-        "batch_size": bsz,
-        "max_iters": max_iters,
-        "empty": int(np.count_nonzero(counts == 0)),
-    }
-    return LandmarkSet(centers, seed=rng.seed, meta=meta)
-
-
-def save_landmarks(path, landmarks: LandmarkSet) -> None:
-    """Write a landmark set as a single-block binary container."""
-    meta = {
-        "seed": landmarks.seed,
-        "meta": landmarks.meta,
-    }
-    empty_bias = np.zeros(landmarks.dims, dtype=np.float64)
-    write_container(path, LANDMARK_MAGIC, [(landmarks.centers, empty_bias)], meta)
-
-
-def load_landmarks(path) -> LandmarkSet:
-    layers, meta = read_container(path, LANDMARK_MAGIC)
-    if len(layers) != 1:
-        raise DataError(f"{path}: landmark container must hold exactly one block")
-    centers, _ = layers[0]
-    return LandmarkSet(
-        centers,
-        seed=int(meta.get("seed", 0)),
-        meta=dict(meta.get("meta", {})),
-    )
+    return LandmarkSet(centers, seed=rng.seed, meta={"empty": int(np.count_nonzero(counts == 0))})

@@ -5,29 +5,23 @@ against ground truth when available and aggregated into a single report.
 Artifacts per run: one labels file per repeat (one integer per line),
 report.json (deterministic for a fixed config and seed), config.txt, and
 run.json. Only run.json holds wall-clock timings, memory and diagnostics,
-so every other artifact is byte-reproducible. It records the peak
-resident memory of this process and of the largest child it has waited
-for, and per repeat: each training epoch's learning rate and mean loss;
-for the spectral models the solver and spectrum, the member worker count
-and the members' wall seconds, per member the metric, the landmark and
-affinity seconds and the count of landmarks no minibatch point reached,
-and per final k-means restart its inertia and Lloyd iteration count. Its
-footprint gives a member affinity's modelled compact CSR size and the
-bytes its scipy `csr_array` actually holds.
+so every other artifact is byte-reproducible. The README lists its
+fields.
 
 Ensemble members are independent: member j draws its landmarks from its
 own seed stream, so they are built in parallel. Landmark selection and
 affinity of each member run in forked worker processes, one per CPU in
 the process's affinity mask and at most m, and only the affinity and its
 diagnostics come back; fusion, the SVD and the final k-means stay in this
-process. Each worker caps its OpenBLAS threads at cpus // workers, and on
-Linux it is killed when this process dies. Outputs are byte-identical to
-a serial run at the workers' BLAS thread count. A one-CPU mask
+process. Each worker runs OpenBLAS at one thread, so outputs are
+byte-identical to a serial run at one BLAS thread whatever the CPU
+count, and on Linux it is killed when this process dies. A one-CPU mask
 (`taskset -c 0`), single-member models and the k-means baselines run
-serially, in this process. Memory grows to about one member's
-O(block * p + nnz) per worker. The "landmarks" and "affinity" stage
-seconds sum the members' own seconds, so with several workers they can
-exceed the members' wall time.
+serially, in this process, and so does a call made while other Python
+threads are alive, since forking a threaded process can deadlock.
+Memory grows to about one member's O(block * p + nnz) per worker. The
+"landmarks" and "affinity" stage seconds sum the members' own seconds,
+so with several workers they can exceed the members' wall time.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -156,7 +150,7 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
-def _adopt(fn, parent: int, blas_threads: int) -> None:
+def _adopt(fn, parent: int) -> None:
     global _forked_fn
     _forked_fn = fn
     if sys.platform.startswith("linux"):
@@ -164,10 +158,9 @@ def _adopt(fn, parent: int, blas_threads: int) -> None:
         # queue forever, since it holds that queue's write end itself, and
         # keeps the caller's stdout open.
         ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        # the workers share the caller's CPUs, BLAS threads included
-        for get, set_threads in _openblas_thread_controls():
-            if get() > blas_threads:
-                set_threads(blas_threads)
+        # one BLAS thread, so that a member's bytes do not depend on the CPU count
+        for _, set_threads in _openblas_thread_controls():
+            set_threads(1)
     # the caller died before the prctl call
     if os.getppid() != parent:
         os._exit(1)
@@ -187,18 +180,14 @@ def fork_map(fn, count: int, workers: int) -> list:
     With fewer than 2 workers it is a plain loop in this process.
 
     On Linux a worker is killed when this process dies, and each worker
-    runs at most cpus // workers OpenBLAS threads (at least one), so the
-    pool does not oversubscribe the CPUs when BLAS is multithreaded.
+    runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
+    and a member rounds the same whatever the CPU count.
     """
     if workers < 2:
         return [fn(i) for i in range(count)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else workers
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        workers,
-        mp_context=context,
-        initializer=_adopt,
-        initargs=(fn, os.getpid(), max(1, cpus // workers)),
+        workers, mp_context=context, initializer=_adopt, initargs=(fn, os.getpid())
     ) as pool:
         return list(pool.map(_call_forked, range(count)))
 

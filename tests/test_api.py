@@ -1,5 +1,5 @@
-"""The public API: every name the package exports resolves, and no module
-imports a name it never uses."""
+"""The public API: every name the package exports resolves, no module
+imports a name it never uses, and no private top-level name is dead."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,51 @@ def test_no_module_imports_an_unused_name():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def referenced_names(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level `_name` functions, classes and constants that no other
+    top-level statement of any of the modules refers to."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    refs = [referenced_names(node) for _, node in statements]
+    dead = []
+    for i, (module, node) in enumerate(statements):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for j, r in enumerate(refs) if j != i):
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_private_name_check_sees_functions_classes_and_constants():
+    a = "def _rec(n):\n    return _rec(n - 1)\n_USED = 1\n_DEAD = 2\nclass _C:\n    pass\n"
+    b = "from a import _helper\nimport a\nx = a._USED\n"
+    c = "def _helper():\n    pass\n__all__ = []\n"
+    assert unreferenced_private_names({"a": a, "b": b, "c": c}) == ["a:_rec", "a:_DEAD", "a:_C"]
+
+
+def test_no_private_top_level_name_is_dead():
+    package = Path(snapclust.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -109,7 +109,7 @@ def test_snapshot_validation():
 def test_embedding_set_shape_check():
     with pytest.raises(DataError):
         EmbeddingSet([np.zeros((3, 2)), np.zeros((3, 3))])
-    assert EmbeddingSet([np.zeros((3, 2))] * 4).m == 4
+    assert len(EmbeddingSet([np.zeros((3, 2))] * 4).members) == 4
 
 
 def test_sgd_step_arithmetic():

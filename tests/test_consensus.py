@@ -78,7 +78,7 @@ def test_fuse_matches_dense():
     fused = fuse(members)
     ref = np.hstack([a.matrix.toarray() for a in members]) * (1.0 / np.sqrt(3))
     assert np.array_equal(fused.matrix.toarray(), ref)
-    assert fused.matrix.shape == (6, sum(a.shape[1] for a in members))
+    assert fused.matrix.shape == (6, sum(a.matrix.shape[1] for a in members))
 
 
 def test_fuse_rejects_row_mismatch():

@@ -131,6 +131,8 @@ def test_labels_text_round_trip(tmp_path):
     save_labels(path, np.array([2, 0, 1, 1]))
     assert path.read_text() == "2\n0\n1\n1\n"
     assert load_labels(path).tolist() == [2, 0, 1, 1]
+    save_labels(path, np.array([0, 12, 3]))
+    assert path.read_bytes() == b"0\n12\n3\n"
 
 
 def test_labels_idx_sniffed(tmp_path):

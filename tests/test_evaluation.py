@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from snapclust.errors import ConfigError, DataError
+from snapclust.errors import DataError
 from snapclust.evaluation import (
     METRIC_KEYS,
     accuracy,
@@ -236,11 +236,9 @@ def test_nmi_symmetric():
         assert nmi(a, b) == pytest.approx(nmi(b, a), abs=1e-12)
 
 
-def test_score_keys_and_unknown_metric():
+def test_score_keys():
     out = score([0, 1], [0, 1])
     assert tuple(out.keys()) == METRIC_KEYS
-    with pytest.raises(ConfigError):
-        score([0, 1], [0, 1], metrics=("nmi", "f1"))
 
 
 def test_score_equals_the_single_metric_functions():
@@ -251,7 +249,6 @@ def test_score_equals_the_single_metric_functions():
         truth = gen.integers(0, 4, size=n)
         want = {"nmi": nmi(pred, truth), "ari": ari(pred, truth), "acc": accuracy(pred, truth)}
         assert score(pred, truth) == want
-        assert score(pred, truth, metrics=("acc", "nmi")) == {"acc": want["acc"], "nmi": want["nmi"]}
 
 
 def test_aggregate_mean_and_sample_std():

@@ -1,18 +1,12 @@
-"""Landmark selection: fixed points, blob recovery, objective quality, container."""
+"""Landmark selection: fixed points, blob recovery, objective quality."""
 
 import numpy as np
 import pytest
 
 from snapclust.errors import ConfigError, DataError
-from snapclust.landmarks import (
-    LandmarkSet,
-    load_landmarks,
-    minibatch_kmeans,
-    save_landmarks,
-)
+from snapclust.landmarks import LandmarkSet, minibatch_kmeans
 from snapclust.kmeans import kmeans_pp_init
 from snapclust.rng import STAGE_BATCH, STAGE_INIT, SeedStream
-from snapclust.io import LANDMARK_MAGIC
 
 
 def test_landmark_set_validation():
@@ -21,14 +15,6 @@ def test_landmark_set_validation():
         LandmarkSet(np.zeros((1, 3)), seed=0)  # p >= 2
     with pytest.raises(DataError):
         LandmarkSet(np.full((3, 2), np.nan), seed=0)
-
-
-def test_fingerprint_tracks_content():
-    a = LandmarkSet(np.zeros((2, 2)), seed=0)
-    b = LandmarkSet(np.zeros((2, 2)), seed=0)
-    c = LandmarkSet(np.ones((2, 2)), seed=0)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
 
 
 def test_p_distinct_points_is_fixed_point():
@@ -58,7 +44,7 @@ def test_centers_stay_in_bounding_box():
     lm = minibatch_kmeans(Y, 25, SeedStream(3))
     assert np.all(lm.centers >= Y.min(axis=0) - 1e-12)
     assert np.all(lm.centers <= Y.max(axis=0) + 1e-12)
-    assert lm.p == 25 and lm.dims == 4
+    assert lm.p == 25 and lm.centers.shape[1] == 4
 
 
 def test_p_bounds_enforced():
@@ -94,25 +80,6 @@ def test_beats_uniform_landmarks():
         lm = minibatch_kmeans(Y, p, SeedStream(seed))
         uniform_idx = SeedStream(seed).generator().choice(len(Y), size=p, replace=False)
         assert quantization_error(Y, lm.centers) <= quantization_error(Y, Y[uniform_idx]) + 1e-12
-
-
-def test_container_round_trip(tmp_path):
-    Y = np.random.default_rng(6).normal(size=(100, 3))
-    lm = minibatch_kmeans(Y, 8, SeedStream(1))
-    path = tmp_path / "lm.sscl"
-    save_landmarks(path, lm)
-    assert path.read_bytes()[:4] == LANDMARK_MAGIC
-    back = load_landmarks(path)
-    assert np.array_equal(back.centers, lm.centers)
-    assert back.seed == lm.seed
-    assert back.fingerprint() == lm.fingerprint()
-
-
-def test_load_rejects_snapshot_magic(tmp_path):
-    path = tmp_path / "wrong.sscl"
-    path.write_bytes(b"SSCW" + b"\x00" * 32)
-    with pytest.raises(DataError, match="bad magic"):
-        load_landmarks(path)
 
 
 def oracle_sq_dists(X, C):

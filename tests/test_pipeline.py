@@ -419,28 +419,25 @@ def test_fork_map_keeps_index_order_and_the_first_error():
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_workers_share_the_cpus_with_blas():
+def test_fork_map_workers_share_the_cpus_with_blas(monkeypatch):
     if not sys.platform.startswith("linux"):
         pytest.skip("OpenBLAS threads are capped on Linux only")
     controls = pipeline._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     before = [get() for get, _ in controls]
-    cap = max(1, len(os.sched_getaffinity(0)) // 2)
+    # 8 CPUs for 2 workers: a 4-thread share would fit, yet each worker runs
+    # one BLAS thread, so that its rounding does not depend on the CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
     def threads(i):
         return [get() for get, _ in pipeline._openblas_thread_controls()]
 
     try:
-        # more BLAS threads than CPUs: the workers must come down to their share
         for _, set_threads in controls:
-            set_threads(cap + 2)
-        assert pipeline.fork_map(threads, 2, 2) == [[cap] * len(controls)] * 2
-        assert threads(0) == [cap + 2] * len(controls)
-        # a count already below the share is kept
-        for _, set_threads in controls:
-            set_threads(1)
+            set_threads(6)
         assert pipeline.fork_map(threads, 2, 2) == [[1] * len(controls)] * 2
+        assert threads(0) == [6] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)

@@ -11,6 +11,7 @@ from snapclust import consensus
 from snapclust.affinity import AffinityParams, SparseAffinity, build_affinity
 from snapclust.consensus import FusedAffinity, fuse, left_singular_vectors
 from snapclust.errors import DataError
+from snapclust.landmarks import LandmarkSet
 from snapclust.pipeline import _stage, csr_footprint_bytes
 
 
@@ -70,7 +71,7 @@ def test_hand_constructed_offsets():
     # 1-D landmarks at 0, 1, 2, 10; the point at 9 picks landmark 3 before 2
     centers = np.array([[0.0], [1.0], [2.0], [10.0]])
     Y = np.array([[0.9], [9.0], [0.1]])
-    Z = build_affinity(Y, centers, AffinityParams(r=2, sigma=1.0)).matrix
+    Z = build_affinity(Y, LandmarkSet(centers, seed=0), AffinityParams(r=2, sigma=1.0)).matrix
     assert isinstance(Z, csr_array)
     assert Z.indptr.tolist() == [0, 2, 4, 6]
     assert Z.indices.tolist() == [0, 1, 2, 3, 0, 1]

@@ -108,7 +108,7 @@ def test_train_returns_m_snapshots_and_embeddings():
     schedule = SnapshotSchedule(0.01, 10, 4)  # truncated tail, still 4 snapshots
     snaps, emb = train_snapshots(X, spec, schedule, batch_size=8, rng=SeedStream(3))
     assert len(snaps) == 4
-    assert emb.m == 4
+    assert len(emb.members) == 4
     assert [s.cycle_index for s in snaps] == [1, 2, 3, 4]
     for Y in emb.members:
         assert Y.shape == (24, 2)
