@@ -225,3 +225,37 @@ def test_load_snapshot_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(DataError, match="bad magic"):
         load_snapshot(path)
+
+
+def saved_snapshot_bytes(tmp_path):
+    X = tiny_data()
+    spec = AutoencoderSpec.from_encoder_widths([6, 4, 2])
+    snaps, _ = train_snapshots(
+        X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(4)
+    )
+    path = tmp_path / "snap.sscw"
+    save_snapshot(path, snaps[0], provenance={"cycle": 1})
+    return path, path.read_bytes(), snaps[0].weights
+
+
+def test_load_snapshot_rejects_other_container_version(tmp_path):
+    path, raw, _ = saved_snapshot_bytes(tmp_path)
+    path.write_bytes(raw[:4] + (2).to_bytes(2, "little") + raw[6:])
+    with pytest.raises(DataError, match="unsupported container version 2"):
+        load_snapshot(path)
+
+
+def test_load_snapshot_rejects_each_truncation(tmp_path):
+    path, raw, weights = saved_snapshot_bytes(tmp_path)
+    W0 = weights[0][0]
+    layers_end = 10 + sum(8 + 8 * (W.size + b.size) for W, b in weights)
+    cuts = {
+        10 + 4: "truncated layer header",
+        10 + 8 + 8 * W0.size: "truncated layer payload",
+        layers_end + 2: "truncated metadata length",
+        len(raw) - 1: "truncated metadata",
+    }
+    for cut, message in cuts.items():
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError, match=f"{message}$"):
+            load_snapshot(path)
