@@ -115,7 +115,8 @@ class EmbeddingSet:
 
     `history` holds one {"epoch", "lr", "loss"} record per training epoch,
     the loss being the mean over its minibatches. It is kept apart from
-    `provenance`, which the snapshot files carry.
+    `provenance`, which the snapshot files carry. `members` is empty when
+    the snapshots went to a capture hook instead (`train_snapshots`).
     """
 
     members: list[np.ndarray]
@@ -123,12 +124,9 @@ class EmbeddingSet:
     history: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.members:
-            raise DataError("EmbeddingSet needs at least one member")
-        n, dp = self.members[0].shape
         for k, Y in enumerate(self.members):
-            if Y.shape != (n, dp):
-                raise DataError(f"embedding {k} shape {Y.shape} != {(n, dp)}")
+            if Y.shape != self.members[0].shape:
+                raise DataError(f"embedding {k} shape {Y.shape} != {self.members[0].shape}")
 
 
 def init_params(spec: AutoencoderSpec) -> Params:

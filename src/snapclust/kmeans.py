@@ -4,7 +4,9 @@ Used both as the final clustering step on the spectral embedding and as
 the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
 index) pair, so results do not depend on evaluation order, and every
-restart's inertia and Lloyd iteration count stay on the Partition.
+restart's inertia and Lloyd iteration count stay on the Partition. The
+caller may hand the restarts to a map that runs them elsewhere, for
+example on forked worker processes (`pipeline.fork_map`).
 Assignment uses `distances.nearest_centers`, the fused squared-euclidean
 kernel, with row norms computed once and the distance buffer reused across
 Lloyd iterations. k-means++ computes each new center's distances as one
@@ -15,6 +17,7 @@ would pick.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,8 +148,15 @@ def kmeans(
     rng: SeedStream,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = DEFAULT_MAX_ITERS,
+    map_restarts: Callable[[Callable, int], list] | None = None,
 ) -> Partition:
-    """Best-of-restarts KMeans. `X` is a data matrix or a SpectralEmbedding."""
+    """Best-of-restarts KMeans. `X` is a data matrix or a SpectralEmbedding.
+
+    `map_restarts(fn, count)` must return [fn(0), ..., fn(count - 1)];
+    by default the restarts run here, one after the other. Restart i
+    draws from `rng.child(STAGE_RESTART, i)` wherever it runs, so the
+    map cannot change the result.
+    """
     if hasattr(X, "U"):
         X = X.U
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -159,16 +169,15 @@ def kmeans(
     if restarts < 1:
         raise ConfigError("kmeans: restarts must be >= 1")
 
-    best: tuple[float, int] | None = None
-    best_labels = None
-    log = []
-    for i in range(restarts):
+    def restart(i: int) -> tuple[np.ndarray, float, int]:
         gen = rng.child(STAGE_RESTART, i).generator()
-        centers = kmeans_pp_init(X, k, gen)
-        labels, inertia, history = lloyd(X, centers, max_iters)
-        log.append({"inertia": inertia, "lloyd_iters": len(history)})
-        key = (inertia, i)
-        if best is None or key < best:
-            best = key
-            best_labels = labels
-    return Partition(best_labels, best[0], k, restarts=log)
+        labels, inertia, history = lloyd(X, kmeans_pp_init(X, k, gen), max_iters)
+        return labels, inertia, len(history)
+
+    if map_restarts is None:
+        runs = [restart(i) for i in range(restarts)]
+    else:
+        runs = map_restarts(restart, restarts)
+    best = min(range(restarts), key=lambda i: (runs[i][1], i))
+    log = [{"inertia": inertia, "lloyd_iters": iters} for _, inertia, iters in runs]
+    return Partition(runs[best][0], runs[best][1], k, restarts=log)

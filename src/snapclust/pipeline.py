@@ -9,19 +9,31 @@ so every other artifact is byte-reproducible. The README lists its
 fields.
 
 Ensemble members are independent: member j draws its landmarks from its
-own seed stream, so they are built in parallel. Landmark selection and
-affinity of each member run in forked worker processes, one per CPU in
-the process's affinity mask and at most m, and only the affinity and its
-diagnostics come back; fusion, the SVD and the final k-means stay in this
-process. Each worker runs OpenBLAS at one thread, so outputs are
-byte-identical to a serial run at one BLAS thread whatever the CPU
-count, and on Linux it is killed when this process dies. A one-CPU mask
-(`taskset -c 0`), single-member models and the k-means baselines run
-serially, in this process, and so does a call made while other Python
-threads are alive, since forking a threaded process can deadlock.
-Memory grows to about one member's O(block * p + nnz) per worker. The
-"landmarks" and "affinity" stage seconds sum the members' own seconds,
-so with several workers they can exceed the members' wall time.
+own seed stream, so they are built in parallel, while training goes on.
+A pool of worker processes, one per CPU in the process's affinity mask
+and at most m, is opened before training; its workers fork when the
+first snapshot arrives. Each snapshot goes to the pool as soon as
+training captures it, and a worker embeds the data under it, selects
+landmarks and builds the affinity; only the affinity and its diagnostics
+come back. This process trains meanwhile and never builds a member
+itself, so it holds no embedding, and collects the members in index
+order once training ends: a training error is raised first, then the
+lowest failing member's. Fusion and the SVD stay in this process. For
+every model, the final k-means restarts run in a pool of their own,
+forked once the points to cluster exist. Each worker runs OpenBLAS at
+one thread, so outputs are byte-identical to a serial run at one BLAS
+thread whatever the CPU count, and on Linux it is killed when this
+process dies. A one-CPU mask (`taskset -c 0`) runs everything serially,
+in this process, and so does a call made while other Python threads are
+alive, since forking a threaded process can deadlock. Serially, and for
+the single-member models, the members are built one after the other once
+training has ended, so this process holds one embedding at a time.
+Memory grows to about one member's embedding plus its O(block * p + nnz)
+per worker. The "train" stage seconds are the training loop's wall time,
+during which the member workers share the CPUs with it. The "landmarks"
+and "affinity" stage seconds sum the members' own seconds, so with
+several workers they can exceed `members_wall_s`, the time from opening
+the member pool, before training, to collecting the last member.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -64,7 +76,7 @@ from .rng import (
     STAGE_TRAIN,
     SeedStream,
 )
-from .trainer import SnapshotSchedule, train_snapshots
+from .trainer import SnapshotSchedule, embed_snapshot, train_snapshots
 
 MODELS = ("ssc", "ssc_rm", "kmeans", "dae_kmeans", "lsc", "dae_lsc")
 BASELINES = ("kmeans", "dae_kmeans", "lsc", "dae_lsc")
@@ -116,8 +128,9 @@ def pool_workers(count: int) -> int:
     return min(count, len(os.sched_getaffinity(0)))
 
 
-# set only in fork_map's workers, by the pool initializer, never in the caller
+# set only in _ForkPool's workers, by the pool initializer, never in the caller
 _forked_fn = None
+_forked_stop = None
 
 # <linux/prctl.h>: deliver a signal to this process when its parent dies
 _PR_SET_PDEATHSIG = 1
@@ -150,9 +163,9 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
-def _adopt(fn, parent: int) -> None:
-    global _forked_fn
-    _forked_fn = fn
+def _adopt(fn, parent: int, stop) -> None:
+    global _forked_fn, _forked_stop
+    _forked_fn, _forked_stop = fn, stop
     if sys.platform.startswith("linux"):
         # A worker outlives a killed caller otherwise: it waits on the task
         # queue forever, since it holds that queue's write end itself, and
@@ -166,30 +179,76 @@ def _adopt(fn, parent: int) -> None:
         os._exit(1)
 
 
-def _call_forked(index: int):
-    return _forked_fn(index)
+def _call_forked(*args):
+    # the caller has given up on the results: a queued call is dropped
+    return None if _forked_stop.is_set() else _forked_fn(*args)
 
 
-def fork_map(fn, count: int, workers: int) -> list:
-    """[fn(0), ..., fn(count - 1)], in index order, on `workers` forked processes.
+class _ForkPool:
+    """Calls fn(0, ...), fn(1, ...), ... of one function on forked worker processes.
 
-    `fn` reaches the workers through fork, not pickling: only the index
-    goes out and only `fn`'s pickled result comes back. An exception from
-    `fn` is raised here as the one from the lowest failing index, as in a
-    serial loop. Every worker has exited when this returns or raises.
-    With fewer than 2 workers it is a plain loop in this process.
+    `submit(*args)` queues fn(i, *args), `i` counting the earlier
+    submissions, and a free worker starts it at once. `results()` waits
+    for every call and returns the results in submission order, raising
+    the exception of the lowest failing call, as a serial loop would.
+    `fn` reaches the workers through fork, not pickling: only the
+    arguments go out and only the results come back. With fewer than 2
+    workers nothing is forked, and `results()` makes the calls here, in
+    order. Leaving the `with` block through an exception drops the calls
+    no worker has started; every worker has exited once the block is left.
 
     On Linux a worker is killed when this process dies, and each worker
     runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
-    and a member rounds the same whatever the CPU count.
+    and a call rounds the same whatever the CPU count.
     """
-    if workers < 2:
-        return [fn(i) for i in range(count)]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_adopt, initargs=(fn, os.getpid())
-    ) as pool:
-        return list(pool.map(_call_forked, range(count)))
+
+    def __init__(self, fn, workers: int):
+        self._fn = fn
+        self._calls: list = []
+        self._pool = None
+        if workers >= 2:
+            context = multiprocessing.get_context("fork")
+            # the executor hands a worker more calls than it has started
+            # and cannot cancel them, so the workers check this first
+            self._stop = context.Event()
+            self._pool = ProcessPoolExecutor(
+                workers,
+                mp_context=context,
+                initializer=_adopt,
+                initargs=(fn, os.getpid(), self._stop),
+            )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pool is not None:
+            if exc_type is not None:
+                self._stop.set()
+            self._pool.shutdown(cancel_futures=exc_type is not None)
+
+    def submit(self, *args) -> None:
+        args = (len(self._calls), *args)
+        self._calls.append(self._pool.submit(_call_forked, *args) if self._pool else args)
+
+    def results(self) -> list:
+        if self._pool is None:
+            return [self._fn(*args) for args in self._calls]
+        return [call.result() for call in self._calls]
+
+
+def fork_map(fn, count: int, workers: int | None = None) -> list:
+    """[fn(0), ..., fn(count - 1)], in index order, on forked worker processes.
+
+    `workers` defaults to `pool_workers(count)`. An exception from `fn`
+    is raised here as the one from the lowest failing index, as in a
+    serial loop. Every worker has exited when this returns or raises.
+    With fewer than 2 workers it is a plain loop in this process.
+    """
+    with _ForkPool(fn, pool_workers(count) if workers is None else workers) as pool:
+        for _ in range(count):
+            pool.submit()
+        return pool.results()
 
 
 def _check_matrix(X) -> np.ndarray:
@@ -202,14 +261,20 @@ def _check_matrix(X) -> np.ndarray:
 
 
 def train_ensemble(
-    X: np.ndarray, config: PipelineConfig, repeat_index: int = 0, cycles: int | None = None
+    X: np.ndarray,
+    config: PipelineConfig,
+    repeat_index: int = 0,
+    cycles: int | None = None,
+    on_capture=None,
 ):
     """Train the denoising autoencoder under the run's seed tree.
 
     Returns (snapshots, embeddings). `cycles` defaults to the ensemble
     size; baselines pass 1 to spend the same L*m epoch budget on a single
     snapshot. The repeat index isolates both the weight init and every
-    batch/noise stream, so repeats are genuinely independent.
+    batch/noise stream, so repeats are genuinely independent. With
+    `on_capture`, each snapshot goes to it as soon as it is captured and
+    the data is not embedded here (see `train_snapshots`).
     """
     rep = SeedStream(config.seed).child(STAGE_REPEAT, repeat_index)
     n, d = X.shape
@@ -230,6 +295,7 @@ def train_ensemble(
         min(config.batch_size, n),
         rep.child(STAGE_TRAIN),
         momentum=config.momentum,
+        on_capture=on_capture,
     )
 
 
@@ -242,21 +308,13 @@ def _single_run(
     footprint = {}
     diagnostics = {}
 
-    if model in _TRAINED:
-        cycles = config.m if model in ("ssc", "ssc_rm") else 1
-        with _stage(timings, "train"):
-            _, embeddings = train_ensemble(X, config, repeat_index, cycles)
-        members_Y = embeddings.members
-        diagnostics["train"] = embeddings.history
-    else:
-        members_Y = [X]
-
     if model in _SPECTRAL:
 
-        def build_member(j: int):
+        def build_member(j: int, snapshot=None):
             # may run in a forked worker, so its seconds return with the result
             seconds: dict = {}
-            Y = members_Y[j]
+            with _stage(seconds, "train"):
+                Y = X if snapshot is None else embed_snapshot(X, snapshot)
             with _stage(seconds, "landmarks"):
                 lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
             with _stage(seconds, "affinity"):
@@ -266,14 +324,31 @@ def _single_run(
                 affinity = build_affinity(Y, lm, params)
             return affinity, {
                 "metric": params.metric.label(),
+                "encode_s": seconds["train"],
                 "landmarks_s": seconds["landmarks"],
                 "affinity_s": seconds["affinity"],
                 "empty_landmarks": lm.meta["empty"],
+                # ru_maxrss is in KiB on Linux
+                "worker_peak_rss_mib": (
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                ),
             }
 
-        workers = pool_workers(len(members_Y))
+        # each snapshot's member is built while training goes on; a
+        # training error leaves this block before any member error is seen
+        cycles = config.m if model in ("ssc", "ssc_rm") else 1
+        workers = pool_workers(cycles)
         start = time.perf_counter()
-        built = fork_map(build_member, len(members_Y), workers)
+        with _ForkPool(build_member, workers) as pool:
+            if model in _TRAINED:
+                with _stage(timings, "train"):
+                    _, embeddings = train_ensemble(
+                        X, config, repeat_index, cycles, on_capture=pool.submit
+                    )
+                diagnostics["train"] = embeddings.history
+            else:
+                pool.submit()
+            built = pool.results()
         diagnostics["workers"] = workers
         diagnostics["members_wall_s"] = time.perf_counter() - start
         members = [affinity for affinity, _ in built]
@@ -285,14 +360,12 @@ def _single_run(
         with _stage(timings, "fuse"):
             fused = fuse(members)
         with _stage(timings, "svd"):
-            U = left_singular_vectors(
+            points = left_singular_vectors(
                 fused,
                 config.k,
                 degree_normalize=config.degree_normalize,
                 row_normalize=config.row_normalize,
             )
-        with _stage(timings, "kmeans"):
-            partition = kmeans(U, config.k, rep.child(STAGE_KMEANS))
         Z = members[0].matrix
         footprint = {
             "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
@@ -301,13 +374,20 @@ def _single_run(
             "density": members[0].density,
             "dense_equivalent_bytes": n * n * 8,
         }
-        diagnostics["spectrum"] = U.meta
+        diagnostics["spectrum"] = points.meta
         diagnostics["members"] = member_diagnostics
-        diagnostics["kmeans"] = partition.restarts
+    elif model in _TRAINED:
+        with _stage(timings, "train"):
+            _, embeddings = train_ensemble(X, config, repeat_index, 1)
+        points = embeddings.members[0]
+        diagnostics["train"] = embeddings.history
     else:
-        with _stage(timings, "kmeans"):
-            partition = kmeans(members_Y[0], config.k, rep.child(STAGE_KMEANS))
+        points = X
 
+    with _stage(timings, "kmeans"):
+        partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=fork_map)
+    if model in _SPECTRAL:
+        diagnostics["kmeans"] = partition.restarts
     return partition, footprint, diagnostics
 
 

@@ -3,12 +3,15 @@
 One training run produces M encoder snapshots, captured at the end of
 each annealing cycle, plus the noise-free embedding of the data under
 each snapshot. The learning rate restarts to its maximum at every cycle
-start and decays along a half cosine within the cycle.
+start and decays along a half cosine within the cycle. A capture hook
+receives each snapshot as soon as its cycle ends, so a caller can embed
+and cluster it while training goes on.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +92,7 @@ def train_snapshots(
     batch_size: int,
     rng: SeedStream,
     momentum: float = DEFAULT_MOMENTUM,
+    on_capture: Callable[[EncoderSnapshot], None] | None = None,
 ) -> tuple[list[EncoderSnapshot], EmbeddingSet]:
     """Train the denoising autoencoder and capture M encoder snapshots.
 
@@ -107,6 +111,10 @@ def train_snapshots(
         spec.init_seed, so (spec, schedule, rng) fixes the run exactly.
     momentum : float
         Classical momentum coefficient (0 disables).
+    on_capture : callable, optional
+        Called with each snapshot as soon as it is captured, in cycle
+        order. X is then not embedded here: `embeddings.members` is empty
+        and the hook's owner embeds each snapshot with `embed_snapshot`.
 
     Returns
     -------
@@ -160,19 +168,27 @@ def train_snapshots(
         history.append({"epoch": t, "lr": lr, "loss": epoch_loss})
         for _ in range(capture_epochs.count(t)):
             snapshots.append(_capture(params, spec, len(snapshots) + 1, epoch_loss))
+            if on_capture is not None:
+                on_capture(snapshots[-1])
 
     if len(snapshots) != schedule.cycles:
         raise NumericalError(
             f"captured {len(snapshots)} snapshots, expected {schedule.cycles}"
         )
     provenance = {"schedule": schedule.fingerprint(), "autoencoder": spec.fingerprint()}
-    members = [encode(X, s) for s in snapshots]
-    for i, Y in enumerate(members):
-        if not np.all(np.isfinite(Y)):
-            raise NumericalError(
-                f"embedding of snapshot {i + 1} overflowed; lower alpha0 or add noise"
-            )
+    members = [] if on_capture is not None else [embed_snapshot(X, s) for s in snapshots]
     return snapshots, EmbeddingSet(members, provenance, history)
+
+
+def embed_snapshot(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
+    """The noise-free embedding of X under `snapshot`, checked to be finite."""
+    Y = encode(X, snapshot)
+    if not np.all(np.isfinite(Y)):
+        raise NumericalError(
+            f"embedding of snapshot {snapshot.cycle_index} overflowed; "
+            "lower alpha0 or add noise"
+        )
+    return Y
 
 
 def _capture(params, spec: AutoencoderSpec, cycle_index: int, loss: float) -> EncoderSnapshot:

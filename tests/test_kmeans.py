@@ -152,6 +152,27 @@ def test_kmeans_keeps_every_restart_inertia_and_iterations():
     assert all(1 <= r["lloyd_iters"] <= 300 for r in part.restarts)
 
 
+def test_kmeans_result_does_not_depend_on_the_restart_order():
+    # duplicated blobs give tied inertias: the lowest tied restart must win
+    X = np.repeat(np.random.default_rng(10).normal(size=(20, 2)), 2, axis=0)
+    order = []
+
+    def backwards(fn, count):
+        results = {}
+        for i in reversed(range(count)):
+            order.append(i)
+            results[i] = fn(i)
+        return [results[i] for i in range(count)]
+
+    serial = kmeans(X, 3, SeedStream(4), restarts=6)
+    mapped = kmeans(X, 3, SeedStream(4), restarts=6, map_restarts=backwards)
+    assert order == [5, 4, 3, 2, 1, 0]
+    assert sum(r["inertia"] == serial.inertia for r in serial.restarts) >= 2
+    assert np.array_equal(mapped.labels, serial.labels)
+    assert mapped.inertia == serial.inertia
+    assert mapped.restarts == serial.restarts
+
+
 # --- bit-identity against the buffer-free formulation -----------------------
 
 

@@ -1,6 +1,9 @@
 """End-to-end pipeline runs, baselines, artifacts, sweeps, footprints."""
 
+import importlib
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -14,11 +17,13 @@ import time
 import numpy as np
 import pytest
 
-from snapclust import cli, distances, pipeline
+from snapclust import cli, distances, pipeline, trainer
+from snapclust.autoencoder import backward
 from snapclust.config import PipelineConfig, load_config
 from snapclust.datasets import make_blobs, save_rawf32
 from snapclust.errors import ConfigError, DataError, NumericalError
-from snapclust.kmeans import DEFAULT_RESTARTS
+from snapclust.kmeans import DEFAULT_RESTARTS, kmeans
+from snapclust.landmarks import minibatch_kmeans
 from snapclust.pipeline import (
     BASELINES,
     MODELS,
@@ -254,7 +259,7 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     assert run_doc["footprint"]["member_affinity_nbytes"] > 0
     assert 0 < run_doc["peak_rss_mib"] < 2**20
     assert 0 <= run_doc["peak_rss_children_mib"] < 2**20
-    for key in (b"members_wall_s", b"workers", b"peak_rss_children"):
+    for key in (b"members_wall_s", b"workers", b"peak_rss_children", b"worker_peak_rss"):
         assert key not in report, key
     for repeat in run_doc["diagnostics"]:
         assert 1 <= repeat["workers"] <= cfg.m
@@ -266,10 +271,13 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
         ]
         for member in members:
             assert set(member) == {
-                "metric", "landmarks_s", "affinity_s", "empty_landmarks"
+                "metric", "encode_s", "landmarks_s", "affinity_s", "empty_landmarks",
+                "worker_peak_rss_mib",
             }
+            assert member["encode_s"] > 0
             assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
             assert 0 <= member["empty_landmarks"] < cfg.landmarks
+            assert 0 < member["worker_peak_rss_mib"] < 2**20
 
 
 def test_final_kmeans_restarts_only_in_run_json(tmp_path):
@@ -362,6 +370,171 @@ def test_failing_member_worker_raises_as_serial(tmp_path, monkeypatch, capsys):
     assert "landmarks stage: landmark count" in err
 
 
+def _log_members(monkeypatch, path, delay=lambda j: 0.0):
+    """Make member j's landmark step log "start j t" and "end j t" to `path`
+    (t on the system-wide monotonic clock) and sleep `delay(j)` s between."""
+
+    def log(event, j):
+        # one O_APPEND write per line, so that workers' lines cannot interleave
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{event} {j} {time.monotonic()}\n".encode())
+        finally:
+            os.close(fd)
+
+    def logged(Y, p, rng):
+        j = rng.path[-1]
+        log("start", j)
+        time.sleep(delay(j))
+        result = minibatch_kmeans(Y, p, rng)
+        log("end", j)
+        return result
+
+    monkeypatch.setattr(pipeline, "minibatch_kmeans", logged)
+
+
+def _logged(path, event) -> list[tuple[int, float]]:
+    if not path.exists():
+        return []
+    lines = [line.split() for line in path.read_text().splitlines()]
+    return [(int(j), float(t)) for name, j, t in lines if name == event]
+
+
+@pytest.mark.parametrize("model", ["ssc", "ssc_rm"])
+def test_outputs_do_not_depend_on_the_order_members_finish(tmp_path, monkeypatch, model):
+    X, y = small_data()
+    X = np.abs(X) + 0.1
+    cfg = small_config(m=3, metrics=RM_METRICS if model == "ssc_rm" else ())
+    finished = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        log = tmp_path / f"members{workers}.log"
+        # the lower the member, the later it ends
+        _log_members(monkeypatch, log, lambda j: 0.15 * (cfg.m - 1 - j))
+        run_model(model, cfg, X, y, out_dir=tmp_path / str(workers))
+        finished.append([j for j, _ in _logged(log, "end")])
+    serial, pooled = finished
+    assert serial == list(range(cfg.m)) * cfg.repeats
+    assert sorted(pooled) == sorted(serial) and pooled != serial
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+def _slow_training(monkeypatch, seconds, diverge_after=None):
+    """Sleep `seconds` in each minibatch step; from step `diverge_after + 1` on,
+    report a non-finite loss."""
+    steps = itertools.count(1)
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        loss, grads = backward(*args, **kwargs)
+        if diverge_after is not None and next(steps) > diverge_after:
+            loss = math.inf
+        return loss, grads
+
+    monkeypatch.setattr(trainer, "backward", slow)
+
+
+def test_members_start_while_training_runs(tmp_path, monkeypatch):
+    X, y = small_data()
+    cfg = small_config(m=3, repeats=1)
+    _force_workers(monkeypatch, 2)
+    _slow_training(monkeypatch, 0.03)
+    _log_members(monkeypatch, tmp_path / "members.log")
+    trained = []
+    train_ensemble = pipeline.train_ensemble
+
+    def timed(*args, **kwargs):
+        result = train_ensemble(*args, **kwargs)
+        trained.append(time.monotonic())
+        return result
+
+    monkeypatch.setattr(pipeline, "train_ensemble", timed)
+    run_ssc(cfg, X, y)
+    started = dict(_logged(tmp_path / "members.log", "start"))
+    assert sorted(started) == [0, 1, 2]
+    # member 0 is captured after 2 of 6 epochs: a worker starts it at once
+    assert started[0] < trained[0]
+
+
+def test_training_error_drops_the_queued_members(tmp_path, monkeypatch):
+    # 3 minibatches per epoch: epoch 11 diverges after the 5th snapshot
+    X, _ = small_data()
+    cfg = small_config(m=6, repeats=1)
+    started = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        _slow_training(monkeypatch, 0.03, diverge_after=30)
+        log = tmp_path / f"members{workers}.log"
+        _log_members(monkeypatch, log, lambda j: 1.0)
+        with pytest.raises(NumericalError) as raised:
+            run_ssc(cfg, X)
+        assert str(raised.value).startswith("train stage: training diverged at epoch 11 ")
+        assert multiprocessing.active_children() == []
+        started.append(sorted(j for j, _ in _logged(log, "start")))
+    # serially no member starts before training ends; pooled, the two
+    # members running on the two workers finish, and the three queued
+    # behind them never start
+    assert started == [[], [0, 1]]
+
+
+def test_overflowing_embedding_raises_as_serial(monkeypatch):
+    X, _ = small_data()
+    encode = trainer.encode
+
+    def overflowing(X, snapshot):
+        Y = encode(X, snapshot)
+        return np.full_like(Y, np.inf) if snapshot.cycle_index == 2 else Y
+
+    monkeypatch.setattr(trainer, "encode", overflowing)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(NumericalError) as raised:
+            run_ssc(small_config(m=3, repeats=1), X)
+        assert type(raised.value) is NumericalError
+        assert str(raised.value) == (
+            "train stage: embedding of snapshot 2 overflowed; lower alpha0 or add noise"
+        )
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("model", ["ssc", "dae_kmeans"])
+def test_pooled_restarts_match_the_serial_loop(tmp_path, monkeypatch, model):
+    X, y = small_data()
+    pids = tmp_path / "restart_pids.log"
+    # the package exports the function kmeans under the module's name
+    kmeans_module = importlib.import_module("snapclust.kmeans")
+    kmeans_pp_init = kmeans_module.kmeans_pp_init
+
+    def logged(*args):
+        with open(pids, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return kmeans_pp_init(*args)
+
+    monkeypatch.setattr(kmeans_module, "kmeans_pp_init", logged)
+    calls = []
+
+    def recorded(points, k, rng, **kwargs):
+        partition = kmeans(points, k, rng, **kwargs)
+        calls.append((points, k, rng, partition))
+        return partition
+
+    monkeypatch.setattr(pipeline, "kmeans", recorded)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        run_model(model, small_config(repeats=1), X, y)
+        ran_in = set(map(int, pids.read_text().split()))
+        pids.unlink()
+        assert (ran_in == {os.getpid()}) == (workers == 1)
+    assert len(calls) == 2
+    for points, k, rng, partition in calls:
+        oracle = kmeans(points, k, rng)
+        assert np.array_equal(partition.labels, oracle.labels)
+        assert partition.inertia == oracle.inertia
+        assert partition.restarts == oracle.restarts
+        assert len(partition.restarts) == DEFAULT_RESTARTS
+
+
 def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
@@ -370,14 +543,35 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    # the members are handed over as training captures them, and the final
+    # k-means restarts go through fork_map: both must stay in this process
+    captured, restart_maps = [], []
+    train_ensemble, fork_map = pipeline.train_ensemble, pipeline.fork_map
+
+    def capturing(*args, on_capture=None, **kwargs):
+        def hook(snapshot):
+            captured.append(snapshot.cycle_index)
+            on_capture(snapshot)
+
+        return train_ensemble(*args, on_capture=hook if on_capture else None, **kwargs)
+
+    def mapping(fn, count, workers=None):
+        restart_maps.append(count)
+        return fork_map(fn, count, workers)
+
+    monkeypatch.setattr(pipeline, "train_ensemble", capturing)
+    monkeypatch.setattr(pipeline, "fork_map", mapping)
     X, y = small_data()
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(mask)})
     try:
         run_ssc(small_config(m=3, repeats=1), X, y, out_dir=tmp_path)
+        run_baseline("dae_kmeans", small_config(m=3, repeats=1), X, y)
     finally:
         os.sched_setaffinity(0, mask)
     assert json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["workers"] == 1
+    assert captured == [1, 2, 3]
+    assert restart_maps == [DEFAULT_RESTARTS] * 2
 
 
 def test_pool_workers_runs_serially_beside_threads():

@@ -12,6 +12,7 @@ from snapclust.trainer import (
     SNAPSHOT_MAGIC,
     SnapshotSchedule,
     cosine_lr,
+    embed_snapshot,
     load_snapshot,
     save_snapshot,
     snapshot_epochs,
@@ -162,6 +163,37 @@ def test_embeddings_are_noise_free_encodings():
     )
     for snap, Y in zip(snaps, emb.members):
         assert np.array_equal(Y, encode(X, snap))
+
+
+def test_capture_hook_gets_each_snapshot_as_it_is_captured():
+    X = tiny_data()
+    spec = AutoencoderSpec.from_encoder_widths([6, 4, 2], input_noise_sigma=0.1)
+    schedule = SnapshotSchedule(0.02, 12, 3)
+    rng = SeedStream(11).child(STAGE_TRAIN)
+    snaps, emb = train_snapshots(X, spec, schedule, batch_size=8, rng=rng)
+    captured = []
+    hooked, streamed = train_snapshots(
+        X, spec, schedule, batch_size=8, rng=rng, on_capture=captured.append
+    )
+    # the hook leaves the embedding to its owner, and changes nothing else
+    assert streamed.members == []
+    assert streamed.history == emb.history and streamed.provenance == emb.provenance
+    assert [id(s) for s in captured] == [id(s) for s in hooked]
+    assert [s.cycle_index for s in captured] == [1, 2, 3]
+    for snap, Y in zip(captured, emb.members):
+        assert np.array_equal(embed_snapshot(X, snap), Y)
+
+
+def test_embed_snapshot_names_the_overflowing_snapshot():
+    X = tiny_data()
+    spec = AutoencoderSpec.from_encoder_widths([6, 2], activation="identity")
+    snaps, _ = train_snapshots(
+        X, spec, SnapshotSchedule(0.01, 4, 2), batch_size=8, rng=SeedStream(1)
+    )
+    overflow = r"^embedding of snapshot 2 overflowed; lower alpha0 or add noise$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=overflow):
+            embed_snapshot(X * 1e308, snaps[1])
 
 
 def test_linear_ae_reaches_least_squares_floor():
