@@ -3,7 +3,9 @@
 The network is a symmetric stack of dense layers, rectifier (or identity)
 activation on hidden layers and an identity output layer. Training noise
 is additive Gaussian on the input only; encoding always runs noise-free.
-Everything is float64 numpy.
+Everything is float64 numpy. `backward` can run in buffers its caller
+keeps (a `Workspace`) and `encode` runs in row blocks, so neither needs
+memory that grows with the number of rows beyond its input and output.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import _CHUNK_ENTRIES
 from .errors import ConfigError, DataError, NumericalError
 from .rng import STAGE_INIT, SeedStream
 
@@ -143,19 +146,54 @@ def init_params(spec: AutoencoderSpec) -> Params:
     return params
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+@dataclass
+class Workspace:
+    """Buffers `backward` writes into, for batches of up to `rows` rows.
+
+    Per layer i, rows x (output width of layer i): its activation, its
+    error signal and, for hidden layers, its relu mask; plus the output's
+    squared errors and one gradient per parameter. A batch of fewer rows
+    uses the leading rows of each buffer.
+    """
+
+    acts: list[np.ndarray]
+    deltas: list[np.ndarray]
+    masks: list[np.ndarray]
+    squares: np.ndarray
+    grads: Params
+
+    @staticmethod
+    def allocate(params: Params, rows: int) -> "Workspace":
+        widths = [W.shape[1] for W, _ in params]
+        return Workspace(
+            acts=[np.empty((rows, w)) for w in widths],
+            deltas=[np.empty((rows, w)) for w in widths],
+            masks=[np.empty((rows, w), dtype=bool) for w in widths[:-1]],
+            squares=np.empty((rows, widths[-1])),
+            grads=[(np.empty_like(W), np.empty_like(b)) for W, b in params],
+        )
+
+
+def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the activation to z in place; return z."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 
-def forward(X: np.ndarray, params: Params, activation: str) -> list[np.ndarray]:
-    """Activations [a0=X, a1, ..., aL]; hidden layers activated, output linear."""
+def forward(
+    X: np.ndarray, params: Params, activation: str, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Activations [a0=X, a1, ..., aL]; hidden layers activated, output linear.
+
+    With `out`, layer i writes into the leading len(X) rows of out[i].
+    """
     acts = [X]
     last = len(params) - 1
     for i, (W, b) in enumerate(params):
-        z = acts[-1] @ W + b
-        acts.append(z if i == last else _act(z, activation))
+        z = np.matmul(acts[-1], W, out=None if out is None else out[i][: len(X)])
+        z += b
+        acts.append(z if i == last else _activate(z, activation))
     return acts
 
 
@@ -166,27 +204,38 @@ def reconstruction_loss(output: np.ndarray, target: np.ndarray) -> float:
 
 
 def backward(
-    X: np.ndarray, target: np.ndarray, params: Params, activation: str
+    X: np.ndarray,
+    target: np.ndarray,
+    params: Params,
+    activation: str,
+    workspace: Workspace | None = None,
 ) -> tuple[float, Params]:
     """One forward/backward pass; returns (loss, gradients).
 
     Loss is elementwise-mean squared error between the linear output and
-    `target` (the clean input for denoising training).
+    `target` (the clean input for denoising training). Every intermediate
+    and the returned gradients live in `workspace`, so the next call with
+    it overwrites them; without one, a workspace sized to X is allocated.
     """
-    acts = forward(X, params, activation)
+    rows = X.shape[0]
+    ws = Workspace.allocate(params, rows) if workspace is None else workspace
+    acts = forward(X, params, activation, ws.acts)
     out = acts[-1]
-    loss = reconstruction_loss(out, target)
-    delta = (out - target) * (2.0 / out.size)
-    grads: Params = [None] * len(params)  # type: ignore[list-item]
+    delta = np.subtract(out, target, out=ws.deltas[-1][:rows])
+    # the same values as reconstruction_loss(out, target), in a fixed buffer
+    loss = float(np.mean(np.multiply(delta, delta, out=ws.squares[:rows])))
+    delta *= 2.0 / out.size
     for i in range(len(params) - 1, -1, -1):
         W, _ = params[i]
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        gW, gb = ws.grads[i]
+        np.matmul(acts[i].T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
-            delta = delta @ W.T
+            delta = np.matmul(delta, W.T, out=ws.deltas[i - 1][:rows])
             if activation == "relu":
                 # acts[i] is post-activation; its positivity marks z > 0
-                delta *= acts[i] > 0.0
-    return loss, grads
+                delta *= np.greater(acts[i], 0.0, out=ws.masks[i - 1][:rows])
+    return loss, ws.grads
 
 
 def sgd_step(
@@ -195,11 +244,15 @@ def sgd_step(
     lr: float,
     momentum: float = 0.0,
     velocity: Params | None = None,
+    in_place: bool = False,
 ) -> tuple[Params, Params]:
     """Classical-momentum SGD: v <- momentum*v + g, w <- w - lr*v.
 
     Returns (new params, new velocity). Pass the returned velocity back in
-    on the next call; None starts from zero.
+    on the next call; None starts from zero. With `in_place`, the arrays
+    of `params` and `velocity` are updated and returned instead of new
+    ones, by the same operations in the same order, so the values are bit
+    for bit those of the default, pure step.
     """
     if velocity is None:
         velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
@@ -208,22 +261,52 @@ def sgd_step(
     for (W, b), (gW, gb), (vW, vb) in zip(params, grads, velocity):
         if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
             raise NumericalError("non-finite gradient in sgd_step")
-        vW = momentum * vW + gW
-        vb = momentum * vb + gb
-        new_params.append((W - lr * vW, b - lr * vb))
+        if in_place:
+            for w, v, g in ((W, vW, gW), (b, vb, gb)):
+                v *= momentum
+                v += g
+                w -= lr * v
+        else:
+            vW = momentum * vW + gW
+            vb = momentum * vb + gb
+            W, b = W - lr * vW, b - lr * vb
+        new_params.append((W, b))
         new_velocity.append((vW, vb))
     return new_params, new_velocity
 
 
 def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
-    """Deterministic noise-free forward pass through the encoder half."""
+    """Deterministic noise-free forward pass through the encoder half.
+
+    Runs in row blocks of _CHUNK_ENTRIES // (widest layer) rows, the last
+    block taking the remainder, and writes each block's codes into the
+    n x code output. Beyond X and that output it holds one block's
+    activations per layer, O(block * width). A block's GEMMs are the
+    whole-matrix ones restricted to its rows, and OpenBLAS rounds them
+    alike when it takes the same kernel for both, as for 784 -> 256 -> 32.
+    Where a block's product is small, as for a narrow code layer after a
+    wide one (64 -> 512 -> 16), it can take its small-matrix kernel and
+    round some codes differently in the last bits; the codes are still a
+    fixed function of X and the weights.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != snapshot.input_size:
         raise DataError(
             f"encode: input shape {X.shape} incompatible with encoder input "
             f"width {snapshot.input_size}"
         )
-    a = X
-    for W, b in snapshot.weights:
-        a = _act(a @ W + b, snapshot.activation)
-    return a
+    n = X.shape[0]
+    widths = [W.shape[1] for W, _ in snapshot.weights]
+    block = max(1, _CHUNK_ENTRIES // max(widths))
+    # no block is shorter than `block` rows unless X is: BLAS takes other
+    # paths for a few rows (NumPy a GEMV for one) and rounds differently
+    stops = [*range(block, n - block + 1, block), n]
+    hidden = [np.empty((min(n, 2 * block - 1), w)) for w in widths[:-1]]
+    out = np.empty((n, widths[-1]))
+    for start, stop in zip([0, *stops[:-1]], stops):
+        a = X[start:stop]
+        for (W, b), buf in zip(snapshot.weights, [*hidden, out[start:]]):
+            a = np.matmul(a, W, out=buf[: stop - start])
+            a += b
+            _activate(a, snapshot.activation)
+    return out

@@ -27,9 +27,12 @@ process dies. A one-CPU mask (`taskset -c 0`) runs everything serially,
 in this process, and so does a call made while other Python threads are
 alive, since forking a threaded process can deadlock. Serially, and for
 the single-member models, the members are built one after the other once
-training has ended, so this process holds one embedding at a time.
+training has ended, so this process holds one embedding at a time; the
+members and the k-means restarts then run at one BLAS thread here too.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
-per worker. The "train" stage seconds are the training loop's wall time,
+per worker. Training and `encode` run in fixed-size buffers, so beyond X
+and the n x code embedding the trained path holds O(block * width +
+parameters). The "train" stage seconds are the training loop's wall time,
 during which the member workers share the CPUs with it. The "landmarks"
 and "affinity" stage seconds sum the members' own seconds, so with
 several workers they can exceed `members_wall_s`, the time from opening
@@ -100,8 +103,13 @@ class RunRecord:
     footprint: dict
 
 
+def _peak_rss_mib(who: int = resource.RUSAGE_SELF) -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(who).ru_maxrss / 1024
+
+
 @contextlib.contextmanager
-def _stage(timings: dict, name: str):
+def _stage(timings: dict, name: str, peaks: dict | None = None):
     start = time.perf_counter()
     try:
         yield
@@ -109,6 +117,8 @@ def _stage(timings: dict, name: str):
         raise type(exc)(f"{name} stage: {exc}") from exc
     finally:
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+        if peaks is not None:
+            peaks[name] = _peak_rss_mib()
 
 
 def pool_workers(count: int) -> int:
@@ -163,6 +173,24 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread (Linux only).
+
+    The caller's thread counts are restored on leaving, also through an
+    exception.
+    """
+    controls = _openblas_thread_controls() if sys.platform.startswith("linux") else []
+    counts = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, counts):
+            set_threads(count)
+
+
 def _adopt(fn, parent: int, stop) -> None:
     global _forked_fn, _forked_stop
     _forked_fn, _forked_stop = fn, stop
@@ -194,8 +222,9 @@ class _ForkPool:
     `fn` reaches the workers through fork, not pickling: only the
     arguments go out and only the results come back. With fewer than 2
     workers nothing is forked, and `results()` makes the calls here, in
-    order. Leaving the `with` block through an exception drops the calls
-    no worker has started; every worker has exited once the block is left.
+    order, at one BLAS thread as a worker would. Leaving the `with` block
+    through an exception drops the calls no worker has started; every
+    worker has exited once the block is left.
 
     On Linux a worker is killed when this process dies, and each worker
     runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
@@ -233,7 +262,8 @@ class _ForkPool:
 
     def results(self) -> list:
         if self._pool is None:
-            return [self._fn(*args) for args in self._calls]
+            with _one_blas_thread():
+                return [self._fn(*args) for args in self._calls]
         return [call.result() for call in self._calls]
 
 
@@ -300,9 +330,18 @@ def train_ensemble(
 
 
 def _single_run(
-    model: str, X: np.ndarray, config: PipelineConfig, repeat_index: int, timings: dict
+    model: str,
+    X: np.ndarray,
+    config: PipelineConfig,
+    repeat_index: int,
+    timings: dict,
+    peaks: dict,
 ) -> tuple[Partition, dict, dict]:
-    """One fully seeded pipeline execution; returns (partition, footprint, diagnostics)."""
+    """One fully seeded pipeline execution; returns (partition, footprint, diagnostics).
+
+    Adds each stage's seconds to `timings` and sets its entry in `peaks`
+    to this process's peak RSS in MiB when the stage ended.
+    """
     rep = SeedStream(config.seed).child(STAGE_REPEAT, repeat_index)
     n = X.shape[0]
     footprint = {}
@@ -328,10 +367,7 @@ def _single_run(
                 "landmarks_s": seconds["landmarks"],
                 "affinity_s": seconds["affinity"],
                 "empty_landmarks": lm.meta["empty"],
-                # ru_maxrss is in KiB on Linux
-                "worker_peak_rss_mib": (
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-                ),
+                "worker_peak_rss_mib": _peak_rss_mib(),
             }
 
         # each snapshot's member is built while training goes on; a
@@ -341,7 +377,7 @@ def _single_run(
         start = time.perf_counter()
         with _ForkPool(build_member, workers) as pool:
             if model in _TRAINED:
-                with _stage(timings, "train"):
+                with _stage(timings, "train", peaks):
                     _, embeddings = train_ensemble(
                         X, config, repeat_index, cycles, on_capture=pool.submit
                     )
@@ -357,9 +393,10 @@ def _single_run(
             timings[name] = timings.get(name, 0.0) + sum(
                 member[f"{name}_s"] for member in member_diagnostics
             )
-        with _stage(timings, "fuse"):
+            peaks[name] = _peak_rss_mib()
+        with _stage(timings, "fuse", peaks):
             fused = fuse(members)
-        with _stage(timings, "svd"):
+        with _stage(timings, "svd", peaks):
             points = left_singular_vectors(
                 fused,
                 config.k,
@@ -377,14 +414,14 @@ def _single_run(
         diagnostics["spectrum"] = points.meta
         diagnostics["members"] = member_diagnostics
     elif model in _TRAINED:
-        with _stage(timings, "train"):
+        with _stage(timings, "train", peaks):
             _, embeddings = train_ensemble(X, config, repeat_index, 1)
         points = embeddings.members[0]
         diagnostics["train"] = embeddings.history
     else:
         points = X
 
-    with _stage(timings, "kmeans"):
+    with _stage(timings, "kmeans", peaks):
         partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=fork_map)
     if model in _SPECTRAL:
         diagnostics["kmeans"] = partition.restarts
@@ -475,17 +512,18 @@ def run_model(
         raise ConfigError(f"k={config.k} exceeds n={X.shape[0]}")
 
     timings: dict = {}
+    peaks: dict = {}
     partitions: list[Partition] = []
     per_run: list[dict] = []
     footprint: dict = {}
     diagnostics: list[dict] = []
     for i in range(config.repeats):
-        partition, footprint, diag = _single_run(model, X, config, i, timings)
+        partition, footprint, diag = _single_run(model, X, config, i, timings, peaks)
         partitions.append(partition)
         diagnostics.append(diag)
         entry = {"inertia": partition.inertia}
         if truth is not None:
-            with _stage(timings, "evaluate"):
+            with _stage(timings, "evaluate", peaks):
                 entry.update(score(partition.labels, truth))
         per_run.append(entry)
 
@@ -498,15 +536,13 @@ def run_model(
         "n": int(X.shape[0]),
         "d": int(X.shape[1]),
         "stage_seconds": timings,
+        "stage_peak_rss_mib": peaks,
         "total_seconds": total,
         "footprint": footprint,
         "diagnostics": diagnostics,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mib": _peak_rss_mib(),
         # the largest child this process has waited for: member workers included
-        "peak_rss_children_mib": (
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        ),
+        "peak_rss_children_mib": _peak_rss_mib(resource.RUSAGE_CHILDREN),
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}
     record = RunRecord(

@@ -20,6 +20,7 @@ from .autoencoder import (
     AutoencoderSpec,
     EmbeddingSet,
     EncoderSnapshot,
+    Workspace,
     backward,
     encode,
     init_params,
@@ -96,6 +97,12 @@ def train_snapshots(
 ) -> tuple[list[EncoderSnapshot], EmbeddingSet]:
     """Train the denoising autoencoder and capture M encoder snapshots.
 
+    The run keeps one set of buffers throughout: the batch and its noise,
+    a `backward` workspace, and the weights and momentum, which are
+    updated in place. The data is embedded in row blocks (`encode`), so
+    beyond X and the n x code embeddings training holds
+    O(batch * width + parameters).
+
     Parameters
     ----------
     X : array, shape (n, d)
@@ -137,7 +144,11 @@ def train_snapshots(
     capture_epochs = snapshot_epochs(schedule)
 
     params = init_params(spec)
-    velocity = None
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    # one set of buffers for the run; the short last batch uses their leading rows
+    workspace = Workspace.allocate(params, batch_size)
+    clean_buf = np.empty((batch_size, X.shape[1]))
+    noisy_buf = np.empty_like(clean_buf)
     snapshots: list[EncoderSnapshot] = []
     history: list[dict] = []
 
@@ -150,20 +161,24 @@ def train_snapshots(
         loss_sum = 0.0
         for b in range(n_batches):
             idx = order[b * batch_size : (b + 1) * batch_size]
-            clean = X[idx]
+            # the indices are a permutation's, so "clip" clips nothing; the
+            # default "raise" would copy through a temporary
+            clean = np.take(X, idx, axis=0, out=clean_buf[: len(idx)], mode="clip")
             if spec.input_noise_sigma > 0:
-                noisy = clean + spec.input_noise_sigma * noise_gen.standard_normal(clean.shape)
+                noisy = noise_gen.standard_normal(out=noisy_buf[: len(idx)])
+                noisy *= spec.input_noise_sigma
+                noisy += clean
             else:
                 noisy = clean
             # divergence is detected from the loss, so let overflow reach it
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = backward(noisy, clean, params, spec.activation)
+                loss, grads = backward(noisy, clean, params, spec.activation, workspace)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"training diverged at epoch {t} (lr={lr:.6g}): non-finite loss"
                 )
             loss_sum += loss
-            params, velocity = sgd_step(params, grads, lr, momentum, velocity)
+            params, velocity = sgd_step(params, grads, lr, momentum, velocity, in_place=True)
         epoch_loss = loss_sum / n_batches
         history.append({"epoch": t, "lr": lr, "loss": epoch_loss})
         for _ in range(capture_epochs.count(t)):

@@ -25,8 +25,13 @@ def _running_children() -> list[int]:
     """Pids of this process's children that have not exited (Linux /proc)."""
     pids = set()
     for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
-        with open(path, encoding="ascii") as fh:
-            pids.update(int(pid) for pid in fh.read().split())
+        try:
+            with open(path, encoding="ascii") as fh:
+                pids.update(int(pid) for pid in fh.read().split())
+        except FileNotFoundError:
+            # the thread exited after the glob; its children passed to
+            # another thread of this process
+            continue
     running = []
     for pid in sorted(pids):
         try:

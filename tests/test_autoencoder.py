@@ -1,12 +1,16 @@
 """Dense autoencoder: spec validation, init, forward oracle, gradient check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from snapclust import autoencoder
 from snapclust.autoencoder import (
     AutoencoderSpec,
     EmbeddingSet,
     EncoderSnapshot,
+    Workspace,
     backward,
     encode,
     forward,
@@ -95,6 +99,98 @@ def test_encode_shape_mismatch():
     snap = EncoderSnapshot([(np.zeros((4, 2)), np.zeros(2))], cycle_index=1, train_loss=0.0)
     with pytest.raises(DataError):
         encode(np.ones((3, 5)), snap)
+
+
+def whole_matrix_encode(X, snapshot):
+    """The encoder as one n x width matrix per layer, as it ran before blocking."""
+    a = X
+    for W, b in snapshot.weights:
+        a = a @ W + b
+        if snapshot.activation == "relu":
+            a = np.maximum(a, 0.0)
+    return a
+
+
+def random_snapshot(gen, widths, activation):
+    weights = [
+        (gen.normal(size=(a, b)) / np.sqrt(a), gen.normal(size=b) * 0.1)
+        for a, b in zip(widths, widths[1:])
+    ]
+    return EncoderSnapshot(weights, cycle_index=1, train_loss=0.0, activation=activation)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_encode_in_row_blocks_equals_the_whole_matrix_chain(activation):
+    gen = np.random.default_rng(3)
+    # the image benchmark's encoder: its 256-wide hidden layer sets the block
+    snapshot = random_snapshot(gen, [784, 256, 32], activation)
+    block = autoencoder._CHUNK_ENTRIES // 256
+    X = gen.normal(size=(3 * block + 7, 784))
+    assert np.array_equal(encode(X, snapshot), whole_matrix_encode(X, snapshot))
+
+
+@pytest.mark.parametrize("chunk_entries", [2**15, 100])
+def test_encode_in_row_blocks_agrees_to_rounding_where_blas_rounds_blocks_apart(
+    monkeypatch, chunk_entries
+):
+    # 512 -> 16 on a 64-row block can take OpenBLAS's small-matrix kernel,
+    # and a 100-entry budget leaves one-row blocks, which NumPy runs as GEMVs
+    monkeypatch.setattr(autoencoder, "_CHUNK_ENTRIES", chunk_entries)
+    gen = np.random.default_rng(4)
+    for widths in ([64, 512, 16], [64, 500, 16], [30, 7]):
+        snapshot = random_snapshot(gen, widths, "relu")
+        X = gen.normal(size=(1000, widths[0]))
+        expected = whole_matrix_encode(X, snapshot)
+        assert np.allclose(encode(X, snapshot), expected, rtol=1e-12, atol=1e-12)
+    assert encode(X[:0], snapshot).shape == (0, 7)
+
+
+def test_encode_memory_is_bounded_by_the_block():
+    gen = np.random.default_rng(5)
+    snapshot = random_snapshot(gen, [64, 512, 16], "relu")
+    n = 20_000
+    X = gen.normal(size=(n, 64))
+    tracemalloc.start()
+    try:
+        codes = encode(X, snapshot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (n, 16)
+    # one n x 512 float64 matrix is what the hidden layer alone would take
+    assert peak < n * 512 * 8 / 8
+
+
+def test_backward_into_a_workspace_equals_a_fresh_one():
+    gen = np.random.default_rng(6)
+    params = init_params(AutoencoderSpec((12, 9, 4, 9, 12), init_seed=2))
+    workspace = Workspace.allocate(params, 16)
+    for rows in (16, 5, 16):
+        X, target = gen.normal(size=(rows, 12)), gen.normal(size=(rows, 12))
+        fresh_loss, fresh = backward(X, target, params, "relu")
+        loss, grads = backward(X, target, params, "relu", workspace)
+        assert loss == fresh_loss
+        assert all(
+            np.array_equal(g, f) for pair, ref in zip(grads, fresh) for g, f in zip(pair, ref)
+        )
+
+
+def test_sgd_step_in_place_equals_the_pure_step():
+    gen = np.random.default_rng(8)
+    params = init_params(AutoencoderSpec((6, 3, 6), init_seed=1))
+    pure, pure_velocity = params, None
+    inplace = [(W.copy(), b.copy()) for W, b in params]
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    arrays = [a for pair in inplace + velocity for a in pair]
+    for lr in (0.1, 0.05, 0.01):
+        grads = [(gen.normal(size=W.shape), gen.normal(size=b.shape)) for W, b in params]
+        pure, pure_velocity = sgd_step(pure, grads, lr, 0.9, pure_velocity)
+        inplace, velocity = sgd_step(inplace, grads, lr, 0.9, velocity, in_place=True)
+        for state, ref in ((inplace, pure), (velocity, pure_velocity)):
+            for pair, ref_pair in zip(state, ref):
+                assert all(np.array_equal(a, r) for a, r in zip(pair, ref_pair))
+    # the arrays passed in are the ones updated
+    assert all(a is b for a, b in zip([a for pair in inplace + velocity for a in pair], arrays))
 
 
 def test_snapshot_validation():

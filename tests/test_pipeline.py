@@ -637,6 +637,50 @@ def test_fork_map_workers_share_the_cpus_with_blas(monkeypatch):
             set_threads(count)
 
 
+def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("OpenBLAS threads are capped on Linux only")
+    controls = pipeline._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+
+    def threads(i):
+        return [get() for get, _ in pipeline._openblas_thread_controls()]
+
+    def fail(i):
+        assert threads(i) == [1] * len(controls)
+        raise NumericalError("call failed")
+
+    try:
+        for _, set_threads in controls:
+            set_threads(3)
+        # workers=1: the calls run here, yet round as a one-thread worker would
+        assert pipeline.fork_map(threads, 2, 1) == [[1] * len(controls)] * 2
+        assert threads(0) == [3] * len(controls)
+        with pytest.raises(NumericalError, match="^call failed$"):
+            pipeline.fork_map(fail, 2, 1)
+        assert threads(0) == [3] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+
+
+def test_stage_peak_memory_only_in_run_json(tmp_path):
+    X, y = small_data()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_ssc(small_config(), X, y, out_dir=out)
+    report = (outs[0] / "report.json").read_bytes()
+    assert (outs[1] / "report.json").read_bytes() == report
+    assert b"stage_peak" not in report
+    run_doc = json.loads((outs[0] / "run.json").read_text())
+    peaks = run_doc["stage_peak_rss_mib"]
+    assert set(peaks) == set(run_doc["stage_seconds"])
+    assert set(peaks) >= {"train", "landmarks", "affinity", "fuse", "svd", "kmeans", "evaluate"}
+    assert all(0 < peak <= run_doc["peak_rss_mib"] for peak in peaks.values())
+
+
 # a pooled `snapclust cluster` whose members report their pid and then stall
 STALLED_MEMBERS = r"""
 import os, sys, time

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from snapclust.autoencoder import AutoencoderSpec, encode
+from snapclust import trainer
+from snapclust.autoencoder import AutoencoderSpec, backward, encode, init_params, sgd_step
 from snapclust.errors import ConfigError, DataError, NumericalError
-from snapclust.rng import STAGE_TRAIN, SeedStream
+from snapclust.rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, STAGE_TRAIN, SeedStream
 from snapclust.trainer import (
     SNAPSHOT_MAGIC,
     SnapshotSchedule,
@@ -223,6 +224,61 @@ def test_divergence_reports_epoch_and_lr():
         train_snapshots(
             X, spec, SnapshotSchedule(1e6, 10, 1), batch_size=8, rng=SeedStream(0)
         )
+
+
+def reference_training(X, spec, schedule, batch_size, rng, momentum):
+    """The training loop written with the pure `backward` and `sgd_step`:
+    (encoder weights at each capture, per-epoch history)."""
+    params, velocity = init_params(spec), None
+    captures, history = [], []
+    n = X.shape[0]
+    n_batches = math.ceil(n / batch_size)
+    for t in range(1, schedule.total_epochs + 1):
+        epoch_stream = rng.child(STAGE_EPOCH, t)
+        order = epoch_stream.child(STAGE_BATCH).generator().permutation(n)
+        noise_gen = epoch_stream.child(STAGE_NOISE).generator()
+        lr = cosine_lr(t, schedule)
+        loss_sum = 0.0
+        for b in range(n_batches):
+            clean = X[order[b * batch_size : (b + 1) * batch_size]]
+            noisy = clean
+            if spec.input_noise_sigma > 0:
+                noisy = clean + spec.input_noise_sigma * noise_gen.standard_normal(clean.shape)
+            loss, grads = backward(noisy, clean, params, spec.activation)
+            loss_sum += loss
+            params, velocity = sgd_step(params, grads, lr, momentum, velocity)
+        history.append({"epoch": t, "lr": lr, "loss": loss_sum / n_batches})
+        for _ in range(snapshot_epochs(schedule).count(t)):
+            captures.append(params[: spec.encoder_layer_count])
+    return captures, history
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.0])
+def test_training_equals_the_pure_reference_loop(sigma):
+    X = tiny_data(29, 6, seed=4)  # 29 rows: the last batch of 8 is short
+    spec = AutoencoderSpec.from_encoder_widths([6, 5, 2], input_noise_sigma=sigma, init_seed=3)
+    schedule = SnapshotSchedule(0.05, 5, 2)
+    rng = SeedStream(13).child(STAGE_TRAIN)
+    snaps, emb = train_snapshots(X, spec, schedule, batch_size=8, rng=rng, momentum=0.9)
+    captures, history = reference_training(X, spec, schedule, 8, rng, 0.9)
+    assert emb.history == history
+    assert len(snaps) == len(captures) == 2
+    for snap, params in zip(snaps, captures):
+        for (W, b), (W_ref, b_ref) in zip(snap.weights, params):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+
+def test_non_finite_gradient_raises_from_training(monkeypatch):
+    def nan_gradient(*args, **kwargs):
+        loss, grads = backward(*args, **kwargs)
+        grads[0][0][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(trainer, "backward", nan_gradient)
+    X = tiny_data()
+    spec = AutoencoderSpec.from_encoder_widths([6, 3], input_noise_sigma=0.1)
+    with pytest.raises(NumericalError, match="^non-finite gradient in sgd_step$"):
+        train_snapshots(X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(0))
 
 
 def test_batch_size_capped_by_n():
