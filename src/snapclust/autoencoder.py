@@ -3,9 +3,11 @@
 The network is a symmetric stack of dense layers, rectifier (or identity)
 activation on hidden layers and an identity output layer. Training noise
 is additive Gaussian on the input only; encoding always runs noise-free.
-Everything is float64 numpy. `backward` can run in buffers its caller
-keeps (a `Workspace`) and `encode` runs in row blocks, so neither needs
-memory that grows with the number of rows beyond its input and output.
+The arithmetic is float64 numpy; the input to `encode` may be float32,
+and is widened one row block at a time. `backward` can run in buffers its
+caller keeps (a `Workspace`) and `encode` runs in row blocks, so neither
+needs memory that grows with the number of rows beyond its input and
+output.
 """
 
 from __future__ import annotations
@@ -281,15 +283,18 @@ def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     Runs in row blocks of _CHUNK_ENTRIES // (widest layer) rows, the last
     block taking the remainder, and writes each block's codes into the
     n x code output. Beyond X and that output it holds one block's
-    activations per layer, O(block * width). A block's GEMMs are the
-    whole-matrix ones restricted to its rows, and OpenBLAS rounds them
-    alike when it takes the same kernel for both, as for 784 -> 256 -> 32.
+    activations per layer, and its float64 input when X is not float64,
+    O(block * width). A block's GEMMs are the whole-matrix ones restricted
+    to its rows, and OpenBLAS rounds them alike when it takes the same
+    kernel for both, as for 784 -> 256 -> 32.
     Where a block's product is small, as for a narrow code layer after a
     wide one (64 -> 512 -> 16), it can take its small-matrix kernel and
     round some codes differently in the last bits; the codes are still a
-    fixed function of X and the weights.
+    fixed function of X and the weights. An X of another dtype, float32
+    say, is widened to float64 one block at a time before the block's
+    first GEMM, so its codes are those of X.astype(np.float64).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != snapshot.input_size:
         raise DataError(
             f"encode: input shape {X.shape} incompatible with encoder input "
@@ -301,10 +306,17 @@ def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     # no block is shorter than `block` rows unless X is: BLAS takes other
     # paths for a few rows (NumPy a GEMV for one) and rounds differently
     stops = [*range(block, n - block + 1, block), n]
-    hidden = [np.empty((min(n, 2 * block - 1), w)) for w in widths[:-1]]
+    starts = [0, *stops[:-1]]
+    # the last block is the longest
+    rows = n - starts[-1]
+    hidden = [np.empty((rows, w)) for w in widths[:-1]]
+    wide = None if X.dtype == np.float64 else np.empty((rows, X.shape[1]))
     out = np.empty((n, widths[-1]))
-    for start, stop in zip([0, *stops[:-1]], stops):
+    for start, stop in zip(starts, stops):
         a = X[start:stop]
+        if wide is not None:
+            a = wide[: stop - start]
+            a[...] = X[start:stop]
         for (W, b), buf in zip(snapshot.weights, [*hidden, out[start:]]):
             a = np.matmul(a, W, out=buf[: stop - start])
             a += b

@@ -1,10 +1,12 @@
 """Dataset ingestion (idx, csv, rawf32), label files and seeded synthetics.
 
 idx is the classic big-endian image/label container (magic 2051/2049);
-byte images are scaled to [0, 1]. rawf32 is a minimal little-endian
-float32 matrix container for round-tripping embeddings. csv is plain
-numeric text. Synthetic generators are fully seeded so experiment suites
-need no downloads.
+byte images are scaled to [0, 1] as float64. rawf32 is a minimal
+little-endian float32 matrix container for round-tripping embeddings; it
+loads as float32. csv is plain numeric text, loaded as float64.
+`check_matrix` is the one input check of the pipeline and the trainer.
+Synthetic generators are fully seeded so experiment suites need no
+downloads.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .distances import _CHUNK_ENTRIES
 from .errors import ConfigError, DataError
 from .rng import STAGE_SYNTH, SeedStream
 
@@ -82,6 +85,7 @@ def save_rawf32(path, X: np.ndarray) -> None:
 
 
 def load_rawf32(path) -> np.ndarray:
+    """n x d float32 matrix: a read-only view over the file's bytes, not a copy."""
     data = _read_bytes(path)
     if len(data) < 12 or data[:4] != RAWF32_MAGIC:
         raise DataError(f"{path}: bad rawf32 magic, expected {RAWF32_MAGIC!r}")
@@ -90,7 +94,7 @@ def load_rawf32(path) -> np.ndarray:
     if len(data) < need:
         raise DataError(f"{path}: truncated rawf32 payload ({len(data)} < {need} bytes)")
     flat = np.frombuffer(data, dtype="<f4", count=n * d, offset=12)
-    return flat.reshape(n, d).astype(np.float64)
+    return flat.reshape(n, d)
 
 
 def detect_format(path) -> str:
@@ -116,6 +120,36 @@ def load_dataset(path, fmt: str = "auto") -> np.ndarray:
     if fmt == "rawf32":
         return load_rawf32(path)
     raise ConfigError(f"unknown dataset format {fmt!r}; expected one of {FORMATS}")
+
+
+def check_matrix(X, what: str = "dataset") -> np.ndarray:
+    """X as a C-contiguous nonempty 2-D matrix of finite float32 or float64.
+
+    float32 and float64 keep their dtype, so a float32 input is not
+    widened here; every other dtype is widened to float64. Finiteness is
+    checked one row block of _CHUNK_ENTRIES entries at a time, so the check
+    holds no n x d temporary, and the error names the first bad entry.
+    `what` names the input in the errors.
+    """
+    X = np.asarray(X)
+    if X.dtype not in (np.float32, np.float64):
+        X = X.astype(np.float64)
+    X = np.ascontiguousarray(X)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise DataError(f"{what} must be a nonempty 2-D matrix")
+    n, d = X.shape
+    block = max(1, _CHUNK_ENTRIES // d)
+    finite = np.empty((min(block, n), d), dtype=bool)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.isfinite(X[start:stop], out=finite[: stop - start])
+        if not rows.all():
+            row, col = np.argwhere(~rows)[0]
+            raise DataError(
+                f"{what} contains non-finite values, first at row {start + row}, "
+                f"column {col}; remove or impute that row"
+            )
+    return X
 
 
 def load_labels(path) -> np.ndarray:

@@ -30,7 +30,11 @@ the single-member models, the members are built one after the other once
 training has ended, so this process holds one embedding at a time; the
 members and the k-means restarts then run at one BLAS thread here too.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
-per worker. Training and `encode` run in fixed-size buffers, so beyond X
+per worker. X is held in the dtype it arrives in when that is float32 or
+float64 (a rawf32 file stays float32) and is widened to float64 only a
+batch or a row block at a time, by training and `encode`; the untrained
+spectral baseline widens it once, and k-means on the raw data widens its
+own copy. Training and `encode` run in fixed-size buffers, so beyond X
 and the n x code embedding the trained path holds O(block * width +
 parameters). The "train" stage seconds are the training loop's wall time,
 during which the member workers share the CPUs with it. The "landmarks"
@@ -65,7 +69,7 @@ from .affinity import AffinityParams, build_affinity
 from .autoencoder import AutoencoderSpec
 from .config import PipelineConfig, save_config
 from .consensus import fuse, left_singular_vectors
-from .datasets import load_dataset, save_labels
+from .datasets import check_matrix, load_dataset, save_labels
 from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
@@ -281,15 +285,6 @@ def fork_map(fn, count: int, workers: int | None = None) -> list:
         return pool.results()
 
 
-def _check_matrix(X) -> np.ndarray:
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise DataError("dataset must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(X)):
-        raise DataError("dataset contains non-finite values")
-    return X
-
-
 def train_ensemble(
     X: np.ndarray,
     config: PipelineConfig,
@@ -353,7 +348,11 @@ def _single_run(
             # may run in a forked worker, so its seconds return with the result
             seconds: dict = {}
             with _stage(seconds, "train"):
-                Y = X if snapshot is None else embed_snapshot(X, snapshot)
+                if snapshot is None:
+                    # widened once here, not by each of the two layers below
+                    Y = X.astype(np.float64, copy=False)
+                else:
+                    Y = embed_snapshot(X, snapshot)
             with _stage(seconds, "landmarks"):
                 lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
             with _stage(seconds, "affinity"):
@@ -501,7 +500,7 @@ def run_model(
         if not config.dataset:
             raise ConfigError("no dataset given: pass a matrix or set config.dataset")
         X = load_dataset(config.dataset, config.format)
-    X = _check_matrix(X)
+    X = check_matrix(X)
     if truth is not None:
         truth = np.asarray(truth)
         if truth.shape != (X.shape[0],):
@@ -535,6 +534,8 @@ def run_model(
         "config_fingerprint": config.fingerprint(),
         "n": int(X.shape[0]),
         "d": int(X.shape[1]),
+        "input_dtype": str(X.dtype),
+        "input_mib": X.nbytes / 2**20,
         "stage_seconds": timings,
         "stage_peak_rss_mib": peaks,
         "total_seconds": total,

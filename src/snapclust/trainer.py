@@ -26,6 +26,7 @@ from .autoencoder import (
     init_params,
     sgd_step,
 )
+from .datasets import check_matrix
 from .errors import ConfigError, DataError, NumericalError
 from .io import SNAPSHOT_MAGIC, read_container, write_container
 from .rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, SeedStream
@@ -99,14 +100,18 @@ def train_snapshots(
 
     The run keeps one set of buffers throughout: the batch and its noise,
     a `backward` workspace, and the weights and momentum, which are
-    updated in place. The data is embedded in row blocks (`encode`), so
-    beyond X and the n x code embeddings training holds
-    O(batch * width + parameters).
+    updated in place. A float32 X stays float32: each batch is gathered
+    and widened into the float64 batch buffer, so the arithmetic is the
+    float64 one of X.astype(np.float64). The data is embedded in row
+    blocks (`encode`), so beyond X and the n x code embeddings training
+    holds O(batch * width + parameters).
 
     Parameters
     ----------
     X : array, shape (n, d)
-        Clean training data; also the reconstruction target.
+        Clean training data; also the reconstruction target. float32 and
+        float64 are kept as they are, any other dtype is widened to
+        float64 (`datasets.check_matrix`).
     spec : AutoencoderSpec
         Architecture, activation, input noise level and weight init seed.
     schedule : SnapshotSchedule
@@ -129,11 +134,7 @@ def train_snapshots(
         noise-free embedding of X under each snapshot. `embeddings.history`
         holds each epoch's learning rate and mean minibatch loss.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("training data must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(X)):
-        raise DataError("training data contains non-finite values")
+    X = check_matrix(X, "training data")
     n = X.shape[0]
     if X.shape[1] != spec.input_size:
         raise DataError(f"data width {X.shape[1]} != autoencoder input {spec.input_size}")
@@ -149,6 +150,8 @@ def train_snapshots(
     workspace = Workspace.allocate(params, batch_size)
     clean_buf = np.empty((batch_size, X.shape[1]))
     noisy_buf = np.empty_like(clean_buf)
+    # np.take cannot cast into `out`: a float32 X is gathered here, then widened
+    gather_buf = clean_buf if X.dtype == np.float64 else np.empty_like(clean_buf, X.dtype)
     snapshots: list[EncoderSnapshot] = []
     history: list[dict] = []
 
@@ -163,7 +166,10 @@ def train_snapshots(
             idx = order[b * batch_size : (b + 1) * batch_size]
             # the indices are a permutation's, so "clip" clips nothing; the
             # default "raise" would copy through a temporary
-            clean = np.take(X, idx, axis=0, out=clean_buf[: len(idx)], mode="clip")
+            batch = np.take(X, idx, axis=0, out=gather_buf[: len(idx)], mode="clip")
+            clean = clean_buf[: len(idx)]
+            if gather_buf is not clean_buf:
+                clean[...] = batch
             if spec.input_noise_sigma > 0:
                 noisy = noise_gen.standard_normal(out=noisy_buf[: len(idx)])
                 noisy *= spec.input_noise_sigma

@@ -145,6 +145,15 @@ def test_encode_in_row_blocks_agrees_to_rounding_where_blas_rounds_blocks_apart(
     assert encode(X[:0], snapshot).shape == (0, 7)
 
 
+@pytest.mark.parametrize("widths", [[784, 256, 32], [64, 512, 16]])
+def test_encode_of_float32_equals_encode_of_its_float64_widening(widths):
+    gen = np.random.default_rng(9)
+    snapshot = random_snapshot(gen, widths, "relu")
+    block = autoencoder._CHUNK_ENTRIES // max(widths[1:])
+    X32 = gen.normal(size=(3 * block + 7, widths[0])).astype(np.float32)
+    assert np.array_equal(encode(X32, snapshot), encode(X32.astype(np.float64), snapshot))
+
+
 def test_encode_memory_is_bounded_by_the_block():
     gen = np.random.default_rng(5)
     snapshot = random_snapshot(gen, [64, 512, 16], "relu")

@@ -75,6 +75,7 @@ def test_rawf32_round_trip(tmp_path):
     n, d = struct.unpack("<II", raw[4:12])
     assert (n, d) == (3, 2)
     back = load_rawf32(path)
+    assert back.dtype == np.float32
     # exact: the chosen values are representable in f32
     assert np.array_equal(back, X)
 

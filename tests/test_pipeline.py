@@ -681,6 +681,36 @@ def test_stage_peak_memory_only_in_run_json(tmp_path):
     assert all(0 < peak <= run_doc["peak_rss_mib"] for peak in peaks.values())
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_float32_input_runs_as_its_float64_widening(tmp_path, model):
+    X, y = small_data()
+    X32 = X.astype(np.float32)
+    # read-only, as a loaded rawf32 file is: no stage may write into X
+    X32.setflags(write=False)
+    metrics = ("euclidean", "cosine") if model == "ssc_rm" else ()
+    cfg = small_config(repeats=1, activation="relu", metrics=metrics)
+    outs = {}
+    for name, data in (("f32", X32), ("f64", X32.astype(np.float64))):
+        outs[name] = tmp_path / name
+        run_model(model, cfg, data, y, out_dir=outs[name])
+    for artifact in ("labels_rep0.txt", "report.json"):
+        assert (outs["f32"] / artifact).read_bytes() == (outs["f64"] / artifact).read_bytes()
+    assert b"input_" not in (outs["f32"] / "report.json").read_bytes()
+    for name, dtype, itemsize in (("f32", "float32", 4), ("f64", "float64", 8)):
+        run_doc = json.loads((outs[name] / "run.json").read_text())
+        assert run_doc["input_dtype"] == dtype
+        assert run_doc["input_mib"] == X.size * itemsize / 2**20
+
+
+def test_non_finite_input_error_names_the_first_bad_entry():
+    X, _ = small_data()
+    X = X.astype(np.float32)
+    X[40, 3] = np.inf
+    X[41, 0] = np.nan
+    with pytest.raises(DataError, match=r"non-finite values, first at row 40, column 3; remove"):
+        run_ssc(small_config(), X)
+
+
 # a pooled `snapclust cluster` whose members report their pid and then stall
 STALLED_MEMBERS = r"""
 import os, sys, time

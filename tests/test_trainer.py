@@ -1,6 +1,7 @@
 """Snapshot schedule and trainer: formula identities, capture rules, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,55 @@ def test_non_finite_gradient_raises_from_training(monkeypatch):
     X = tiny_data()
     spec = AutoencoderSpec.from_encoder_widths([6, 3], input_noise_sigma=0.1)
     with pytest.raises(NumericalError, match="^non-finite gradient in sgd_step$"):
+        train_snapshots(X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(0))
+
+
+def test_float32_training_equals_training_on_its_float64_widening():
+    X32 = tiny_data(29, 6, seed=5).astype(np.float32)
+    X32.setflags(write=False)
+    spec = AutoencoderSpec.from_encoder_widths([6, 5, 2], input_noise_sigma=0.1, init_seed=2)
+    runs = [
+        train_snapshots(X, spec, SnapshotSchedule(0.05, 4, 2), batch_size=8, rng=SeedStream(7))
+        for X in (X32, X32.astype(np.float64))
+    ]
+    (snaps, emb), (snaps_ref, emb_ref) = runs
+    assert emb.history == emb_ref.history
+    for snap, ref in zip(snaps, snaps_ref):
+        for (W, b), (W_ref, b_ref) in zip(snap.weights, ref.weights):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+    for Y, Y_ref in zip(emb.members, emb_ref.members):
+        assert Y.dtype == np.float64 and np.array_equal(Y, Y_ref)
+
+
+def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
+    n = 20_000
+    X = np.random.default_rng(8).normal(size=(n, 64)).astype(np.float32)
+    spec = AutoencoderSpec.from_encoder_widths([64, 16], input_noise_sigma=0.1)
+    captured = []
+    tracemalloc.start()
+    try:
+        train_snapshots(
+            X,
+            spec,
+            SnapshotSchedule(0.01, 1, 1),
+            batch_size=256,
+            rng=SeedStream(0),
+            on_capture=captured.append,
+        )
+        codes = embed_snapshot(X, captured[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (n, 16)
+    # a float64 copy of X alone would take 2 * X.nbytes
+    assert peak < X.nbytes
+
+
+def test_non_finite_training_data_error_names_the_first_bad_entry():
+    X = tiny_data()
+    X[5, 2] = np.nan
+    spec = AutoencoderSpec.from_encoder_widths([6, 3])
+    with pytest.raises(DataError, match=r"non-finite values, first at row 5, column 2; remove"):
         train_snapshots(X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(0))
 
 
