@@ -122,11 +122,15 @@ class EmbeddingSet:
     the loss being the mean over its minibatches. It is kept apart from
     `provenance`, which the snapshot files carry. `members` is empty when
     the snapshots went to a capture hook instead (`train_snapshots`).
+    `feed` says where the training batches were drawn: `train_feed` is
+    "process" for a forked batch producer and "inline" otherwise, and
+    `train_feed_wait_s` the seconds training blocked on the producer.
     """
 
     members: list[np.ndarray]
     provenance: dict = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
+    feed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for k, Y in enumerate(self.members):

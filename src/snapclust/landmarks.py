@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import nearest_centers
+from .distances import _CHUNK_ENTRIES, nearest_centers
 from .errors import ConfigError, DataError
 from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
@@ -79,7 +79,12 @@ def minibatch_kmeans(
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
-    yy = np.sum(Y * Y, axis=1)
+    # row norms a block at a time: Y * Y whole would be an n x d temporary
+    yy = np.empty(n)
+    step = max(1, _CHUNK_ENTRIES // Y.shape[1])
+    for start in range(0, n, step):
+        block = Y[start : start + step]
+        np.sum(block * block, axis=1, out=yy[start : start + step])
     gram = np.empty((bsz, p), dtype=np.float64)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)

@@ -18,16 +18,19 @@ landmarks and builds the affinity; only the affinity and its diagnostics
 come back. This process trains meanwhile and never builds a member
 itself, so it holds no embedding, and collects the members in index
 order once training ends: a training error is raised first, then the
-lowest failing member's. Fusion and the SVD stay in this process. For
+lowest failing member's. Training may fork a child of its own, which
+draws the batches ahead (`trainer._BatchProducer`); it lives only as
+long as the training call. Fusion and the SVD stay in this process. For
 every model, the final k-means restarts run in a pool of their own,
 forked once the points to cluster exist. Each worker runs OpenBLAS at
 one thread, so outputs are byte-identical to a serial run at one BLAS
 thread whatever the CPU count, and on Linux it is killed when this
 process dies. A one-CPU mask (`taskset -c 0`) runs everything serially,
 in this process, and so does a call made while other Python threads are
-alive, since forking a threaded process can deadlock. Serially, and for
-the single-member models, the members are built one after the other once
-training has ended, so this process holds one embedding at a time; the
+alive, since forking a threaded process can deadlock; the batch producer
+follows the same rules (`forking`). Serially, and for the single-member
+models, the members are built one after the other once training has
+ended, so this process holds one embedding at a time; the
 members and the k-means restarts then run at one BLAS thread here too.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
 per worker. X is held in the dtype it arrives in when that is float32 or
@@ -57,9 +60,7 @@ import json
 import multiprocessing
 import os
 import resource
-import signal
 import sys
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -73,6 +74,7 @@ from .datasets import check_matrix, load_dataset, save_labels
 from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
+from .forking import die_with_parent, pool_workers
 from .kmeans import Partition, kmeans
 from .landmarks import minibatch_kmeans
 from .rng import (
@@ -125,29 +127,9 @@ def _stage(timings: dict, name: str, peaks: dict | None = None):
             peaks[name] = _peak_rss_mib()
 
 
-def pool_workers(count: int) -> int:
-    """Worker processes for `count` independent tasks; below 2, run them here.
-
-    One per CPU in this process's affinity mask, at most `count`. Serial
-    where the mask cannot be read, inside a multiprocessing worker, and
-    while other Python threads are alive, since forking a threaded process
-    can deadlock in the child.
-    """
-    if (
-        not hasattr(os, "sched_getaffinity")
-        or multiprocessing.parent_process() is not None
-        or threading.active_count() > 1
-    ):
-        return 1
-    return min(count, len(os.sched_getaffinity(0)))
-
-
 # set only in _ForkPool's workers, by the pool initializer, never in the caller
 _forked_fn = None
 _forked_stop = None
-
-# <linux/prctl.h>: deliver a signal to this process when its parent dies
-_PR_SET_PDEATHSIG = 1
 
 
 def _openblas_thread_controls() -> list:
@@ -198,17 +180,13 @@ def _one_blas_thread():
 def _adopt(fn, parent: int, stop) -> None:
     global _forked_fn, _forked_stop
     _forked_fn, _forked_stop = fn, stop
+    # a worker left behind would wait on the task queue forever, since it
+    # holds that queue's write end itself
+    die_with_parent(parent)
     if sys.platform.startswith("linux"):
-        # A worker outlives a killed caller otherwise: it waits on the task
-        # queue forever, since it holds that queue's write end itself, and
-        # keeps the caller's stdout open.
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
         # one BLAS thread, so that a member's bytes do not depend on the CPU count
         for _, set_threads in _openblas_thread_controls():
             set_threads(1)
-    # the caller died before the prctl call
-    if os.getppid() != parent:
-        os._exit(1)
 
 
 def _call_forked(*args):
@@ -381,6 +359,7 @@ def _single_run(
                         X, config, repeat_index, cycles, on_capture=pool.submit
                     )
                 diagnostics["train"] = embeddings.history
+                diagnostics.update(embeddings.feed)
             else:
                 pool.submit()
             built = pool.results()
@@ -417,6 +396,7 @@ def _single_run(
             _, embeddings = train_ensemble(X, config, repeat_index, 1)
         points = embeddings.members[0]
         diagnostics["train"] = embeddings.history
+        diagnostics.update(embeddings.feed)
     else:
         points = X
 

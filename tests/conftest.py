@@ -1,15 +1,18 @@
 """Make the source tree importable by the interpreters the CLI tests start,
-and fail any test that leaves a child process running.
+fail any test that leaves a child process running, and let a test run
+training without its forked batch producer.
 
 `pythonpath = ["src"]` in pyproject.toml puts `src/` on this process's
 `sys.path` only; the tests that run `python -m snapclust.cli` in a child
 process find the package through the PYTHONPATH it inherits.
 """
 
+import contextlib
 import glob
 import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
@@ -60,3 +63,26 @@ def no_child_process_left():
         pytest.fail(
             f"test left child processes running: {[p.pid for p in leftover] + others}"
         )
+
+
+@pytest.fixture
+def inline_training():
+    """A context manager under which training draws its batches in this process.
+
+    It keeps one other Python thread alive, and this process does not fork
+    while one is (`forking.pool_workers`).
+    """
+
+    @contextlib.contextmanager
+    def live_thread():
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            yield
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    return live_thread

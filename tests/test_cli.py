@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from snapclust import trainer
 from snapclust.cli import _build_parser, _merge_config, main
 from snapclust.config import PipelineConfig, save_config
 from snapclust.datasets import make_blobs, save_labels, save_rawf32
@@ -96,6 +97,36 @@ def test_train_writes_snapshots(blob_files, capsys, tmp_path):
     assert snap.cycle_index == 1
     emb = load_rawf32(tmp_path / "embedding_member1.rawf32")
     assert emb.shape == (90, 3)
+
+
+def test_train_writes_the_same_files_with_and_without_the_batch_producer(
+    capsys, tmp_path, monkeypatch, inline_training
+):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the batch producer needs two CPUs in the affinity mask")
+    # batches of 64 x 512 values: wide enough to be drawn by a forked producer
+    X, _ = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=43)
+    data = tmp_path / "wide.rawf32"
+    save_rawf32(data, X)
+    producers = []
+
+    class Counted(trainer._BatchProducer):
+        def __enter__(self):
+            producers.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(trainer, "_BatchProducer", Counted)
+    argv = ["train", "--dataset", str(data), *FAST, "--hidden", "16", "--batch-size", "64"]
+    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "process")], capsys)
+    assert code == 0 and len(producers) == 1
+    with inline_training():
+        code, _, _ = run_cli([*argv, "--out", str(tmp_path / "inline")], capsys)
+    assert code == 0 and len(producers) == 1
+    names = sorted(os.listdir(tmp_path / "process"))
+    assert names == sorted(os.listdir(tmp_path / "inline")) and len(names) == 4
+    for name in names:
+        produced = (tmp_path / "process" / name).read_bytes()
+        assert produced == (tmp_path / "inline" / name).read_bytes(), name
 
 
 def test_baseline_subcommand(blob_files, capsys):

@@ -1,5 +1,7 @@
 """Landmark selection: fixed points, blob recovery, objective quality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,15 @@ def test_unreached_centers_keep_their_kmeans_pp_seed():
     reached[np.argmin(oracle_sq_dists(Y[idx], seeds), axis=1)] = True
     assert lm.meta["empty"] == np.count_nonzero(~reached) > 0
     assert np.array_equal(lm.centers[~reached], seeds[~reached])
+
+
+def test_landmark_selection_holds_no_n_by_d_temporary():
+    Y = np.random.default_rng(4).normal(size=(20_000, 64))
+    tracemalloc.start()
+    try:
+        minibatch_kmeans(Y, 50, SeedStream(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row norms are summed a block of rows at a time, not from Y * Y
+    assert peak < 0.5 * Y.nbytes

@@ -702,6 +702,29 @@ def test_float32_input_runs_as_its_float64_widening(tmp_path, model):
         assert run_doc["input_mib"] == X.size * itemsize / 2**20
 
 
+@pytest.mark.parametrize("model", ["ssc", "dae_kmeans"])
+def test_run_json_says_where_training_drew_its_batches(tmp_path, inline_training, model):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the batch producer needs two CPUs in the affinity mask")
+    # batches of 64 x 512 values: wide enough to be drawn by a forked producer
+    X, y = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
+    cfg = small_config(batch_size=64)
+    run_model(model, cfg, X, y, out_dir=tmp_path / "process")
+    with inline_training():
+        run_model(model, cfg, X, y, out_dir=tmp_path / "inline")
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        produced = (tmp_path / "process" / name).read_bytes()
+        assert produced == (tmp_path / "inline" / name).read_bytes(), name
+    assert b"train_feed" not in (tmp_path / "process" / "report.json").read_bytes()
+    for feed in ("process", "inline"):
+        repeats = json.loads((tmp_path / feed / "run.json").read_text())["diagnostics"]
+        assert len(repeats) == cfg.repeats
+        for repeat in repeats:
+            assert repeat["train_feed"] == feed
+            waited = repeat["train_feed_wait_s"]
+            assert waited > 0 if feed == "process" else waited == 0.0
+
+
 def test_non_finite_input_error_names_the_first_bad_entry():
     X, _ = small_data()
     X = X.astype(np.float32)

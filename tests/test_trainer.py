@@ -1,6 +1,8 @@
 """Snapshot schedule and trainer: formula identities, capture rules, determinism."""
 
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 from snapclust import trainer
 from snapclust.autoencoder import AutoencoderSpec, backward, encode, init_params, sgd_step
-from snapclust.errors import ConfigError, DataError, NumericalError
+from snapclust.distances import _CHUNK_ENTRIES
+from snapclust.errors import ConfigError, DataError, NumericalError, SnapclustError
 from snapclust.rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, STAGE_TRAIN, SeedStream
 from snapclust.trainer import (
     SNAPSHOT_MAGIC,
@@ -321,6 +324,86 @@ def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
     assert codes.shape == (n, 16)
     # a float64 copy of X alone would take 2 * X.nbytes
     assert peak < X.nbytes
+
+
+# 150 rows in batches of 64: the last batch of each epoch is short. A
+# batch of 64 x 512 values is the smallest that training hands to a
+# forked batch producer.
+WIDE_ROWS, WIDE_DIMS, WIDE_BATCH = 150, 512, 64
+
+
+def needs_two_cpus():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the batch producer needs two CPUs in the affinity mask")
+
+
+def train_wide(X, sigma=0.1, **kwargs):
+    spec = AutoencoderSpec.from_encoder_widths(
+        [WIDE_DIMS, 16, 4], input_noise_sigma=sigma, init_seed=9
+    )
+    schedule = SnapshotSchedule(0.01, 4, 2)
+    return train_snapshots(X, spec, schedule, WIDE_BATCH, SeedStream(21), **kwargs)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_forked_batch_producer_trains_bit_for_bit_as_inline(inline_training, dtype, sigma):
+    needs_two_cpus()
+    assert WIDE_BATCH * WIDE_DIMS >= _CHUNK_ENTRIES
+    X = tiny_data(WIDE_ROWS, WIDE_DIMS, seed=10).astype(dtype)
+    snaps, emb = train_wide(X, sigma)
+    with inline_training():
+        snaps_ref, emb_ref = train_wide(X, sigma)
+    assert emb.feed["train_feed"] == "process" and emb.feed["train_feed_wait_s"] > 0
+    assert emb_ref.feed == {"train_feed": "inline", "train_feed_wait_s": 0.0}
+    assert emb.history == emb_ref.history
+    for snap, ref in zip(snaps, snaps_ref, strict=True):
+        for (W, b), (W_ref, b_ref) in zip(snap.weights, ref.weights, strict=True):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+    for Y, Y_ref in zip(emb.members, emb_ref.members, strict=True):
+        assert np.array_equal(Y, Y_ref)
+
+
+@pytest.mark.parametrize(
+    "stop, cause",
+    [
+        (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
+        # no word down the pipe: the trainer sees it close
+        (lambda: os._exit(3), "exit code 3"),
+    ],
+    ids=["raises", "exits"],
+)
+def test_a_stopped_batch_producer_is_named_in_the_error(monkeypatch, stop, cause):
+    needs_two_cpus()
+    batches = trainer._batches
+
+    def three_then_stop(*args):
+        draws = batches(*args)
+        for _ in range(3):
+            yield next(draws)
+        stop()
+
+    monkeypatch.setattr(trainer, "_batches", three_then_stop)
+    X = tiny_data(WIDE_ROWS, WIDE_DIMS, seed=11)
+    start = time.monotonic()
+    # 4 epochs of 3 batches; the trainer got the first three
+    error = f"^training batch producer stopped before batch 4 of 12: {cause}$"
+    with pytest.raises(SnapclustError, match=error):
+        train_wide(X)
+    assert time.monotonic() - start < 10
+
+
+def test_non_finite_gradient_raises_beside_the_batch_producer(monkeypatch):
+    needs_two_cpus()
+
+    def nan_gradient(*args, **kwargs):
+        loss, grads = backward(*args, **kwargs)
+        grads[0][0][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(trainer, "backward", nan_gradient)
+    with pytest.raises(NumericalError, match="^non-finite gradient in sgd_step$"):
+        train_wide(tiny_data(WIDE_ROWS, WIDE_DIMS, seed=12))
 
 
 def test_non_finite_training_data_error_names_the_first_bad_entry():
