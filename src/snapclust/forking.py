@@ -1,6 +1,6 @@
 """When this process may fork children, and how a forked child dies with it.
 
-Two kinds of forked children share these rules: the worker pools of
+Two kinds of forked children share these rules: the worker pool of
 `pipeline` and the batch producer of `trainer`. Neither forks while
 another Python thread is alive, since forking a threaded process can
 deadlock in the child, nor from inside a multiprocessing worker, and on

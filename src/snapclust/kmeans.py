@@ -5,8 +5,8 @@ the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
 index) pair, so results do not depend on evaluation order, and every
 restart's inertia and Lloyd iteration count stay on the Partition. The
-caller may hand the restarts to a map that runs them elsewhere, for
-example on forked worker processes (`pipeline.fork_map`).
+caller may hand the restarts, picklable partials of `_restart`, to a map
+that runs them elsewhere, such as forked workers (`pipeline._ForkPool`).
 Assignment uses `distances.nearest_centers`, the fused squared-euclidean
 kernel, with row norms computed once and the distance buffer reused across
 Lloyd iterations. k-means++ computes each new center's distances as one
@@ -17,10 +17,12 @@ would pick.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .distances import nearest_centers
 from .errors import ConfigError, DataError
@@ -55,10 +57,9 @@ class Partition:
 
 def _center_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-label row sums, (k, d), accumulated in row order like np.add.at."""
-    sums = np.empty((k, X.shape[1]), dtype=np.float64)
-    for j in range(X.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
-    return sums
+    n = X.shape[0]
+    # one entry per column: row i of X is added to row labels[i], in row order
+    return csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n)) @ X
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
@@ -142,6 +143,15 @@ def lloyd(
     return labels, inertia, history
 
 
+def _restart(
+    X: np.ndarray, k: int, rng: SeedStream, max_iters: int, i: int
+) -> tuple[np.ndarray, float, int]:
+    """Restart i of `kmeans`: (labels, inertia, Lloyd iterations)."""
+    gen = rng.child(STAGE_RESTART, i).generator()
+    labels, inertia, history = lloyd(X, kmeans_pp_init(X, k, gen), max_iters)
+    return labels, inertia, len(history)
+
+
 def kmeans(
     X,
     k: int,
@@ -169,11 +179,7 @@ def kmeans(
     if restarts < 1:
         raise ConfigError("kmeans: restarts must be >= 1")
 
-    def restart(i: int) -> tuple[np.ndarray, float, int]:
-        gen = rng.child(STAGE_RESTART, i).generator()
-        labels, inertia, history = lloyd(X, kmeans_pp_init(X, k, gen), max_iters)
-        return labels, inertia, len(history)
-
+    restart = functools.partial(_restart, X, k, rng, max_iters)
     if map_restarts is None:
         runs = [restart(i) for i in range(restarts)]
     else:

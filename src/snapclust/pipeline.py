@@ -10,28 +10,28 @@ fields.
 
 Ensemble members are independent: member j draws its landmarks from its
 own seed stream, so they are built in parallel, while training goes on.
-A pool of worker processes, one per CPU in the process's affinity mask
-and at most m, is opened before training; its workers fork when the
-first snapshot arrives. Each snapshot goes to the pool as soon as
-training captures it, and a worker embeds the data under it, selects
-landmarks and builds the affinity; only the affinity and its diagnostics
-come back. This process trains meanwhile and never builds a member
-itself, so it holds no embedding, and collects the members in index
-order once training ends: a training error is raised first, then the
-lowest failing member's. Training may fork a child of its own, which
-draws the batches ahead (`trainer._BatchProducer`); it lives only as
-long as the training call. Fusion and the SVD stay in this process. For
-every model, the final k-means restarts run in a pool of their own,
-forked once the points to cluster exist. Each worker runs OpenBLAS at
-one thread, so outputs are byte-identical to a serial run at one BLAS
-thread whatever the CPU count, and on Linux it is killed when this
-process dies. A one-CPU mask (`taskset -c 0`) runs everything serially,
-in this process, and so does a call made while other Python threads are
-alive, since forking a threaded process can deadlock; the batch producer
-follows the same rules (`forking`). Serially, and for the single-member
-models, the members are built one after the other once training has
-ended, so this process holds one embedding at a time; the
-members and the k-means restarts then run at one BLAS thread here too.
+Each repeat opens one pool of worker processes, one per CPU in the
+process's affinity mask and at most max(m, restarts), and the members
+and then the final k-means restarts run in it (`_ForkPool`). Each
+snapshot goes to the pool as soon as training captures it, and a worker
+embeds the data under it, selects landmarks and builds the affinity;
+only the affinity and its diagnostics come back. This process trains
+meanwhile and never builds a member itself, so it holds no embedding,
+and collects the members in index order once training ends: a training
+error is raised first, then the lowest failing member's. Training may
+fork a child of its own, which draws the batches ahead
+(`trainer._BatchProducer`); it lives only as long as the training call.
+Fusion and the SVD stay in this process. A restart pickles the points
+only where the workers forked at the first snapshot, before the points
+existed; elsewhere they inherit them through fork. Each worker runs
+OpenBLAS at one thread, so outputs are byte-identical to a serial run at
+one BLAS thread whatever the CPU count, and on Linux it is killed when
+this process dies. A one-CPU mask (`taskset -c 0`) runs everything
+serially, in this process, at one BLAS thread, and so does a call made
+while other Python threads are alive, since forking a threaded process
+can deadlock; the batch producer follows the same rules (`forking`).
+Serially the members are built one after the other once training has
+ended, so this process holds one embedding at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
 per worker. X is held in the dtype it arrives in when that is float32 or
 float64 (a rawf32 file stays float32) and is widened to float64 only a
@@ -42,8 +42,8 @@ and the n x code embedding the trained path holds O(block * width +
 parameters). The "train" stage seconds are the training loop's wall time,
 during which the member workers share the CPUs with it. The "landmarks"
 and "affinity" stage seconds sum the members' own seconds, so with
-several workers they can exceed `members_wall_s`, the time from opening
-the member pool, before training, to collecting the last member.
+several workers they can exceed `members_wall_s`, the time from just
+before training to collecting the last member.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -55,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import multiprocessing
@@ -75,7 +76,7 @@ from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
 from .forking import die_with_parent, pool_workers
-from .kmeans import Partition, kmeans
+from .kmeans import DEFAULT_RESTARTS, Partition, kmeans
 from .landmarks import minibatch_kmeans
 from .rng import (
     STAGE_INIT,
@@ -189,45 +190,38 @@ def _adopt(fn, parent: int, stop) -> None:
             set_threads(1)
 
 
-def _call_forked(*args):
-    # the caller has given up on the results: a queued call is dropped
-    return None if _forked_stop.is_set() else _forked_fn(*args)
+def _call_forked(fn, *args):
+    # the caller has given up on the results: a queued call is dropped;
+    # fn is None for the function the workers inherited
+    return None if _forked_stop.is_set() else (fn or _forked_fn)(*args)
 
 
 class _ForkPool:
-    """Calls fn(0, ...), fn(1, ...), ... of one function on forked worker processes.
+    """Calls of functions on forked worker processes; one pool per run.
 
-    `submit(*args)` queues fn(i, *args), `i` counting the earlier
-    submissions, and a free worker starts it at once. `results()` waits
-    for every call and returns the results in submission order, raising
-    the exception of the lowest failing call, as a serial loop would.
-    `fn` reaches the workers through fork, not pickling: only the
-    arguments go out and only the results come back. With fewer than 2
-    workers nothing is forked, and `results()` makes the calls here, in
-    order, at one BLAS thread as a worker would. Leaving the `with` block
-    through an exception drops the calls no worker has started; every
-    worker has exited once the block is left.
+    `submit(fn, *args)` queues fn(*args), and a free worker starts it at
+    once. `results()` waits for the calls submitted since the last
+    `results()` and returns their results in submission order, raising
+    the exception of the lowest failing call, as a serial loop would;
+    `map(fn, count)` submits fn(0), ..., fn(count - 1) and returns
+    `results()`. The workers fork at the first call and inherit its
+    function, so its calls send only their arguments; a call of any other
+    function sends the function by pickle too. Only the results come back.
+    With fewer than 2 workers nothing is forked, and `results()` makes the
+    calls here, in order, at one BLAS thread as a worker would. Leaving
+    the `with` block through an exception drops the calls no worker has
+    started; every worker has exited once the block is left.
 
     On Linux a worker is killed when this process dies, and each worker
     runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
     and a call rounds the same whatever the CPU count.
     """
 
-    def __init__(self, fn, workers: int):
-        self._fn = fn
+    def __init__(self, workers: int):
+        self._workers = workers
         self._calls: list = []
         self._pool = None
-        if workers >= 2:
-            context = multiprocessing.get_context("fork")
-            # the executor hands a worker more calls than it has started
-            # and cannot cancel them, so the workers check this first
-            self._stop = context.Event()
-            self._pool = ProcessPoolExecutor(
-                workers,
-                mp_context=context,
-                initializer=_adopt,
-                initargs=(fn, os.getpid(), self._stop),
-            )
+        self._forked_fn = None
 
     def __enter__(self):
         return self
@@ -238,29 +232,36 @@ class _ForkPool:
                 self._stop.set()
             self._pool.shutdown(cancel_futures=exc_type is not None)
 
-    def submit(self, *args) -> None:
-        args = (len(self._calls), *args)
-        self._calls.append(self._pool.submit(_call_forked, *args) if self._pool else args)
+    def submit(self, fn, *args) -> None:
+        if self._workers < 2:
+            self._calls.append((fn, args))
+            return
+        if self._pool is None:
+            context = multiprocessing.get_context("fork")
+            # the executor hands a worker more calls than it has started
+            # and cannot cancel them, so the workers check this first
+            self._stop = context.Event()
+            self._forked_fn = fn
+            self._pool = ProcessPoolExecutor(
+                self._workers,
+                mp_context=context,
+                initializer=_adopt,
+                initargs=(fn, os.getpid(), self._stop),
+            )
+        sent = None if fn is self._forked_fn else fn
+        self._calls.append(self._pool.submit(_call_forked, sent, *args))
 
     def results(self) -> list:
+        calls, self._calls = self._calls, []
         if self._pool is None:
             with _one_blas_thread():
-                return [self._fn(*args) for args in self._calls]
-        return [call.result() for call in self._calls]
+                return [fn(*args) for fn, args in calls]
+        return [call.result() for call in calls]
 
-
-def fork_map(fn, count: int, workers: int | None = None) -> list:
-    """[fn(0), ..., fn(count - 1)], in index order, on forked worker processes.
-
-    `workers` defaults to `pool_workers(count)`. An exception from `fn`
-    is raised here as the one from the lowest failing index, as in a
-    serial loop. Every worker has exited when this returns or raises.
-    With fewer than 2 workers it is a plain loop in this process.
-    """
-    with _ForkPool(fn, pool_workers(count) if workers is None else workers) as pool:
-        for _ in range(count):
-            pool.submit()
-        return pool.results()
+    def map(self, fn, count: int) -> list:
+        for i in range(count):
+            self.submit(fn, i)
+        return self.results()
 
 
 def train_ensemble(
@@ -319,89 +320,81 @@ def _single_run(
     n = X.shape[0]
     footprint = {}
     diagnostics = {}
+    cycles = config.m if model in ("ssc", "ssc_rm") else 1
 
-    if model in _SPECTRAL:
-
-        def build_member(j: int, snapshot=None):
-            # may run in a forked worker, so its seconds return with the result
-            seconds: dict = {}
-            with _stage(seconds, "train"):
-                if snapshot is None:
-                    # widened once here, not by each of the two layers below
-                    Y = X.astype(np.float64, copy=False)
-                else:
-                    Y = embed_snapshot(X, snapshot)
-            with _stage(seconds, "landmarks"):
-                lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
-            with _stage(seconds, "affinity"):
-                params = AffinityParams(
-                    config.sparsity, parse_metric(config.member_metric(j))
-                )
-                affinity = build_affinity(Y, lm, params)
-            return affinity, {
-                "metric": params.metric.label(),
-                "encode_s": seconds["train"],
-                "landmarks_s": seconds["landmarks"],
-                "affinity_s": seconds["affinity"],
-                "empty_landmarks": lm.meta["empty"],
-                "worker_peak_rss_mib": _peak_rss_mib(),
-            }
-
-        # each snapshot's member is built while training goes on; a
-        # training error leaves this block before any member error is seen
-        cycles = config.m if model in ("ssc", "ssc_rm") else 1
-        workers = pool_workers(cycles)
-        start = time.perf_counter()
-        with _ForkPool(build_member, workers) as pool:
-            if model in _TRAINED:
-                with _stage(timings, "train", peaks):
-                    _, embeddings = train_ensemble(
-                        X, config, repeat_index, cycles, on_capture=pool.submit
-                    )
-                diagnostics["train"] = embeddings.history
-                diagnostics.update(embeddings.feed)
+    def build_member(snapshot=None):
+        # may run in a forked worker, so its seconds return with the result
+        j = 0 if snapshot is None else snapshot.cycle_index - 1
+        seconds: dict = {}
+        with _stage(seconds, "train"):
+            if snapshot is None:
+                # widened once here, not by each of the two layers below
+                Y = X.astype(np.float64, copy=False)
             else:
-                pool.submit()
-            built = pool.results()
-        diagnostics["workers"] = workers
-        diagnostics["members_wall_s"] = time.perf_counter() - start
-        members = [affinity for affinity, _ in built]
-        member_diagnostics = [member for _, member in built]
-        for name in ("landmarks", "affinity"):
-            timings[name] = timings.get(name, 0.0) + sum(
-                member[f"{name}_s"] for member in member_diagnostics
-            )
-            peaks[name] = _peak_rss_mib()
-        with _stage(timings, "fuse", peaks):
-            fused = fuse(members)
-        with _stage(timings, "svd", peaks):
-            points = left_singular_vectors(
-                fused,
-                config.k,
-                degree_normalize=config.degree_normalize,
-                row_normalize=config.row_normalize,
-            )
-        Z = members[0].matrix
-        footprint = {
-            "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
-            "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
-            "fused_nnz": fused.nnz,
-            "density": members[0].density,
-            "dense_equivalent_bytes": n * n * 8,
+                Y = embed_snapshot(X, snapshot)
+        with _stage(seconds, "landmarks"):
+            lm = minibatch_kmeans(Y, config.landmarks, rep.child(STAGE_LANDMARKS, j))
+        with _stage(seconds, "affinity"):
+            params = AffinityParams(config.sparsity, parse_metric(config.member_metric(j)))
+            affinity = build_affinity(Y, lm, params)
+        return affinity, {
+            "metric": params.metric.label(),
+            "encode_s": seconds["train"],
+            "landmarks_s": seconds["landmarks"],
+            "affinity_s": seconds["affinity"],
+            "empty_landmarks": lm.meta["empty"],
+            "worker_peak_rss_mib": _peak_rss_mib(),
         }
-        diagnostics["spectrum"] = points.meta
-        diagnostics["members"] = member_diagnostics
-    elif model in _TRAINED:
-        with _stage(timings, "train", peaks):
-            _, embeddings = train_ensemble(X, config, repeat_index, 1)
-        points = embeddings.members[0]
-        diagnostics["train"] = embeddings.history
-        diagnostics.update(embeddings.feed)
-    else:
-        points = X
 
-    with _stage(timings, "kmeans", peaks):
-        partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=fork_map)
+    # the members and the k-means restarts never share the pool at once
+    workers = pool_workers(max(cycles, DEFAULT_RESTARTS))
+    with _ForkPool(workers) as pool:
+        start = time.perf_counter()
+        if model in _TRAINED:
+            # each snapshot's member is built while training goes on; a
+            # training error leaves this block before any member error is seen
+            capture = functools.partial(pool.submit, build_member) if model in _SPECTRAL else None
+            with _stage(timings, "train", peaks):
+                _, embeddings = train_ensemble(X, config, repeat_index, cycles, on_capture=capture)
+            diagnostics["train"] = embeddings.history
+            diagnostics.update(embeddings.feed)
+        elif model in _SPECTRAL:
+            pool.submit(build_member)
+        if model in _SPECTRAL:
+            built = pool.results()
+            diagnostics["members_wall_s"] = time.perf_counter() - start
+            members = [affinity for affinity, _ in built]
+            member_diagnostics = [member for _, member in built]
+            for name in ("landmarks", "affinity"):
+                timings[name] = timings.get(name, 0.0) + sum(
+                    member[f"{name}_s"] for member in member_diagnostics
+                )
+                peaks[name] = _peak_rss_mib()
+            with _stage(timings, "fuse", peaks):
+                fused = fuse(members)
+            with _stage(timings, "svd", peaks):
+                points = left_singular_vectors(
+                    fused,
+                    config.k,
+                    degree_normalize=config.degree_normalize,
+                    row_normalize=config.row_normalize,
+                )
+            Z = members[0].matrix
+            footprint = {
+                "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
+                "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
+                "fused_nnz": fused.nnz,
+                "density": members[0].density,
+                "dense_equivalent_bytes": n * n * 8,
+            }
+            diagnostics["workers"] = workers
+            diagnostics["spectrum"] = points.meta
+            diagnostics["members"] = member_diagnostics
+        else:
+            points = embeddings.members[0] if model in _TRAINED else X
+
+        with _stage(timings, "kmeans", peaks):
+            partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=pool.map)
     if model in _SPECTRAL:
         diagnostics["kmeans"] = partition.restarts
     return partition, footprint, diagnostics

@@ -1,11 +1,14 @@
 """End-to-end pipeline runs, baselines, artifacts, sweeps, footprints."""
 
+import functools
 import importlib
 import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
+import pickle
 import re
 import select
 import signal
@@ -13,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -544,9 +548,9 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
     # the members are handed over as training captures them, and the final
-    # k-means restarts go through fork_map: both must stay in this process
-    captured, restart_maps = [], []
-    train_ensemble, fork_map = pipeline.train_ensemble, pipeline.fork_map
+    # k-means restarts go through the same pool: both must stay in this process
+    captured, pools, restart_maps = [], [], []
+    train_ensemble = pipeline.train_ensemble
 
     def capturing(*args, on_capture=None, **kwargs):
         def hook(snapshot):
@@ -555,23 +559,31 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
 
         return train_ensemble(*args, on_capture=hook if on_capture else None, **kwargs)
 
-    def mapping(fn, count, workers=None):
-        restart_maps.append(count)
-        return fork_map(fn, count, workers)
+    class CountedPool(pipeline._ForkPool):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+        def map(self, fn, count):
+            restart_maps.append(count)
+            return super().map(fn, count)
 
     monkeypatch.setattr(pipeline, "train_ensemble", capturing)
-    monkeypatch.setattr(pipeline, "fork_map", mapping)
+    monkeypatch.setattr(pipeline, "_ForkPool", CountedPool)
     X, y = small_data()
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(mask)})
     try:
         run_ssc(small_config(m=3, repeats=1), X, y, out_dir=tmp_path)
         run_baseline("dae_kmeans", small_config(m=3, repeats=1), X, y)
+        run_baseline("kmeans", small_config(repeats=2), X, y)
     finally:
         os.sched_setaffinity(0, mask)
     assert json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["workers"] == 1
     assert captured == [1, 2, 3]
-    assert restart_maps == [DEFAULT_RESTARTS] * 2
+    # one pool per repeat: ssc 1, dae_kmeans 1, kmeans 2
+    assert pools == [1] * 4
+    assert restart_maps == [DEFAULT_RESTARTS] * 4
 
 
 def test_pool_workers_runs_serially_beside_threads():
@@ -591,17 +603,24 @@ def test_pool_workers_runs_serially_beside_threads():
     assert not thread.is_alive()
 
 
-def test_fork_map_keeps_index_order_and_the_first_error():
+def test_pool_map_keeps_index_order_and_the_first_error():
     parent = os.getpid()
-    # a generator cannot be pickled: the function reaches the workers by fork
+    # a generator cannot be pickled: the first call's function reaches the
+    # workers by fork
     unpicklable = (i for i in range(3))
 
     def task(i):
         assert unpicklable is not None
         return i * i, os.getpid() != parent
 
-    assert pipeline.fork_map(task, 5, 2) == [(i * i, True) for i in range(5)]
-    assert pipeline.fork_map(task, 3, 1) == [(i * i, False) for i in range(3)]
+    with pipeline._ForkPool(2) as pool:
+        assert pool.map(task, 5) == [(i * i, True) for i in range(5)]
+        # a later function goes by pickle: a picklable one runs, a local one cannot go
+        assert pool.map(functools.partial(operator.mul, 3), 3) == [0, 3, 6]
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pool.map(lambda i: i, 1)
+    with pipeline._ForkPool(1) as pool:
+        assert pool.map(task, 3) == [(i * i, False) for i in range(3)]
 
     def fail_from_two(i):
         if i >= 2:
@@ -609,11 +628,12 @@ def test_fork_map_keeps_index_order_and_the_first_error():
         return i
 
     with pytest.raises(NumericalError, match="^task 2$"):
-        pipeline.fork_map(fail_from_two, 5, 2)
+        with pipeline._ForkPool(2) as pool:
+            pool.map(fail_from_two, 5)
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_workers_share_the_cpus_with_blas(monkeypatch):
+def test_pool_workers_share_the_cpus_with_blas(monkeypatch):
     if not sys.platform.startswith("linux"):
         pytest.skip("OpenBLAS threads are capped on Linux only")
     controls = pipeline._openblas_thread_controls()
@@ -630,7 +650,8 @@ def test_fork_map_workers_share_the_cpus_with_blas(monkeypatch):
     try:
         for _, set_threads in controls:
             set_threads(6)
-        assert pipeline.fork_map(threads, 2, 2) == [[1] * len(controls)] * 2
+        with pipeline._ForkPool(2) as pool:
+            assert pool.map(threads, 2) == [[1] * len(controls)] * 2
         assert threads(0) == [6] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
@@ -655,15 +676,73 @@ def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers():
     try:
         for _, set_threads in controls:
             set_threads(3)
-        # workers=1: the calls run here, yet round as a one-thread worker would
-        assert pipeline.fork_map(threads, 2, 1) == [[1] * len(controls)] * 2
-        assert threads(0) == [3] * len(controls)
-        with pytest.raises(NumericalError, match="^call failed$"):
-            pipeline.fork_map(fail, 2, 1)
+        # one worker: the calls run here, yet round as a one-thread worker would
+        with pipeline._ForkPool(1) as pool:
+            assert pool.map(threads, 2) == [[1] * len(controls)] * 2
+            assert threads(0) == [3] * len(controls)
+            with pytest.raises(NumericalError, match="^call failed$"):
+                pool.map(fail, 2)
         assert threads(0) == [3] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)
+
+
+def test_restarts_send_the_points_only_when_the_workers_forked_before_them(monkeypatch):
+    sent = []
+
+    class Spied(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            sent.append(len(pickle.dumps((fn, args))))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Spied)
+    _force_workers(monkeypatch, 2)
+    X, y = make_blobs(2000, 50, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
+    # the raw model's first call is a restart: its workers inherit X by fork
+    run_baseline("kmeans", small_config(repeats=1), X, y)
+    assert len(sent) == DEFAULT_RESTARTS
+    assert max(sent) < X.nbytes / 100
+    # the spectral workers forked at the first snapshot, before the points existed
+    sent.clear()
+    cfg = small_config(m=3, repeats=1)
+    run_ssc(cfg, X, y)
+    assert len(sent) == cfg.m + DEFAULT_RESTARTS
+    assert min(sent[cfg.m :]) > len(X) * cfg.k * 8
+
+
+def test_pooled_and_serial_runs_match_at_two_blas_threads(tmp_path, monkeypatch, inline_training):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("OpenBLAS threads are set on Linux only")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs in the affinity mask")
+    controls = pipeline._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    # larger than small_data(), whose products are too small for OpenBLAS to
+    # split across threads
+    X, y = make_blobs(2000, 64, 4, separation=4.0, noise_sigma=0.5, seed=DATA_SEED)
+    cfg = small_config(m=3, landmarks=100, sparsity=3, k=4, encoding_size=16, hidden=(64,))
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        with monkeypatch.context() as patched:
+            _force_workers(patched, 2)
+            run_ssc(cfg, X, y, out_dir=tmp_path / "pooled")
+        # a live Python thread takes the serial path
+        with inline_training():
+            run_ssc(cfg, X, y, out_dir=tmp_path / "serial")
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+    for out, workers in (("pooled", 2), ("serial", 1)):
+        run_doc = json.loads((tmp_path / out / "run.json").read_text())
+        assert [repeat["workers"] for repeat in run_doc["diagnostics"]] == [workers] * 2
+    for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
+        serial = (tmp_path / "serial" / name).read_bytes()
+        assert (tmp_path / "pooled" / name).read_bytes() == serial, name
 
 
 def test_stage_peak_memory_only_in_run_json(tmp_path):
