@@ -123,8 +123,9 @@ class EmbeddingSet:
     `provenance`, which the snapshot files carry. `members` is empty when
     the snapshots went to a capture hook instead (`train_snapshots`).
     `feed` says where the training batches were drawn: `train_feed` is
-    "process" for a forked batch producer and "inline" otherwise, and
-    `train_feed_wait_s` the seconds training blocked on the producer.
+    "thread" when a thread drew each batch ahead and "inline" when the
+    training loop drew it, and `train_feed_wait_s` the seconds training
+    blocked waiting for the thread.
     """
 
     members: list[np.ndarray]

@@ -18,18 +18,20 @@ embeds the data under it, selects landmarks and builds the affinity;
 only the affinity and its diagnostics come back. This process trains
 meanwhile and never builds a member itself, so it holds no embedding,
 and collects the members in index order once training ends: a training
-error is raised first, then the lowest failing member's. Training may
-fork a child of its own, which draws the batches ahead
-(`trainer._BatchProducer`); it lives only as long as the training call.
-Fusion and the SVD stay in this process. A restart pickles the points
-only where the workers forked at the first snapshot, before the points
-existed; elsewhere they inherit them through fork. Each worker runs
-OpenBLAS at one thread, so outputs are byte-identical to a serial run at
-one BLAS thread whatever the CPU count, and on Linux it is killed when
-this process dies. A one-CPU mask (`taskset -c 0`) runs everything
-serially, in this process, at one BLAS thread, and so does a call made
-while other Python threads are alive, since forking a threaded process
-can deadlock; the batch producer follows the same rules (`forking`).
+error is raised first, then the lowest failing member's. The pool is
+the only thing a run forks, and it never forks while a second Python
+thread is alive: for the trained spectral models the workers fork
+before training starts its batch-drawing thread (`trainer._drawn_ahead`),
+and for `kmeans` and `dae_kmeans` at the first restart, once training
+has joined it. Fusion and the SVD stay in this process, the SVD at one
+BLAS thread. A restart pickles the points only where the workers forked
+before training, before the points existed; elsewhere they inherit them
+through fork. Each worker runs OpenBLAS at one thread, so outputs are
+byte-identical to a serial run at one BLAS thread whatever the CPU
+count, and on Linux it is killed when this process dies. A one-CPU mask
+(`taskset -c 0`) runs everything serially, in this process, at one BLAS
+thread, and so does a call made while other Python threads are alive,
+since forking a threaded process can deadlock (`pool_workers`).
 Serially the members are built one after the other once training has
 ended, so this process holds one embedding at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
@@ -61,7 +63,9 @@ import json
 import multiprocessing
 import os
 import resource
+import signal
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -75,7 +79,6 @@ from .datasets import check_matrix, load_dataset, save_labels
 from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
-from .forking import die_with_parent, pool_workers
 from .kmeans import DEFAULT_RESTARTS, Partition, kmeans
 from .landmarks import minibatch_kmeans
 from .rng import (
@@ -128,9 +131,42 @@ def _stage(timings: dict, name: str, peaks: dict | None = None):
             peaks[name] = _peak_rss_mib()
 
 
+# <linux/prctl.h>: deliver a signal to this process when its parent dies
+_PR_SET_PDEATHSIG = 1
+
 # set only in _ForkPool's workers, by the pool initializer, never in the caller
 _forked_fn = None
 _forked_stop = None
+
+
+def pool_workers(count: int) -> int:
+    """Worker processes for `count` independent tasks; below 2, run them here.
+
+    One per CPU in this process's affinity mask, at most `count`. Serial
+    where the mask cannot be read, inside a multiprocessing worker, and
+    while other Python threads are alive, since forking a threaded process
+    can deadlock in the child.
+    """
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def die_with_parent(parent: int) -> None:
+    """Have this forked child killed when process `parent` dies (Linux only).
+
+    A child outlives a killed parent otherwise, waiting for work that will
+    never come and holding the parent's stdout open. Exits at once if the
+    parent died before this call.
+    """
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _openblas_thread_controls() -> list:
@@ -204,9 +240,10 @@ class _ForkPool:
     `results()` and returns their results in submission order, raising
     the exception of the lowest failing call, as a serial loop would;
     `map(fn, count)` submits fn(0), ..., fn(count - 1) and returns
-    `results()`. The workers fork at the first call and inherit its
-    function, so its calls send only their arguments; a call of any other
-    function sends the function by pickle too. Only the results come back.
+    `results()`. The workers fork at `fork(fn)` or else at the first call,
+    and inherit that function, so its calls send only their arguments; a
+    call of any other function sends the function by pickle too. Only the
+    results come back.
     With fewer than 2 workers nothing is forked, and `results()` makes the
     calls here, in order, at one BLAS thread as a worker would. Leaving
     the `with` block through an exception drops the calls no worker has
@@ -232,22 +269,30 @@ class _ForkPool:
                 self._stop.set()
             self._pool.shutdown(cancel_futures=exc_type is not None)
 
+    def fork(self, fn) -> None:
+        """Fork the workers now, unless they have forked; they inherit fn."""
+        if self._workers < 2 or self._pool is not None:
+            return
+        context = multiprocessing.get_context("fork")
+        # the executor hands a worker more calls than it has started
+        # and cannot cancel them, so the workers check this first
+        self._stop = context.Event()
+        self._forked_fn = fn
+        self._pool = ProcessPoolExecutor(
+            self._workers,
+            mp_context=context,
+            initializer=_adopt,
+            initargs=(fn, os.getpid(), self._stop),
+        )
+        # the executor forks every worker at its first call, before it
+        # starts a thread
+        self._pool.submit(os.getpid)
+
     def submit(self, fn, *args) -> None:
         if self._workers < 2:
             self._calls.append((fn, args))
             return
-        if self._pool is None:
-            context = multiprocessing.get_context("fork")
-            # the executor hands a worker more calls than it has started
-            # and cannot cancel them, so the workers check this first
-            self._stop = context.Event()
-            self._forked_fn = fn
-            self._pool = ProcessPoolExecutor(
-                self._workers,
-                mp_context=context,
-                initializer=_adopt,
-                initargs=(fn, os.getpid(), self._stop),
-            )
+        self.fork(fn)
         sent = None if fn is self._forked_fn else fn
         self._calls.append(self._pool.submit(_call_forked, sent, *args))
 
@@ -353,7 +398,11 @@ def _single_run(
         if model in _TRAINED:
             # each snapshot's member is built while training goes on; a
             # training error leaves this block before any member error is seen
-            capture = functools.partial(pool.submit, build_member) if model in _SPECTRAL else None
+            capture = None
+            if model in _SPECTRAL:
+                # now, before training starts a thread: nothing forks beside one
+                pool.fork(build_member)
+                capture = functools.partial(pool.submit, build_member)
             with _stage(timings, "train", peaks):
                 _, embeddings = train_ensemble(X, config, repeat_index, cycles, on_capture=capture)
             diagnostics["train"] = embeddings.history
@@ -372,7 +421,9 @@ def _single_run(
                 peaks[name] = _peak_rss_mib()
             with _stage(timings, "fuse", peaks):
                 fused = fuse(members)
-            with _stage(timings, "svd", peaks):
+            # at one BLAS thread, as the members and restarts run: ARPACK's
+            # vectors can round differently at other thread counts
+            with _stage(timings, "svd", peaks), _one_blas_thread():
                 points = left_singular_vectors(
                     fused,
                     config.k,

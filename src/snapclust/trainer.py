@@ -8,20 +8,19 @@ receives each snapshot as soon as its cycle ends, so a caller can embed
 and cluster it while training goes on.
 
 The batches, their order and their input noise come from the seed tree
-alone, so on a machine with a CPU to spare a forked batch producer draws
-them ahead while this process runs the weight updates (`_BatchProducer`).
-The producer lives only as long as one `train_snapshots` call.
+alone, so on a machine with a CPU to spare a thread draws each batch
+while the one before trains (`_drawn_ahead`). The thread lives only as
+long as one `train_snapshots` call.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
-import signal
 import time
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ from .autoencoder import (
 from .datasets import check_matrix
 from .distances import _CHUNK_ENTRIES
 from .errors import ConfigError, DataError, NumericalError, SnapclustError
-from .forking import die_with_parent, pool_workers
 from .io import SNAPSHOT_MAGIC, read_container, write_container
 from .rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, SeedStream
 
@@ -112,16 +110,16 @@ def train_snapshots(
 
     Each step's batch and its input noise depend on the seed tree only,
     never on the weights: `_batches` draws them in a fixed order. Where
-    `forking.pool_workers(2)` allows a fork and a batch holds at least
-    `distances._CHUNK_ENTRIES` values, a forked child (`_BatchProducer`)
-    draws them ahead into a ring of two shared batch slots while this
-    process runs `backward` and `sgd_step` on the batch before; smaller
-    batches are drawn here, where a hand-over would cost about as much as
-    the draw. The arithmetic is the same either way, so the weights,
-    history and embeddings are too.
+    the CPU affinity mask holds 2 or more CPUs and a batch holds at least
+    `distances._CHUNK_ENTRIES` values, a thread draws the next batch into
+    the other of two batch slots while `backward` and `sgd_step` run on
+    the current one (`_drawn_ahead`); smaller batches are drawn in the
+    training loop, where a hand-over would cost about as much as the
+    draw. The arithmetic is the same either way, so the weights, history
+    and embeddings are too. This call forks nothing.
 
-    The run keeps one set of buffers throughout: one batch slot (two in
-    the shared ring) holding a batch and its noisy copy, a `backward`
+    The run keeps one set of buffers throughout: one batch slot (two when
+    drawn ahead) holding a batch and its noisy copy, a `backward`
     workspace, and the weights and momentum, which are updated in place.
     A float32 X stays float32: each batch is gathered and widened into a
     float64 slot, so the arithmetic is the float64 one of
@@ -176,12 +174,15 @@ def train_snapshots(
     history: list[dict] = []
 
     sigma = spec.input_noise_sigma
-    draw = (X, batch_size, schedule.total_epochs, rng, sigma)
-    if pool_workers(2) >= 2 and batch_size * d >= _CHUNK_ENTRIES:
-        feed = _BatchProducer(*draw)
-    else:
-        feed = contextlib.nullcontext(_batches(*draw, _slots(1, batch_size, d, sigma)))
-    with feed as batches:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ahead = cpus >= 2 and batch_size * d >= _CHUNK_ENTRIES
+    slots = _slots(2 if ahead else 1, batch_size, d, sigma)
+    batches = _batches(X, batch_size, schedule.total_epochs, rng, sigma, slots)
+    feed_stats = {"train_feed": "thread" if ahead else "inline", "train_feed_wait_s": 0.0}
+    if ahead:
+        batches = _drawn_ahead(batches, schedule.total_epochs * n_batches, feed_stats)
+    # closing the generator joins the draw thread on every exit path
+    with contextlib.closing(batches):
         for t in range(1, schedule.total_epochs + 1):
             lr = cosine_lr(t, schedule)
             loss_sum = 0.0
@@ -202,11 +203,6 @@ def train_snapshots(
                 snapshots.append(_capture(params, spec, len(snapshots) + 1, epoch_loss))
                 if on_capture is not None:
                     on_capture(snapshots[-1])
-    forked = isinstance(feed, _BatchProducer)
-    feed_stats = {
-        "train_feed": "process" if forked else "inline",
-        "train_feed_wait_s": feed.wait_s if forked else 0.0,
-    }
 
     if len(snapshots) != schedule.cycles:
         raise NumericalError(
@@ -217,16 +213,14 @@ def train_snapshots(
     return snapshots, EmbeddingSet(members, provenance, history, feed_stats)
 
 
-def _slots(count: int, batch_size: int, d: int, sigma: float, shared: bool = False) -> list:
+def _slots(count: int, batch_size: int, d: int, sigma: float) -> list:
     """`count` batch slots: (clean, noisy) pairs of batch_size x d float64 buffers.
 
     With sigma == 0 the noisy buffer is the clean one, since no noise is
-    added. `shared` places them in anonymous shared memory, which a
-    forked child writes and this process reads.
+    added.
     """
     shape = (count, 2 if sigma > 0 else 1, batch_size, d)
-    buffer = mmap.mmap(-1, math.prod(shape) * 8) if shared else None
-    return [(slot[0], slot[-1]) for slot in np.ndarray(shape, np.float64, buffer)]
+    return [(slot[0], slot[-1]) for slot in np.empty(shape)]
 
 
 def _batches(X, batch_size: int, epochs: int, rng: SeedStream, sigma: float, slots: list):
@@ -266,110 +260,32 @@ def _batches(X, batch_size: int, epochs: int, rng: SeedStream, sigma: float, slo
             yield clean, noisy
 
 
-class _BatchProducer:
-    """The `_batches` of one training run, drawn ahead by a forked child.
+def _drawn_ahead(batches, steps: int, feed_stats: dict):
+    """The `steps` batches of `batches`, each drawn in a thread while the one before trains.
 
-    Entering the `with` block forks the child; `next` returns the same
-    (clean, noisy) batches as `_batches`, as views of a ring of two
-    shared slots. The child writes step i into slot i % 2 and sends a
-    byte down a pipe once it is there. This process gives slot i - 1
-    back, down a second pipe, just before it takes slot i, so the child
-    fills slot i + 1 while this process trains on slot i.
-
-    The child calls no BLAS. It runs at the lowest priority, so that the
-    scheduler does not place it on the trainer's CPU, and it is killed
-    when this process dies. If it fails, it sends its error down the pipe
-    and exits; a SnapclustError naming the batch producer is then raised
-    here, also when it exits without a word, since the pipe then closes.
-    Leaving the block kills and reaps the child. `wait_s` sums the
-    seconds this process blocked waiting for a batch.
+    `batches` is a `_batches` generator over two slots: batch i + 1 is
+    drawn into the slot of batch i - 1, which the caller is done with once
+    it asks for batch i, and only one draw runs at a time. A failed draw
+    raises a SnapclustError naming the batch producer. Closing the
+    generator joins the thread. The seconds the caller blocked waiting
+    for a batch are added to feed_stats["train_feed_wait_s"].
     """
-
-    def __init__(self, X, batch_size: int, epochs: int, rng: SeedStream, sigma: float):
-        n, d = X.shape
-        self._draw = (X, batch_size, epochs, rng, sigma)
-        self._rows = [min(batch_size, n - start) for start in range(0, n, batch_size)]
-        self._steps = epochs * len(self._rows)
-        self._slots = _slots(2, batch_size, d, sigma, shared=True)
-        self._step = 0
-        self._pid = None
-        self.wait_s = 0.0
-
-    def __enter__(self):
-        full_r, full_w = os.pipe()
-        free_r, free_w = os.pipe()
-        # both slots start free
-        os.write(free_w, b"\0\0")
-        parent = os.getpid()
-        self._pid = os.fork()
-        if self._pid == 0:
-            os.close(full_r)
-            os.close(free_w)
-            self._produce(parent, free_r, full_w)
-        os.close(full_w)
-        os.close(free_r)
-        self._full, self._free = full_r, free_w
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        os.close(self._full)
-        os.close(self._free)
-
-    def _produce(self, parent: int, free: int, full: int) -> None:
-        """The child's whole life: fill the slots in step order, then exit."""
-        status = 1
-        try:
-            die_with_parent(parent)
-            os.nice(19)
-            batches = _batches(*self._draw, self._slots)
-            for _ in range(self._steps):
-                os.read(free, 1)  # a slot is free
-                next(batches)
-                os.write(full, b"\0")
-            status = 0
-        except BaseException as exc:
-            # reported to the trainer; the child never unwinds into its caller
-            with contextlib.suppress(OSError):
-                os.write(full, b"\1" + f"{type(exc).__name__}: {exc}".encode())
-        finally:
-            os._exit(status)
-
-    def __next__(self):
-        step = self._step
-        start = time.perf_counter()
-        try:
-            # slot step - 1 is done with; the child fills step + 1 into it
-            if 0 < step < self._steps - 1:
-                os.write(self._free, b"\0")
-            token = os.read(self._full, 1)
-        except BrokenPipeError:
-            token = b""
-        self.wait_s += time.perf_counter() - start
-        if token != b"\0":
-            raise self._failure(token)
-        self._step += 1
-        clean, noisy = self._slots[step % 2]
-        rows = self._rows[step % len(self._rows)]
-        return clean[:rows], noisy[:rows]
-
-    def _failure(self, token: bytes) -> SnapclustError:
-        """The error for a child that stopped early; reaps it."""
-        # the child has closed or is closing its end of the pipe: read to EOF
-        data = token
-        while chunk := os.read(self._full, 1 << 16):
-            data += chunk
-        message = data.partition(b"\1")[2].decode(errors="replace")
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        cause = message or f"exit code {os.waitstatus_to_exitcode(status)}"
-        return SnapclustError(
-            f"training batch producer stopped before batch {self._step + 1} "
-            f"of {self._steps}: {cause}"
-        )
+    with ThreadPoolExecutor(1) as drawer:
+        drawn = drawer.submit(next, batches)
+        for step in range(1, steps + 1):
+            start = time.perf_counter()
+            try:
+                batch = drawn.result()
+            except Exception as exc:
+                raise SnapclustError(
+                    f"training batch producer stopped before batch {step} of {steps}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            finally:
+                feed_stats["train_feed_wait_s"] += time.perf_counter() - start
+            if step < steps:
+                drawn = drawer.submit(next, batches)
+            yield batch
 
 
 def embed_snapshot(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:

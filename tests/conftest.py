@@ -1,6 +1,7 @@
 """Make the source tree importable by the interpreters the CLI tests start,
-fail any test that leaves a child process running, and let a test run
-training without its forked batch producer.
+fail any test that leaves a child process or a Python thread running, and
+let a test take the serial paths: training without its batch-drawing
+thread, and the pipeline without its worker pool.
 
 `pythonpath = ["src"]` in pyproject.toml puts `src/` on this process's
 `sys.path` only; the tests that run `python -m snapclust.cli` in a child
@@ -65,12 +66,43 @@ def no_child_process_left():
         )
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    before = set(threading.enumerate())
+    yield
+    leftover = [thread for thread in threading.enumerate() if thread not in before]
+    if leftover:
+        pytest.fail(f"test left threads running: {[thread.name for thread in leftover]}")
+
+
+@pytest.fixture
+def one_cpu():
+    """A context manager under which this process's CPU affinity mask holds one CPU.
+
+    Training then draws its batches in the training loop, without a
+    thread. The caller's mask is restored on leaving.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+
+    @contextlib.contextmanager
+    def one_cpu_mask():
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            yield
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    return one_cpu_mask
+
+
 @pytest.fixture
 def inline_training():
-    """A context manager under which training draws its batches in this process.
+    """A context manager under which the pipeline's pool runs its calls in this process.
 
     It keeps one other Python thread alive, and this process does not fork
-    while one is (`forking.pool_workers`).
+    while one is (`pipeline.pool_workers`).
     """
 
     @contextlib.contextmanager

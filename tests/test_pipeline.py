@@ -693,7 +693,9 @@ def test_restarts_send_the_points_only_when_the_workers_forked_before_them(monke
 
     class Spied(ProcessPoolExecutor):
         def submit(self, fn, *args):
-            sent.append(len(pickle.dumps((fn, args))))
+            # the pool's calls; not the one that makes the executor fork
+            if fn is pipeline._call_forked:
+                sent.append(len(pickle.dumps((fn, args))))
             return super().submit(fn, *args)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Spied)
@@ -703,7 +705,7 @@ def test_restarts_send_the_points_only_when_the_workers_forked_before_them(monke
     run_baseline("kmeans", small_config(repeats=1), X, y)
     assert len(sent) == DEFAULT_RESTARTS
     assert max(sent) < X.nbytes / 100
-    # the spectral workers forked at the first snapshot, before the points existed
+    # the spectral workers forked before training, before the points existed
     sent.clear()
     cfg = small_config(m=3, repeats=1)
     run_ssc(cfg, X, y)
@@ -782,26 +784,75 @@ def test_float32_input_runs_as_its_float64_widening(tmp_path, model):
 
 
 @pytest.mark.parametrize("model", ["ssc", "dae_kmeans"])
-def test_run_json_says_where_training_drew_its_batches(tmp_path, inline_training, model):
+def test_run_json_says_where_training_drew_its_batches(tmp_path, one_cpu, model):
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the batch producer needs two CPUs in the affinity mask")
-    # batches of 64 x 512 values: wide enough to be drawn by a forked producer
+        pytest.skip("drawing batches ahead needs two CPUs in the affinity mask")
+    # batches of 64 x 512 values: wide enough to be drawn ahead in a thread
     X, y = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
     cfg = small_config(batch_size=64)
-    run_model(model, cfg, X, y, out_dir=tmp_path / "process")
-    with inline_training():
+    run_model(model, cfg, X, y, out_dir=tmp_path / "thread")
+    with one_cpu():
         run_model(model, cfg, X, y, out_dir=tmp_path / "inline")
     for name in ("report.json", "labels_rep0.txt", "labels_rep1.txt"):
-        produced = (tmp_path / "process" / name).read_bytes()
+        produced = (tmp_path / "thread" / name).read_bytes()
         assert produced == (tmp_path / "inline" / name).read_bytes(), name
-    assert b"train_feed" not in (tmp_path / "process" / "report.json").read_bytes()
-    for feed in ("process", "inline"):
+    assert b"train_feed" not in (tmp_path / "thread" / "report.json").read_bytes()
+    for feed in ("thread", "inline"):
         repeats = json.loads((tmp_path / feed / "run.json").read_text())["diagnostics"]
         assert len(repeats) == cfg.repeats
         for repeat in repeats:
             assert repeat["train_feed"] == feed
             waited = repeat["train_feed_wait_s"]
-            assert waited > 0 if feed == "process" else waited == 0.0
+            assert waited > 0 if feed == "thread" else waited == 0.0
+
+
+def test_no_fork_while_the_batch_thread_runs(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs in the affinity mask")
+    threads_at_fork = []
+    fork = os.fork
+
+    def counted_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # batches of 64 x 512 values: wide enough to be drawn ahead in a thread
+    X, y = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
+    cfg = small_config(batch_size=64, repeats=2)
+    run_ssc(cfg, X, y, out_dir=tmp_path)
+    # each repeat forks its 2 workers
+    assert threads_at_fork == [1] * 4
+    repeats = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
+    assert [repeat["train_feed"] for repeat in repeats] == ["thread"] * 2
+    assert [repeat["workers"] for repeat in repeats] == [2] * 2
+
+
+def test_the_svd_runs_at_one_blas_thread(monkeypatch):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("OpenBLAS threads are set on Linux only")
+    controls = pipeline._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    seen = []
+    left_singular_vectors = pipeline.left_singular_vectors
+
+    def counted(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return left_singular_vectors(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "left_singular_vectors", counted)
+    X, y = small_data()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        run_ssc(small_config(repeats=1), X, y)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+    assert seen == [[1] * len(controls)]
 
 
 def test_non_finite_input_error_names_the_first_bad_entry():

@@ -327,14 +327,14 @@ def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
 
 
 # 150 rows in batches of 64: the last batch of each epoch is short. A
-# batch of 64 x 512 values is the smallest that training hands to a
-# forked batch producer.
+# batch of 64 x 512 values is the smallest that training draws ahead in a
+# thread.
 WIDE_ROWS, WIDE_DIMS, WIDE_BATCH = 150, 512, 64
 
 
 def needs_two_cpus():
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the batch producer needs two CPUs in the affinity mask")
+        pytest.skip("drawing batches ahead needs two CPUs in the affinity mask")
 
 
 def train_wide(X, sigma=0.1, **kwargs):
@@ -347,14 +347,14 @@ def train_wide(X, sigma=0.1, **kwargs):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
-def test_forked_batch_producer_trains_bit_for_bit_as_inline(inline_training, dtype, sigma):
+def test_batches_drawn_ahead_train_bit_for_bit_as_inline(one_cpu, dtype, sigma):
     needs_two_cpus()
     assert WIDE_BATCH * WIDE_DIMS >= _CHUNK_ENTRIES
     X = tiny_data(WIDE_ROWS, WIDE_DIMS, seed=10).astype(dtype)
     snaps, emb = train_wide(X, sigma)
-    with inline_training():
+    with one_cpu():
         snaps_ref, emb_ref = train_wide(X, sigma)
-    assert emb.feed["train_feed"] == "process" and emb.feed["train_feed_wait_s"] > 0
+    assert emb.feed["train_feed"] == "thread" and emb.feed["train_feed_wait_s"] > 0
     assert emb_ref.feed == {"train_feed": "inline", "train_feed_wait_s": 0.0}
     assert emb.history == emb_ref.history
     for snap, ref in zip(snaps, snaps_ref, strict=True):
@@ -364,16 +364,7 @@ def test_forked_batch_producer_trains_bit_for_bit_as_inline(inline_training, dty
         assert np.array_equal(Y, Y_ref)
 
 
-@pytest.mark.parametrize(
-    "stop, cause",
-    [
-        (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
-        # no word down the pipe: the trainer sees it close
-        (lambda: os._exit(3), "exit code 3"),
-    ],
-    ids=["raises", "exits"],
-)
-def test_a_stopped_batch_producer_is_named_in_the_error(monkeypatch, stop, cause):
+def test_a_stopped_batch_producer_is_named_in_the_error(monkeypatch):
     needs_two_cpus()
     batches = trainer._batches
 
@@ -381,12 +372,13 @@ def test_a_stopped_batch_producer_is_named_in_the_error(monkeypatch, stop, cause
         draws = batches(*args)
         for _ in range(3):
             yield next(draws)
-        stop()
+        1 / 0
 
     monkeypatch.setattr(trainer, "_batches", three_then_stop)
     X = tiny_data(WIDE_ROWS, WIDE_DIMS, seed=11)
     start = time.monotonic()
     # 4 epochs of 3 batches; the trainer got the first three
+    cause = "ZeroDivisionError: division by zero"
     error = f"^training batch producer stopped before batch 4 of 12: {cause}$"
     with pytest.raises(SnapclustError, match=error):
         train_wide(X)
