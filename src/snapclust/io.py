@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .datasets import _read_bytes
 from .errors import DataError
 
 SNAPSHOT_MAGIC = b"SSCW"
@@ -37,8 +38,7 @@ def write_container(path, magic: bytes, layers, meta: dict) -> None:
 
 
 def read_container(path, magic: bytes):
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read_bytes(path)
     if len(data) < 10 or data[:4] != magic:
         raise DataError(f"{path}: bad magic, expected {magic!r}")
     version, layer_count = struct.unpack_from("<HI", data, 4)
@@ -66,5 +66,8 @@ def read_container(path, magic: bytes):
     offset += 4
     if offset + meta_len > len(data):
         raise DataError(f"{path}: truncated metadata")
-    meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: metadata is not UTF-8 JSON: {exc}") from None
     return layers, meta

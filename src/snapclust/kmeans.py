@@ -5,8 +5,8 @@ the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
 index) pair, so results do not depend on evaluation order, and every
 restart's inertia and Lloyd iteration count stay on the Partition. The
-caller may hand the restarts, picklable partials of `_restart`, to a map
-that runs them elsewhere, such as forked workers (`pipeline._ForkPool`).
+caller may hand the restarts to a map that runs them elsewhere, such as
+forked workers that inherit them with the points (`pipeline._fork_map`).
 Assignment uses `distances.nearest_centers`, the fused squared-euclidean
 kernel, with row norms computed once and the distance buffer reused across
 Lloyd iterations. k-means++ computes each new center's distances as one

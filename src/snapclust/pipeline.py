@@ -10,28 +10,29 @@ fields.
 
 Ensemble members are independent: member j draws its landmarks from its
 own seed stream, so they are built in parallel, while training goes on.
-Each repeat opens one pool of worker processes, one per CPU in the
-process's affinity mask and at most max(m, restarts), and the members
-and then the final k-means restarts run in it (`_ForkPool`). Each
-snapshot goes to the pool as soon as training captures it, and a worker
-embeds the data under it, selects landmarks and builds the affinity;
-only the affinity and its diagnostics come back. This process trains
-meanwhile and never builds a member itself, so it holds no embedding,
-and collects the members in index order once training ends: a training
-error is raised first, then the lowest failing member's. The pool is
-the only thing a run forks, and it never forks while a second Python
-thread is alive: for the trained spectral models the workers fork
-before training starts its batch-drawing thread (`trainer._drawn_ahead`),
-and for `kmeans` and `dae_kmeans` at the first restart, once training
-has joined it. Fusion and the SVD stay in this process, the SVD at one
-BLAS thread. A restart pickles the points only where the workers forked
-before training, before the points existed; elsewhere they inherit them
-through fork. Each worker runs OpenBLAS at one thread, so outputs are
-byte-identical to a serial run at one BLAS thread whatever the CPU
-count, and on Linux it is killed when this process dies. A one-CPU mask
-(`taskset -c 0`) runs everything serially, in this process, at one BLAS
-thread, and so does a call made while other Python threads are alive,
-since forking a threaded process can deadlock (`pool_workers`).
+A pool of forked worker processes (`_ForkPool`) runs one function, which
+its workers inherit. Each repeat opens one pool for the members, one
+worker per CPU in the process's affinity mask and at most m, and then
+one for the final k-means restarts (`_fork_map`), at most one worker per
+restart. Each snapshot goes to the members' pool as soon as training
+captures it, and a worker embeds the data under it, selects landmarks
+and builds the affinity; only the affinity and its diagnostics come
+back. This process trains meanwhile and never builds a member itself,
+so it holds no embedding, and collects the members in index order once
+training ends: a training error is raised first, then the lowest failing
+member's. The pools are the only things a run forks, and never while a
+second Python thread is alive: the members' workers fork before training
+starts its batch-drawing thread (`trainer._drawn_ahead`), and the
+restarts' once training has joined it and the points exist, so they
+inherit the points and a restart sends only its index. Fusion and the
+SVD stay in this process, the SVD at one BLAS thread. Each worker runs
+OpenBLAS at one thread, so outputs are byte-identical to a serial run at
+one BLAS thread whatever the CPU count, and on Linux it is killed when
+this process dies. A pool of one worker runs its calls serially, in
+this process, at one BLAS thread: so do the one member of `lsc` and
+`dae_lsc`, a one-CPU mask (`taskset -c 0`), and a call made while other
+Python threads are alive, since forking a threaded process can deadlock
+(`pool_workers`).
 Serially the members are built one after the other once training has
 ended, so this process holds one embedding at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
@@ -57,7 +58,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import functools
 import itertools
 import json
 import multiprocessing
@@ -79,7 +79,7 @@ from .datasets import check_matrix, load_dataset, save_labels
 from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
-from .kmeans import DEFAULT_RESTARTS, Partition, kmeans
+from .kmeans import Partition, kmeans
 from .landmarks import minibatch_kmeans
 from .rng import (
     STAGE_INIT,
@@ -156,19 +156,6 @@ def pool_workers(count: int) -> int:
     return min(count, len(os.sched_getaffinity(0)))
 
 
-def die_with_parent(parent: int) -> None:
-    """Have this forked child killed when process `parent` dies (Linux only).
-
-    A child outlives a killed parent otherwise, waiting for work that will
-    never come and holding the parent's stdout open. Exits at once if the
-    parent died before this call.
-    """
-    if sys.platform.startswith("linux"):
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
-
-
 def _openblas_thread_controls() -> list:
     """(get, set) of the thread count of each OpenBLAS loaded in this process.
 
@@ -217,50 +204,64 @@ def _one_blas_thread():
 def _adopt(fn, parent: int, stop) -> None:
     global _forked_fn, _forked_stop
     _forked_fn, _forked_stop = fn, stop
-    # a worker left behind would wait on the task queue forever, since it
-    # holds that queue's write end itself
-    die_with_parent(parent)
     if sys.platform.startswith("linux"):
-        # one BLAS thread, so that a member's bytes do not depend on the CPU count
+        # killed with the caller: a worker left behind would wait on the
+        # task queue forever, since it holds that queue's write end itself,
+        # and hold the caller's stdout open
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        # one BLAS thread, so that a call's bytes do not depend on the CPU count
         for _, set_threads in _openblas_thread_controls():
             set_threads(1)
+    if os.getppid() != parent:
+        # the caller died before the kill was set up
+        os._exit(1)
 
 
-def _call_forked(fn, *args):
-    # the caller has given up on the results: a queued call is dropped;
-    # fn is None for the function the workers inherited
-    return None if _forked_stop.is_set() else (fn or _forked_fn)(*args)
+def _call_forked(*args):
+    # the caller has given up on the results: a queued call is dropped
+    return None if _forked_stop.is_set() else _forked_fn(*args)
 
 
 class _ForkPool:
-    """Calls of functions on forked worker processes; one pool per run.
+    """Calls of one function, fn, on forked worker processes.
 
-    `submit(fn, *args)` queues fn(*args), and a free worker starts it at
-    once. `results()` waits for the calls submitted since the last
-    `results()` and returns their results in submission order, raising
-    the exception of the lowest failing call, as a serial loop would;
-    `map(fn, count)` submits fn(0), ..., fn(count - 1) and returns
-    `results()`. The workers fork at `fork(fn)` or else at the first call,
-    and inherit that function, so its calls send only their arguments; a
-    call of any other function sends the function by pickle too. Only the
-    results come back.
-    With fewer than 2 workers nothing is forked, and `results()` makes the
-    calls here, in order, at one BLAS thread as a worker would. Leaving
-    the `with` block through an exception drops the calls no worker has
-    started; every worker has exited once the block is left.
+    The workers fork when the `with` block opens and inherit fn and
+    everything it refers to, so `submit(*args)` queues fn(*args) by
+    sending only the arguments, and a free worker starts it at once. Only
+    the results come back. `results()` waits for the calls submitted
+    since the last `results()` and returns their results in submission
+    order, raising the exception of the lowest failing call, as a serial
+    loop would. With fewer than 2 workers nothing is forked, and
+    `results()` makes the calls here, in order, at one BLAS thread as a
+    worker would. Leaving the block through an exception drops the calls
+    no worker has started; every worker has exited once the block is left.
 
     On Linux a worker is killed when this process dies, and each worker
     runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
     and a call rounds the same whatever the CPU count.
     """
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, fn):
         self._workers = workers
+        self._fn = fn
         self._calls: list = []
         self._pool = None
-        self._forked_fn = None
 
     def __enter__(self):
+        if self._workers >= 2:
+            context = multiprocessing.get_context("fork")
+            # the executor hands a worker more calls than it has started
+            # and cannot cancel them, so the workers check this first
+            self._stop = context.Event()
+            self._pool = ProcessPoolExecutor(
+                self._workers,
+                mp_context=context,
+                initializer=_adopt,
+                initargs=(self._fn, os.getpid(), self._stop),
+            )
+            # with the fork context the executor forks every worker at its
+            # first call, before it starts a thread
+            self._pool.submit(os.getpid)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -269,44 +270,30 @@ class _ForkPool:
                 self._stop.set()
             self._pool.shutdown(cancel_futures=exc_type is not None)
 
-    def fork(self, fn) -> None:
-        """Fork the workers now, unless they have forked; they inherit fn."""
-        if self._workers < 2 or self._pool is not None:
-            return
-        context = multiprocessing.get_context("fork")
-        # the executor hands a worker more calls than it has started
-        # and cannot cancel them, so the workers check this first
-        self._stop = context.Event()
-        self._forked_fn = fn
-        self._pool = ProcessPoolExecutor(
-            self._workers,
-            mp_context=context,
-            initializer=_adopt,
-            initargs=(fn, os.getpid(), self._stop),
-        )
-        # the executor forks every worker at its first call, before it
-        # starts a thread
-        self._pool.submit(os.getpid)
-
-    def submit(self, fn, *args) -> None:
-        if self._workers < 2:
-            self._calls.append((fn, args))
-            return
-        self.fork(fn)
-        sent = None if fn is self._forked_fn else fn
-        self._calls.append(self._pool.submit(_call_forked, sent, *args))
+    def submit(self, *args) -> None:
+        if self._pool is None:
+            self._calls.append(args)
+        else:
+            self._calls.append(self._pool.submit(_call_forked, *args))
 
     def results(self) -> list:
         calls, self._calls = self._calls, []
         if self._pool is None:
             with _one_blas_thread():
-                return [fn(*args) for fn, args in calls]
+                return [self._fn(*args) for args in calls]
         return [call.result() for call in calls]
 
-    def map(self, fn, count: int) -> list:
+
+def _fork_map(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)] on a pool of their own, forked now.
+
+    The workers inherit fn and all it holds, so each call sends only its
+    index. The kmeans restarts run here, once their points exist.
+    """
+    with _ForkPool(pool_workers(count), fn) as pool:
         for i in range(count):
-            self.submit(fn, i)
-        return self.results()
+            pool.submit(i)
+        return pool.results()
 
 
 def train_ensemble(
@@ -391,61 +378,59 @@ def _single_run(
             "worker_peak_rss_mib": _peak_rss_mib(),
         }
 
-    # the members and the k-means restarts never share the pool at once
-    workers = pool_workers(max(cycles, DEFAULT_RESTARTS))
-    with _ForkPool(workers) as pool:
+    workers = pool_workers(cycles)
+    # the workers fork here, before training starts a thread
+    with _ForkPool(workers, build_member) as pool:
         start = time.perf_counter()
         if model in _TRAINED:
             # each snapshot's member is built while training goes on; a
             # training error leaves this block before any member error is seen
-            capture = None
-            if model in _SPECTRAL:
-                # now, before training starts a thread: nothing forks beside one
-                pool.fork(build_member)
-                capture = functools.partial(pool.submit, build_member)
+            capture = pool.submit if model in _SPECTRAL else None
             with _stage(timings, "train", peaks):
                 _, embeddings = train_ensemble(X, config, repeat_index, cycles, on_capture=capture)
             diagnostics["train"] = embeddings.history
             diagnostics.update(embeddings.feed)
         elif model in _SPECTRAL:
-            pool.submit(build_member)
+            pool.submit()
         if model in _SPECTRAL:
             built = pool.results()
             diagnostics["members_wall_s"] = time.perf_counter() - start
-            members = [affinity for affinity, _ in built]
-            member_diagnostics = [member for _, member in built]
-            for name in ("landmarks", "affinity"):
-                timings[name] = timings.get(name, 0.0) + sum(
-                    member[f"{name}_s"] for member in member_diagnostics
-                )
-                peaks[name] = _peak_rss_mib()
-            with _stage(timings, "fuse", peaks):
-                fused = fuse(members)
-            # at one BLAS thread, as the members and restarts run: ARPACK's
-            # vectors can round differently at other thread counts
-            with _stage(timings, "svd", peaks), _one_blas_thread():
-                points = left_singular_vectors(
-                    fused,
-                    config.k,
-                    degree_normalize=config.degree_normalize,
-                    row_normalize=config.row_normalize,
-                )
-            Z = members[0].matrix
-            footprint = {
-                "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
-                "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
-                "fused_nnz": fused.nnz,
-                "density": members[0].density,
-                "dense_equivalent_bytes": n * n * 8,
-            }
-            diagnostics["workers"] = workers
-            diagnostics["spectrum"] = points.meta
-            diagnostics["members"] = member_diagnostics
-        else:
-            points = embeddings.members[0] if model in _TRAINED else X
+    if model in _SPECTRAL:
+        members = [affinity for affinity, _ in built]
+        member_diagnostics = [member for _, member in built]
+        for name in ("landmarks", "affinity"):
+            timings[name] = timings.get(name, 0.0) + sum(
+                member[f"{name}_s"] for member in member_diagnostics
+            )
+            peaks[name] = _peak_rss_mib()
+        with _stage(timings, "fuse", peaks):
+            fused = fuse(members)
+        # at one BLAS thread, as the members and restarts run: ARPACK's
+        # vectors can round differently at other thread counts
+        with _stage(timings, "svd", peaks), _one_blas_thread():
+            points = left_singular_vectors(
+                fused,
+                config.k,
+                degree_normalize=config.degree_normalize,
+                row_normalize=config.row_normalize,
+            )
+        Z = members[0].matrix
+        footprint = {
+            "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
+            "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
+            "fused_nnz": fused.nnz,
+            "density": members[0].density,
+            "dense_equivalent_bytes": n * n * 8,
+        }
+        diagnostics["workers"] = workers
+        diagnostics["spectrum"] = points.meta
+        diagnostics["members"] = member_diagnostics
+    else:
+        points = embeddings.members[0] if model in _TRAINED else X
 
-        with _stage(timings, "kmeans", peaks):
-            partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=pool.map)
+    # the restarts fork their own workers, which inherit the points
+    with _stage(timings, "kmeans", peaks):
+        partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=_fork_map)
     if model in _SPECTRAL:
         diagnostics["kmeans"] = partition.restarts
     return partition, footprint, diagnostics
@@ -566,7 +551,7 @@ def run_model(
         "footprint": footprint,
         "diagnostics": diagnostics,
         "peak_rss_mib": _peak_rss_mib(),
-        # the largest child this process has waited for: member workers included
+        # the largest child this process has waited for: member and restart workers included
         "peak_rss_children_mib": _peak_rss_mib(resource.RUSAGE_CHILDREN),
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}

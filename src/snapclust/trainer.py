@@ -316,10 +316,9 @@ def save_snapshot(path, snapshot: EncoderSnapshot, provenance: dict | None = Non
 
 def load_snapshot(path) -> tuple[EncoderSnapshot, dict]:
     layers, meta = read_container(path, SNAPSHOT_MAGIC)
-    snap = EncoderSnapshot(
-        layers,
-        int(meta["cycle_index"]),
-        float(meta["train_loss"]),
-        str(meta.get("activation", "relu")),
-    )
+    try:
+        cycle_index, train_loss = int(meta["cycle_index"]), float(meta["train_loss"])
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{path}: metadata needs a numeric cycle_index and train_loss") from None
+    snap = EncoderSnapshot(layers, cycle_index, train_loss, str(meta.get("activation", "relu")))
     return snap, meta.get("provenance", {})

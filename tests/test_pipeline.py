@@ -1,12 +1,10 @@
 """End-to-end pipeline runs, baselines, artifacts, sweeps, footprints."""
 
-import functools
 import importlib
 import itertools
 import json
 import math
 import multiprocessing
-import operator
 import os
 import pickle
 import re
@@ -502,9 +500,10 @@ def test_overflowing_embedding_raises_as_serial(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("model", ["ssc", "dae_kmeans"])
+@pytest.mark.parametrize("model", MODELS)
 def test_pooled_restarts_match_the_serial_loop(tmp_path, monkeypatch, model):
     X, y = small_data()
+    cfg = small_config(repeats=1, metrics=RM_METRICS if model == "ssc_rm" else ())
     pids = tmp_path / "restart_pids.log"
     # the package exports the function kmeans under the module's name
     kmeans_module = importlib.import_module("snapclust.kmeans")
@@ -526,10 +525,15 @@ def test_pooled_restarts_match_the_serial_loop(tmp_path, monkeypatch, model):
     monkeypatch.setattr(pipeline, "kmeans", recorded)
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        run_model(model, small_config(repeats=1), X, y)
+        out = tmp_path / str(workers)
+        run_model(model, cfg, X, y, out_dir=out)
         ran_in = set(map(int, pids.read_text().split()))
         pids.unlink()
         assert (ran_in == {os.getpid()}) == (workers == 1)
+        if model in ("lsc", "dae_lsc"):
+            # one member: a pool of one worker builds it in this process
+            run_doc = json.loads((out / "run.json").read_text())
+            assert run_doc["diagnostics"][0]["workers"] == 1
     assert len(calls) == 2
     for points, k, rng, partition in calls:
         oracle = kmeans(points, k, rng)
@@ -548,8 +552,9 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
     # the members are handed over as training captures them, and the final
-    # k-means restarts go through the same pool: both must stay in this process
+    # k-means restarts go to a pool of their own: both must stay in this process
     captured, pools, restart_maps = [], [], []
+    kmeans_module = importlib.import_module("snapclust.kmeans")
     train_ensemble = pipeline.train_ensemble
 
     def capturing(*args, on_capture=None, **kwargs):
@@ -560,13 +565,16 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
         return train_ensemble(*args, on_capture=hook if on_capture else None, **kwargs)
 
     class CountedPool(pipeline._ForkPool):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
+        def __init__(self, workers, fn):
+            self.restarts = getattr(fn, "func", None) is kmeans_module._restart
+            pools.append((workers, "restarts" if self.restarts else "members"))
+            super().__init__(workers, fn)
 
-        def map(self, fn, count):
-            restart_maps.append(count)
-            return super().map(fn, count)
+        def results(self):
+            results = super().results()
+            if self.restarts:
+                restart_maps.append(len(results))
+            return results
 
     monkeypatch.setattr(pipeline, "train_ensemble", capturing)
     monkeypatch.setattr(pipeline, "_ForkPool", CountedPool)
@@ -581,8 +589,9 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
         os.sched_setaffinity(0, mask)
     assert json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["workers"] == 1
     assert captured == [1, 2, 3]
-    # one pool per repeat: ssc 1, dae_kmeans 1, kmeans 2
-    assert pools == [1] * 4
+    # two pools per repeat, members' then restarts': ssc 1 repeat,
+    # dae_kmeans 1, kmeans 2
+    assert pools == [(1, "members"), (1, "restarts")] * 4
     assert restart_maps == [DEFAULT_RESTARTS] * 4
 
 
@@ -603,33 +612,37 @@ def test_pool_workers_runs_serially_beside_threads():
     assert not thread.is_alive()
 
 
-def test_pool_map_keeps_index_order_and_the_first_error():
+def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
     parent = os.getpid()
-    # a generator cannot be pickled: the first call's function reaches the
-    # workers by fork
+    # a generator cannot be pickled: the function reaches the workers by fork
     unpicklable = (i for i in range(3))
 
     def task(i):
         assert unpicklable is not None
         return i * i, os.getpid() != parent
 
-    with pipeline._ForkPool(2) as pool:
-        assert pool.map(task, 5) == [(i * i, True) for i in range(5)]
-        # a later function goes by pickle: a picklable one runs, a local one cannot go
-        assert pool.map(functools.partial(operator.mul, 3), 3) == [0, 3, 6]
-        with pytest.raises((AttributeError, pickle.PicklingError)):
-            pool.map(lambda i: i, 1)
-    with pipeline._ForkPool(1) as pool:
-        assert pool.map(task, 3) == [(i * i, False) for i in range(3)]
+    _force_workers(monkeypatch, 2)
+    assert pipeline._fork_map(task, 5) == [(i * i, True) for i in range(5)]
+    _force_workers(monkeypatch, 1)
+    assert pipeline._fork_map(task, 3) == [(i * i, False) for i in range(3)]
 
     def fail_from_two(i):
         if i >= 2:
             raise NumericalError(f"task {i}")
         return i
 
+    _force_workers(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^task 2$"):
-        with pipeline._ForkPool(2) as pool:
-            pool.map(fail_from_two, 5)
+        pipeline._fork_map(fail_from_two, 5)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_fork_when_the_block_opens():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs in the affinity mask")
+    with pipeline._ForkPool(2, os.getpid):
+        # every worker forked before the executor started its thread
+        assert len(multiprocessing.active_children()) == 2
     assert multiprocessing.active_children() == []
 
 
@@ -650,15 +663,14 @@ def test_pool_workers_share_the_cpus_with_blas(monkeypatch):
     try:
         for _, set_threads in controls:
             set_threads(6)
-        with pipeline._ForkPool(2) as pool:
-            assert pool.map(threads, 2) == [[1] * len(controls)] * 2
+        assert pipeline._fork_map(threads, 2) == [[1] * len(controls)] * 2
         assert threads(0) == [6] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)
 
 
-def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers():
+def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers(monkeypatch):
     if not sys.platform.startswith("linux"):
         pytest.skip("OpenBLAS threads are capped on Linux only")
     controls = pipeline._openblas_thread_controls()
@@ -677,40 +689,45 @@ def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers():
         for _, set_threads in controls:
             set_threads(3)
         # one worker: the calls run here, yet round as a one-thread worker would
-        with pipeline._ForkPool(1) as pool:
-            assert pool.map(threads, 2) == [[1] * len(controls)] * 2
-            assert threads(0) == [3] * len(controls)
-            with pytest.raises(NumericalError, match="^call failed$"):
-                pool.map(fail, 2)
+        _force_workers(monkeypatch, 1)
+        assert pipeline._fork_map(threads, 2) == [[1] * len(controls)] * 2
+        assert threads(0) == [3] * len(controls)
+        with pytest.raises(NumericalError, match="^call failed$"):
+            pipeline._fork_map(fail, 2)
         assert threads(0) == [3] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)
 
 
-def test_restarts_send_the_points_only_when_the_workers_forked_before_them(monkeypatch):
+def test_restarts_never_send_the_points(monkeypatch):
+    kmeans_module = importlib.import_module("snapclust.kmeans")
     sent = []
 
     class Spied(ProcessPoolExecutor):
+        def __init__(self, *args, initargs, **kwargs):
+            self.inherited = initargs[0]
+            super().__init__(*args, initargs=initargs, **kwargs)
+
         def submit(self, fn, *args):
             # the pool's calls; not the one that makes the executor fork
             if fn is pipeline._call_forked:
-                sent.append(len(pickle.dumps((fn, args))))
+                restart = getattr(self.inherited, "func", None) is kmeans_module._restart
+                sent.append((restart, len(pickle.dumps((fn, args)))))
             return super().submit(fn, *args)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Spied)
     _force_workers(monkeypatch, 2)
     X, y = make_blobs(2000, 50, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
-    # the raw model's first call is a restart: its workers inherit X by fork
-    run_baseline("kmeans", small_config(repeats=1), X, y)
-    assert len(sent) == DEFAULT_RESTARTS
-    assert max(sent) < X.nbytes / 100
-    # the spectral workers forked before training, before the points existed
-    sent.clear()
     cfg = small_config(m=3, repeats=1)
-    run_ssc(cfg, X, y)
-    assert len(sent) == cfg.m + DEFAULT_RESTARTS
-    assert min(sent[cfg.m :]) > len(X) * cfg.k * 8
+    for model, members in (("kmeans", 0), ("dae_kmeans", 0), ("ssc", cfg.m)):
+        sent.clear()
+        run_model(model, cfg, X, y)
+        # the restarts' workers forked once the points existed and inherited them
+        restarts = [size for restart, size in sent if restart]
+        assert len(restarts) == DEFAULT_RESTARTS
+        assert max(restarts) < 1024
+        assert len(sent) == members + DEFAULT_RESTARTS
 
 
 def test_pooled_and_serial_runs_match_at_two_blas_threads(tmp_path, monkeypatch, inline_training):
@@ -821,8 +838,8 @@ def test_no_fork_while_the_batch_thread_runs(tmp_path, monkeypatch):
     X, y = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
     cfg = small_config(batch_size=64, repeats=2)
     run_ssc(cfg, X, y, out_dir=tmp_path)
-    # each repeat forks its 2 workers
-    assert threads_at_fork == [1] * 4
+    # each repeat forks 2 workers for its members, then 2 for its restarts
+    assert threads_at_fork == [1] * 8
     repeats = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
     assert [repeat["train_feed"] for repeat in repeats] == ["thread"] * 2
     assert [repeat["workers"] for repeat in repeats] == [2] * 2

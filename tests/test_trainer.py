@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ from snapclust import trainer
 from snapclust.autoencoder import AutoencoderSpec, backward, encode, init_params, sgd_step
 from snapclust.distances import _CHUNK_ENTRIES
 from snapclust.errors import ConfigError, DataError, NumericalError, SnapclustError
+from snapclust.io import write_container
 from snapclust.rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, STAGE_TRAIN, SeedStream
 from snapclust.trainer import (
     SNAPSHOT_MAGIC,
@@ -472,3 +474,25 @@ def test_load_snapshot_rejects_each_truncation(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(DataError, match=f"{message}$"):
             load_snapshot(path)
+
+
+def test_load_snapshot_rejects_a_missing_file(tmp_path):
+    path = tmp_path / "missing.sscw"
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+        load_snapshot(path)
+
+
+def test_load_snapshot_rejects_undecodable_metadata(tmp_path):
+    path, raw, weights = saved_snapshot_bytes(tmp_path)
+    meta_start = 10 + sum(8 + 8 * (W.size + b.size) for W, b in weights) + 4
+    path.write_bytes(raw[:meta_start] + b"\xff" * (len(raw) - meta_start))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: metadata is not UTF-8 JSON: "):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("meta", [{"train_loss": 0.5}, {"cycle_index": 1}, [1, 0.5]])
+def test_load_snapshot_rejects_metadata_without_its_fields(tmp_path, meta):
+    path, _, weights = saved_snapshot_bytes(tmp_path)
+    write_container(path, SNAPSHOT_MAGIC, weights, meta)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: metadata needs a numeric cycle_index"):
+        load_snapshot(path)
