@@ -25,14 +25,13 @@ second Python thread is alive: the members' workers fork before training
 starts its batch-drawing thread (`trainer._drawn_ahead`), and the
 restarts' once training has joined it and the points exist, so they
 inherit the points and a restart sends only its index. Fusion and the
-SVD stay in this process, the SVD at one BLAS thread. Each worker runs
-OpenBLAS at one thread, so outputs are byte-identical to a serial run at
-one BLAS thread whatever the CPU count, and on Linux it is killed when
-this process dies. A pool of one worker runs its calls serially, in
-this process, at one BLAS thread: so do the one member of `lsc` and
-`dae_lsc`, a one-CPU mask (`taskset -c 0`), and a call made while other
-Python threads are alive, since forking a threaded process can deadlock
-(`pool_workers`).
+SVD stay in this process. On Linux a worker is killed when this process
+dies. A pool of one worker runs its calls serially, in this process: so
+do the one member of `lsc` and `dae_lsc`, a one-CPU mask (`taskset -c
+0`), and a call made while other Python threads are alive, since forking
+a threaded process can deadlock (`pool_workers`). A run holds every
+loaded OpenBLAS at one thread, which the workers inherit (`run_model`),
+so its outputs are byte-identical whatever the CPU count.
 Serially the members are built one after the other once training has
 ended, so this process holds one embedding at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
@@ -209,9 +208,6 @@ def _adopt(fn, parent: int, stop) -> None:
         # task queue forever, since it holds that queue's write end itself,
         # and hold the caller's stdout open
         ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        # one BLAS thread, so that a call's bytes do not depend on the CPU count
-        for _, set_threads in _openblas_thread_controls():
-            set_threads(1)
     if os.getppid() != parent:
         # the caller died before the kill was set up
         os._exit(1)
@@ -232,13 +228,10 @@ class _ForkPool:
     since the last `results()` and returns their results in submission
     order, raising the exception of the lowest failing call, as a serial
     loop would. With fewer than 2 workers nothing is forked, and
-    `results()` makes the calls here, in order, at one BLAS thread as a
-    worker would. Leaving the block through an exception drops the calls
-    no worker has started; every worker has exited once the block is left.
-
-    On Linux a worker is killed when this process dies, and each worker
-    runs OpenBLAS at one thread: the pool does not oversubscribe the CPUs,
-    and a call rounds the same whatever the CPU count.
+    `results()` makes the calls here, in order. Leaving the block through
+    an exception drops the calls no worker has started; every worker has
+    exited once the block is left. On Linux a worker is killed when this
+    process dies.
     """
 
     def __init__(self, workers: int, fn):
@@ -279,8 +272,7 @@ class _ForkPool:
     def results(self) -> list:
         calls, self._calls = self._calls, []
         if self._pool is None:
-            with _one_blas_thread():
-                return [self._fn(*args) for args in calls]
+            return [self._fn(*args) for args in calls]
         return [call.result() for call in calls]
 
 
@@ -296,6 +288,7 @@ def _fork_map(fn, count: int) -> list:
         return pool.results()
 
 
+@_one_blas_thread()
 def train_ensemble(
     X: np.ndarray,
     config: PipelineConfig,
@@ -310,7 +303,8 @@ def train_ensemble(
     snapshot. The repeat index isolates both the weight init and every
     batch/noise stream, so repeats are genuinely independent. With
     `on_capture`, each snapshot goes to it as soon as it is captured and
-    the data is not embedded here (see `train_snapshots`).
+    the data is not embedded here (see `train_snapshots`). It trains at
+    one OpenBLAS thread, as `run_model` does.
     """
     rep = SeedStream(config.seed).child(STAGE_REPEAT, repeat_index)
     n, d = X.shape
@@ -405,9 +399,7 @@ def _single_run(
             peaks[name] = _peak_rss_mib()
         with _stage(timings, "fuse", peaks):
             fused = fuse(members)
-        # at one BLAS thread, as the members and restarts run: ARPACK's
-        # vectors can round differently at other thread counts
-        with _stage(timings, "svd", peaks), _one_blas_thread():
+        with _stage(timings, "svd", peaks):
             points = left_singular_vectors(
                 fused,
                 config.k,
@@ -488,6 +480,7 @@ def _write_artifacts(
     return paths
 
 
+@_one_blas_thread()
 def run_model(
     model: str,
     config: PipelineConfig,
@@ -499,7 +492,8 @@ def run_model(
 
     With `truth` given, every repeat is scored and the report aggregates
     mean and sample std per metric. With `out_dir` given, artifacts are
-    persisted there.
+    persisted there. Every loaded OpenBLAS runs at one thread until the
+    call returns or raises; then the caller's thread counts are restored.
     """
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")

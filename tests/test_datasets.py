@@ -1,5 +1,6 @@
 """Dataset IO: IDX, rawf32, csv round-trips and the synthetic generators."""
 
+import re
 import struct
 
 import numpy as np
@@ -64,6 +65,27 @@ def test_idx_truncated(tmp_path):
     path.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 3)
     with pytest.raises(DataError):
         load_idx_images(path)
+
+
+@pytest.mark.parametrize(
+    "content, load, error",
+    [
+        (struct.pack(">IIII", 2051, 2, 1, 2) + bytes([0, 255, 51, 102]), load_dataset, None),
+        (struct.pack(">I", 2049), load_idx_labels, "truncated idx header"),
+        (struct.pack(">II", 2051, 1), load_idx_labels, "bad idx label magic 2051, expected 2049"),
+        (struct.pack(">II", 2049, 3) + b"\x00\x01", load_idx_labels, "truncated idx payload"),
+    ],
+    ids=["images-auto", "labels-header", "labels-magic", "labels-payload"],
+)
+def test_idx_files_load_or_name_the_bad_file(tmp_path, content, load, error):
+    path = tmp_path / "data.idx"
+    path.write_bytes(content)
+    if error is None:
+        # detected as idx by its magic and scaled to [0, 1]
+        assert np.array_equal(load(path), [[0.0, 1.0], [0.2, 0.4]])
+    else:
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load(path)
 
 
 def test_rawf32_round_trip(tmp_path):

@@ -217,6 +217,15 @@ def test_artifacts_written_and_deterministic(tmp_path):
     assert rec_b.report == rec_a.report
 
 
+def test_unwritable_artifacts_leave_nothing_half_written(tmp_path):
+    X, y = small_data()
+    # run.json is written last; a directory in its place fails the write
+    (tmp_path / "run.json").mkdir()
+    with pytest.raises(DataError, match=f"^cannot write artifacts to {re.escape(str(tmp_path))}: "):
+        run_baseline("kmeans", small_config(), X, y, out_dir=tmp_path)
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_spectrum_diagnostics_only_in_run_json(tmp_path):
     X, y = make_blobs(300, 5, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
     # fused widths 20 (dense eigh) and 3 * 100 = 300 (matrix-free eigsh)
@@ -646,58 +655,60 @@ def test_pool_workers_fork_when_the_block_opens():
     assert multiprocessing.active_children() == []
 
 
-def test_pool_workers_share_the_cpus_with_blas(monkeypatch):
+def test_a_run_holds_every_openblas_at_one_thread(tmp_path, monkeypatch):
     if not sys.platform.startswith("linux"):
-        pytest.skip("OpenBLAS threads are capped on Linux only")
+        pytest.skip("OpenBLAS threads are set on Linux only")
     controls = pipeline._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     before = [get() for get, _ in controls]
-    # 8 CPUs for 2 workers: a 4-thread share would fit, yet each worker runs
-    # one BLAS thread, so that its rounding does not depend on the CPU count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    seen = set()
 
-    def threads(i):
-        return [get() for get, _ in pipeline._openblas_thread_controls()]
+    def pin_checked(module, name):
+        fn = getattr(module, name)
 
+        def spy(*args, **kwargs):
+            # a forked worker cannot record into this process, so a call
+            # off one thread fails the run instead
+            counts = [get() for get, _ in controls]
+            if counts != [1] * len(controls):
+                raise NumericalError(f"{name} ran at {counts} OpenBLAS threads")
+            seen.add(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    # training, the members, the SVD and the restarts
+    pin_checked(trainer, "backward")
+    pin_checked(pipeline, "minibatch_kmeans")
+    pin_checked(pipeline, "left_singular_vectors")
+    pin_checked(importlib.import_module("snapclust.kmeans"), "lloyd")
+
+    def fuse_failed(members):
+        raise NumericalError("fuse failed")
+
+    X, y = small_data()
+    cfg = small_config(repeats=1)
     try:
         for _, set_threads in controls:
-            set_threads(6)
-        assert pipeline._fork_map(threads, 2) == [[1] * len(controls)] * 2
-        assert threads(0) == [6] * len(controls)
+            set_threads(2)
+        for workers in (2, 1):
+            _force_workers(monkeypatch, workers)
+            run_ssc(cfg, X, y, out_dir=tmp_path / str(workers))
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            run_doc = json.loads((tmp_path / str(workers) / "run.json").read_text())
+            assert run_doc["diagnostics"][0]["workers"] == workers
+        # `snapclust train` calls this on its own
+        train_ensemble(X, cfg)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        monkeypatch.setattr(pipeline, "fuse", fuse_failed)
+        with pytest.raises(NumericalError, match="fuse failed"):
+            run_ssc(cfg, X, y)
+        assert [get() for get, _ in controls] == [2] * len(controls)
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)
-
-
-def test_serial_calls_run_at_one_blas_thread_and_restore_the_callers(monkeypatch):
-    if not sys.platform.startswith("linux"):
-        pytest.skip("OpenBLAS threads are capped on Linux only")
-    controls = pipeline._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    before = [get() for get, _ in controls]
-
-    def threads(i):
-        return [get() for get, _ in pipeline._openblas_thread_controls()]
-
-    def fail(i):
-        assert threads(i) == [1] * len(controls)
-        raise NumericalError("call failed")
-
-    try:
-        for _, set_threads in controls:
-            set_threads(3)
-        # one worker: the calls run here, yet round as a one-thread worker would
-        _force_workers(monkeypatch, 1)
-        assert pipeline._fork_map(threads, 2) == [[1] * len(controls)] * 2
-        assert threads(0) == [3] * len(controls)
-        with pytest.raises(NumericalError, match="^call failed$"):
-            pipeline._fork_map(fail, 2)
-        assert threads(0) == [3] * len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, before):
-            set_threads(count)
+    assert seen == {"backward", "minibatch_kmeans", "left_singular_vectors", "lloyd"}
 
 
 def test_restarts_never_send_the_points(monkeypatch):
@@ -843,33 +854,6 @@ def test_no_fork_while_the_batch_thread_runs(tmp_path, monkeypatch):
     repeats = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
     assert [repeat["train_feed"] for repeat in repeats] == ["thread"] * 2
     assert [repeat["workers"] for repeat in repeats] == [2] * 2
-
-
-def test_the_svd_runs_at_one_blas_thread(monkeypatch):
-    if not sys.platform.startswith("linux"):
-        pytest.skip("OpenBLAS threads are set on Linux only")
-    controls = pipeline._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    before = [get() for get, _ in controls]
-    seen = []
-    left_singular_vectors = pipeline.left_singular_vectors
-
-    def counted(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        return left_singular_vectors(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "left_singular_vectors", counted)
-    X, y = small_data()
-    try:
-        for _, set_threads in controls:
-            set_threads(2)
-        run_ssc(small_config(repeats=1), X, y)
-        assert [get() for get, _ in controls] == [2] * len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, before):
-            set_threads(count)
-    assert seen == [[1] * len(controls)]
 
 
 def test_non_finite_input_error_names_the_first_bad_entry():
