@@ -9,7 +9,8 @@ and the r nearest landmarks of each row are picked by r successive
 argmins rather than a full sort, so peak memory is O(block * p + n * r)
 instead of a dense n x p matrix. Ties at the r-th distance still go to
 the lower landmark index, exactly as a stable sort would order them. The
-result is a scipy `csr_array` with sorted columns in each row.
+result is a scipy `csr_array` with sorted columns in each row and int32
+indices and offsets, unless n * r or p needs int64 (`index_dtype`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ ROW_SUM_TOL = 1e-10
 
 # distance entries per row block: 2**20 float64 values is 8 MiB per buffer
 BLOCK_ENTRIES = 2**20
+
+
+def index_dtype(nnz: int, width: int) -> type:
+    """int32 for CSR indices and offsets where nnz and the width fit in it, else int64."""
+    return np.int32 if max(nnz, width) <= np.iinfo(np.int32).max else np.int64
 
 
 def scott_bandwidth(Y: np.ndarray) -> float:
@@ -187,8 +193,9 @@ def build_affinity(
 
     # CSR wants ascending columns per row; sort the r picks by landmark index
     order = np.argsort(nearest, axis=1, kind="stable")
-    cols = np.take_along_axis(nearest, order, axis=1).reshape(-1)
+    dtype = index_dtype(n * r, p)
+    cols = np.take_along_axis(nearest, order, axis=1).reshape(-1).astype(dtype)
     vals = np.take_along_axis(weights, order, axis=1).reshape(-1)
-    offsets = np.arange(n + 1, dtype=np.int64) * r
+    offsets = np.arange(n + 1, dtype=dtype) * r
     matrix = csr_array((vals, cols, offsets), shape=(n, p))
     return SparseAffinity(matrix, params=params, bandwidth=sigma)

@@ -1,11 +1,13 @@
 """Member fusion and the spectral embedding of the fused affinity.
 
-Fusion concatenates the m member affinities column-wise (scipy `hstack`
-into one `csr_array`) and scales by 1/sqrt(m), so the fused Gram matrix
-is the average of the member Grams. The k leading left singular vectors
-come from the top k+1 eigenpairs of G = Z^T Z and a single sparse
-back-multiply Z @ V, never from densifying the n x m*p matrix. G itself
-is formed, as (Z^T Z).toarray(), only when it is tiny (at most
+Fusion concatenates the m member affinities column-wise and scales by
+1/sqrt(m), so the fused Gram matrix is the average of the member Grams.
+Every fused row holds m*r entries, so `fuse` writes each member into
+one preallocated `csr_array` (int32 indices unless int64 is needed) as
+it arrives, with no stacked or scaled copy. The k leading left singular
+vectors come from the top k+1 eigenpairs of G = Z^T Z and a single
+sparse back-multiply Z @ V, never from densifying the n x m*p matrix. G
+itself is formed, as (Z^T Z).toarray(), only when it is tiny (at most
 max(2k+3, 20) columns, where ARPACK's Lanczos basis would fill the whole
 space). Otherwise ARPACK's Lanczos solver (scipy eigsh) applies
 v -> Z^T (Z v) at O(nnz) per step from a fixed start vector.
@@ -13,14 +15,15 @@ v -> Z^T (Z v) at O(nnz) per step from a fixed start vector.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array, hstack
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .affinity import SparseAffinity
+from .affinity import index_dtype
 from .errors import ConfigError, DataError, NumericalError
 from .rng import STAGE_SPECTRAL, SeedStream
 
@@ -62,16 +65,43 @@ class FusedAffinity:
         return self.matrix.nnz
 
 
-def fuse(members: list[SparseAffinity]) -> FusedAffinity:
-    """Fuse member affinities into one row-scaled block matrix."""
-    if not members:
+def fuse(members, m: int | None = None, stage=contextlib.nullcontext) -> FusedAffinity:
+    """Fuse m `SparseAffinity` members, in order, into one row-scaled block matrix.
+
+    The bytes of hstack(members) * (1/sqrt(m)), without either copy: each
+    member is written into its columns of the preallocated fused arrays
+    inside `stage()`, and fuse drops it before asking for the next one.
+    `members` may be a generator; m defaults to len(members).
+    """
+    m = len(members) if m is None else m
+    if m < 1:
         raise DataError("fuse: empty member list")
-    if len({a.matrix.shape[0] for a in members}) > 1:
-        raise DataError("fuse: members disagree on row count")
-    m = len(members)
-    fused = hstack([a.matrix for a in members], format="csr") * (1.0 / math.sqrt(m))
-    boundaries = (0, *np.cumsum([a.matrix.shape[1] for a in members]).tolist())
-    return FusedAffinity(fused, m, tuple(int(x) for x in boundaries))
+    bounds = [0]
+    for member in members:
+        with stage():
+            j, (rows, p), r = len(bounds) - 1, member.matrix.shape, member.params.r
+            if j == 0:
+                n, r0 = rows, r
+                data = np.empty((n, m * r))
+                indices = np.empty((n, m * r), dtype=index_dtype(n * m * r, p))
+            if (rows, r) != (n, r0):
+                raise DataError(
+                    f"fuse: members disagree on row count or r: member {j} has {rows} "
+                    f"rows and r={r}, member 0 {n} rows and r={r0}"
+                )
+            # a no-op unless this member takes the width past int32
+            indices = indices.astype(index_dtype(indices.size, bounds[-1] + p), copy=False)
+            block = np.s_[:, j * r : (j + 1) * r]
+            np.multiply(member.matrix.data.reshape(n, r), 1.0 / math.sqrt(m), out=data[block])
+            np.add(member.matrix.indices.reshape(n, r), bounds[-1], out=indices[block])
+            bounds.append(bounds[-1] + p)
+        del member
+    if len(bounds) != m + 1:
+        raise DataError(f"fuse: expected m={m} members, got {len(bounds) - 1}")
+    with stage():
+        indptr = np.arange(n + 1, dtype=indices.dtype) * (m * r)
+        matrix = csr_array((data.ravel(), indices.ravel(), indptr), shape=(n, bounds[-1]))
+        return FusedAffinity(matrix, m, tuple(bounds))
 
 
 @dataclass
@@ -178,16 +208,17 @@ def left_singular_vectors(
         raise NumericalError(
             f"fused affinity is rank deficient: s_{k}={s[k - 1]:.3e} vs s_1={s[0]:.3e}"
         )
-    U = (M @ V) / s[None, :]
+    U = M @ V
+    U /= s
 
     # deterministic sign: largest-magnitude entry of each column positive
-    anchor = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[anchor, np.arange(k)] < 0, -1.0, 1.0)
-    U *= signs[None, :]
+    for column in U.T:
+        if column[np.argmax(np.abs(column))] < 0:
+            column *= -1.0
 
     if row_normalize:
         norms = np.linalg.norm(U, axis=1, keepdims=True)
-        U = U / np.where(norms > 0, norms, 1.0)
+        U /= np.where(norms > 0, norms, 1.0)
 
     gap = float(s[k - 1] / s_all[k]) if s_all.size > k and s_all[k] > 0 else None
     meta.update(singular_values=s.tolist(), eigengap=gap)

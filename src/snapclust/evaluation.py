@@ -8,7 +8,8 @@ to contiguous ranges when the table is built.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DataError
 
@@ -99,16 +100,15 @@ def ari_table(table) -> float:
 def accuracy_table(table) -> float:
     """Best accuracy over one-to-one cluster-to-class matchings.
 
-    Solved exactly on the contingency table, padded to square when the
-    cluster counts differ so unmatched clusters map to nothing.
+    Solved exactly on the contingency table; when the cluster counts
+    differ, the surplus clusters map to nothing. Each count is shifted by
+    1 so that every pair is an edge, which adds min(table.shape) to every
+    full matching. (scipy.optimize would do, but importing it costs every
+    run memory and start-up time.)
     """
     table = _check_table(table)
-    ka, kb = table.shape
-    size = max(ka, kb)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[:ka, :kb] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    matched = padded[rows, cols].sum()
+    rows, cols = min_weight_full_bipartite_matching(csr_array(table + 1), maximize=True)
+    matched = table[rows, cols].sum()
     return float(matched / table.sum())
 
 

@@ -20,8 +20,9 @@ and builds the affinity; only the affinity and its diagnostics come
 back. This process trains meanwhile and never builds a member itself,
 so it holds no embedding, and collects the members in index order once
 training ends: a training error is raised first, then the lowest failing
-member's. The pools are the only things a run forks, and never while a
-second Python thread is alive: the members' workers fork before training
+member's. `fuse` copies each member into the fused matrix as it is
+collected and drops it. The pools are the only things a run forks, and
+never while a second Python thread is alive: the members' workers fork before training
 starts its batch-drawing thread (`trainer._drawn_ahead`), and the
 restarts' once training has joined it and the points exist, so they
 inherit the points and a restart sends only its index. Fusion and the
@@ -32,8 +33,8 @@ do the one member of `lsc` and `dae_lsc`, a one-CPU mask (`taskset -c
 a threaded process can deadlock (`pool_workers`). A run holds every
 loaded OpenBLAS at one thread, which the workers inherit (`run_model`),
 so its outputs are byte-identical whatever the CPU count.
-Serially the members are built one after the other once training has
-ended, so this process holds one embedding at a time.
+Serially each member is built when `fuse` asks for it, once training
+has ended, so this process holds one embedding and member at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
 per worker. X is held in the dtype it arrives in when that is float32 or
 float64 (a rawf32 file stays float32) and is widened to float64 only a
@@ -45,7 +46,9 @@ parameters). The "train" stage seconds are the training loop's wall time,
 during which the member workers share the CPUs with it. The "landmarks"
 and "affinity" stage seconds sum the members' own seconds, so with
 several workers they can exceed `members_wall_s`, the time from just
-before training to collecting the last member.
+before training to collecting the last member; their peaks are read at
+the first member, before any copy. "fuse" counts only the copies and
+the fused matrix's check, not the waits for members.
 
 The ensemble pipeline and the dae_lsc baseline intentionally share one
 code path: a single-member ensemble IS the base model, so the degeneracy
@@ -57,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import multiprocessing
@@ -224,11 +228,12 @@ class _ForkPool:
     The workers fork when the `with` block opens and inherit fn and
     everything it refers to, so `submit(*args)` queues fn(*args) by
     sending only the arguments, and a free worker starts it at once. Only
-    the results come back. `results()` waits for the calls submitted
-    since the last `results()` and returns their results in submission
-    order, raising the exception of the lowest failing call, as a serial
-    loop would. With fewer than 2 workers nothing is forked, and
-    `results()` makes the calls here, in order. Leaving the block through
+    the results come back. `results()` yields the results of the calls
+    submitted since the last `results()` in submission order, raising the
+    exception of the lowest failing call in its place, as a serial loop
+    would, and drops each future once its result is taken. With fewer
+    than 2 workers nothing is forked, and `results()` makes each call
+    here, when its result is asked for. Leaving the block through
     an exception drops the calls no worker has started; every worker has
     exited once the block is left. On Linux a worker is killed when this
     process dies.
@@ -269,11 +274,13 @@ class _ForkPool:
         else:
             self._calls.append(self._pool.submit(_call_forked, *args))
 
-    def results(self) -> list:
+    def results(self):
         calls, self._calls = self._calls, []
-        if self._pool is None:
-            return [self._fn(*args) for args in calls]
-        return [call.result() for call in calls]
+        calls.reverse()
+        while calls:
+            # rebinding `call` drops the previous future and the result it held
+            call = calls.pop()
+            yield self._fn(*call) if self._pool is None else call.result()
 
 
 def _fork_map(fn, count: int) -> list:
@@ -285,7 +292,7 @@ def _fork_map(fn, count: int) -> list:
     with _ForkPool(pool_workers(count), fn) as pool:
         for i in range(count):
             pool.submit(i)
-        return pool.results()
+        return list(pool.results())
 
 
 @_one_blas_thread()
@@ -372,6 +379,26 @@ def _single_run(
             "worker_peak_rss_mib": _peak_rss_mib(),
         }
 
+    member_diagnostics: list = []
+
+    def collected(pool, start):
+        # outside the fuse stage, so a member's error keeps its own stage name
+        for affinity, member in pool.results():
+            diagnostics["members_wall_s"] = time.perf_counter() - start
+            if not member_diagnostics:
+                peaks["landmarks"] = peaks["affinity"] = _peak_rss_mib()
+                Z = affinity.matrix
+                footprint.update(
+                    member_affinity_bytes=csr_footprint_bytes(n, Z.nnz),
+                    member_affinity_nbytes=Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
+                    density=affinity.density,
+                )
+                del Z
+            member_diagnostics.append(member)
+            yield affinity
+            # released before fuse asks for the next member
+            del affinity
+
     workers = pool_workers(cycles)
     # the workers fork here, before training starts a thread
     with _ForkPool(workers, build_member) as pool:
@@ -387,18 +414,13 @@ def _single_run(
         elif model in _SPECTRAL:
             pool.submit()
         if model in _SPECTRAL:
-            built = pool.results()
-            diagnostics["members_wall_s"] = time.perf_counter() - start
+            stage = functools.partial(_stage, timings, "fuse", peaks)
+            fused = fuse(collected(pool, start), cycles, stage)
     if model in _SPECTRAL:
-        members = [affinity for affinity, _ in built]
-        member_diagnostics = [member for _, member in built]
         for name in ("landmarks", "affinity"):
             timings[name] = timings.get(name, 0.0) + sum(
                 member[f"{name}_s"] for member in member_diagnostics
             )
-            peaks[name] = _peak_rss_mib()
-        with _stage(timings, "fuse", peaks):
-            fused = fuse(members)
         with _stage(timings, "svd", peaks):
             points = left_singular_vectors(
                 fused,
@@ -406,14 +428,7 @@ def _single_run(
                 degree_normalize=config.degree_normalize,
                 row_normalize=config.row_normalize,
             )
-        Z = members[0].matrix
-        footprint = {
-            "member_affinity_bytes": csr_footprint_bytes(n, Z.nnz),
-            "member_affinity_nbytes": Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes,
-            "fused_nnz": fused.nnz,
-            "density": members[0].density,
-            "dense_equivalent_bytes": n * n * 8,
-        }
+        footprint.update(fused_nnz=fused.nnz, dense_equivalent_bytes=n * n * 8)
         diagnostics["workers"] = workers
         diagnostics["spectrum"] = points.meta
         diagnostics["members"] = member_diagnostics
@@ -450,10 +465,10 @@ def _write_artifacts(
     report: dict,
     run_doc: dict,
 ) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     paths = {"labels": []}
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for i, part in enumerate(partitions):
             path = os.path.join(out_dir, f"labels_rep{i}.txt")
             save_labels(path, part.labels)
@@ -613,8 +628,8 @@ def sweep(
 
 
 def csr_footprint_bytes(rows: int, nnz: int) -> int:
-    """Modelled compact CSR size: f64 value and u32 column per entry, i64 row offsets."""
-    return nnz * (8 + 4) + (rows + 1) * 8
+    """Modelled CSR size: f64 value and i32 column per entry, i32 row offsets."""
+    return nnz * (8 + 4) + (rows + 1) * 4
 
 
 def footprint_report(n: int, p: int, r: int, m: int) -> dict:

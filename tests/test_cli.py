@@ -239,7 +239,7 @@ def test_info_subcommand(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["member_affinity_mib"] == pytest.approx(2.937, abs=2e-3)
+    assert doc["member_affinity_mib"] == pytest.approx(2.670, abs=2e-3)
     assert doc["dense_equivalent_gib"] == pytest.approx(36.51, abs=0.01)
     assert doc["fused_nnz"] == 1_260_000
 
@@ -291,6 +291,16 @@ def test_exit_code_data_error(capsys, tmp_path):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_exit_code_unwritable_out_dir(blob_files, capsys, tmp_path):
+    data, _ = blob_files
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    code, _, err = run_cli(["cluster", "--dataset", data, "--out", str(out), *FAST], capsys)
+    assert code == 3
+    assert f"cannot write artifacts to {out}" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_numerical_error(blob_files, capsys):

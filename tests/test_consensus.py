@@ -1,13 +1,16 @@
 """Fusion and both spectral branches (dense eigh, matrix-free eigsh) against dense oracles."""
 
+import math
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse import block_diag, csr_array
+from scipy.sparse import block_diag, csr_array, hstack
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import snapclust.consensus as consensus
-from snapclust.affinity import AffinityParams, build_affinity
+from snapclust.affinity import AffinityParams, SparseAffinity, build_affinity, index_dtype
 from snapclust.consensus import (
     FusedAffinity,
     SpectralEmbedding,
@@ -89,6 +92,70 @@ def test_fuse_rejects_row_mismatch():
         fuse([a, b])
     with pytest.raises(DataError):
         fuse([])
+
+
+def _members(gen, n, widths, r=2):
+    return [random_affinity(gen, n, int(p), r) for p in widths]
+
+
+@pytest.mark.parametrize(
+    "n, widths",
+    [(12, [5]), (10, [4, 7, 3]), (0, [4, 6]), (9, [3, 8, 5, 4, 7, 6])],
+    ids=["single", "mixed-widths", "zero-rows", "m6"],
+)
+def test_fuse_is_bit_identical_to_scaled_hstack(n, widths):
+    gen = np.random.default_rng(len(widths) * 100 + n)
+    if n:
+        members = _members(gen, n, widths)
+    else:
+        params = AffinityParams(r=2, sigma=1.0)
+        members = [SparseAffinity(csr_array((0, p)), params, bandwidth=1.0) for p in widths]
+    oracle = hstack([a.matrix for a in members], format="csr") * (1.0 / math.sqrt(len(members)))
+    # fed one at a time, from a generator
+    fused = fuse((a for a in members), len(members)).matrix
+    assert fused.shape == oracle.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(fused, name), getattr(oracle, name)), name
+    # both index arrays are int32, as the members'
+    assert fused.indices.dtype == np.int32 and fused.indptr.dtype == np.int32
+    if n:
+        assert members[0].matrix.indices.dtype == np.int32
+        assert members[0].matrix.indptr.dtype == np.int32
+
+
+def test_index_dtype_from_sizes_alone():
+    limit = np.iinfo(np.int32).max
+    assert index_dtype(0, 0) == np.int32
+    assert index_dtype(limit, limit) == np.int32
+    assert index_dtype(limit + 1, 5) == np.int64
+    assert index_dtype(5, limit + 1) == np.int64
+
+
+def test_fuse_releases_each_member_before_requesting_the_next():
+    gen = np.random.default_rng(7)
+    refs = []
+
+    def members():
+        for j in range(4):
+            assert all(ref() is None for ref in refs), f"member {j - 1} still held"
+            member = random_affinity(gen, 10, 5, 2)
+            refs.append(weakref.ref(member))
+            yield member
+            del member
+
+    fused = fuse(members(), 4)
+    assert fused.member_count == 4 and len(refs) == 4
+
+
+def test_fuse_names_the_mismatching_member():
+    gen = np.random.default_rng(8)
+    good = _members(gen, 10, [4, 5])
+    with pytest.raises(DataError, match="member 2 has 11 rows and r=2, member 0 10 rows and r=2"):
+        fuse([*good, random_affinity(gen, 11, 4, 2)])
+    with pytest.raises(DataError, match="member 2 has 10 rows and r=3, member 0 10 rows and r=2"):
+        fuse([*good, random_affinity(gen, 10, 6, 3)])
+    with pytest.raises(DataError, match="expected m=3 members, got 2"):
+        fuse(iter(good), 3)
 
 
 def test_identity_matrix_embedding():
@@ -181,6 +248,25 @@ def test_fused_affinity_accepts_valid_only():
         FusedAffinity(scaled, 4, (0, 4))  # row sums inconsistent with m=4
     with pytest.raises(DataError):
         FusedAffinity(scaled, 1, (0, 3))  # boundary mismatch
+
+
+@pytest.mark.parametrize("p", [6, 300])
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_embedding_bytes_match_the_out_of_place_formula(p, row_normalize):
+    # in-place scaling and per-column signs round exactly as the n x k temporaries did
+    gen = np.random.default_rng(p)
+    Z = random_sparse(gen, 500, p, 3)
+    k = 4
+    w, V, _ = consensus._top_eigenpairs(Z, k)
+    s = np.sqrt(np.maximum(w, 0.0))[:k]
+    U = (Z @ V[:, :k]) / s[None, :]
+    anchor = np.argmax(np.abs(U), axis=0)
+    U *= np.where(U[anchor, np.arange(k)] < 0, -1.0, 1.0)[None, :]
+    if row_normalize:
+        norms = np.linalg.norm(U, axis=1, keepdims=True)
+        U = U / np.where(norms > 0, norms, 1.0)
+    emb = left_singular_vectors(Z, k, row_normalize=row_normalize)
+    assert np.array_equal(emb.U, U)
 
 
 def test_row_normalize_flag():

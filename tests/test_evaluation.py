@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,3 +263,12 @@ def test_aggregate_mean_and_sample_std():
     assert single["nmi"]["std"] == 0.0
     with pytest.raises(DataError):
         aggregate([])
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the matching uses scipy.sparse.csgraph; scipy.optimize costs every run
+    # memory and start-up time
+    code = "import sys, snapclust, snapclust.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -105,9 +106,9 @@ def test_spectral_footprint_recorded():
     fp = record.footprint
     assert fp["fused_nnz"] == cfg.m * 90 * cfg.sparsity
     assert fp["density"] == cfg.sparsity / cfg.landmarks
-    assert fp["member_affinity_bytes"] == 90 * cfg.sparsity * 12 + 91 * 8
-    # measured: f64 values and i64 column indices and offsets
-    assert fp["member_affinity_nbytes"] == 90 * cfg.sparsity * 16 + 91 * 8
+    assert fp["member_affinity_bytes"] == 90 * cfg.sparsity * 12 + 91 * 4
+    # measured: f64 values and i32 column indices and offsets, as modelled
+    assert fp["member_affinity_nbytes"] == fp["member_affinity_bytes"]
     assert fp["dense_equivalent_bytes"] == 90 * 90 * 8
     _, _, plain = run_baseline("kmeans", cfg, X)
     assert plain.footprint == {}
@@ -224,6 +225,15 @@ def test_unwritable_artifacts_leave_nothing_half_written(tmp_path):
     with pytest.raises(DataError, match=f"^cannot write artifacts to {re.escape(str(tmp_path))}: "):
         run_baseline("kmeans", small_config(), X, y, out_dir=tmp_path)
     assert os.listdir(tmp_path) == ["run.json"]
+
+
+def test_artifact_directory_under_a_file_raises_data_error(tmp_path):
+    X, y = small_data()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    with pytest.raises(DataError, match=f"^cannot write artifacts to {re.escape(str(out))}: "):
+        run_baseline("kmeans", small_config(repeats=1), X, y, out_dir=out)
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_spectrum_diagnostics_only_in_run_json(tmp_path):
@@ -580,7 +590,7 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
             super().__init__(workers, fn)
 
         def results(self):
-            results = super().results()
+            results = list(super().results())
             if self.restarts:
                 restart_maps.append(len(results))
             return results
@@ -646,6 +656,62 @@ def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_results_stream_and_an_abandoned_consumer_leaves_no_worker():
+    taken = []
+    with pytest.raises(RuntimeError, match="consumer stopped"):
+        with pipeline._ForkPool(2, lambda i: i * i) as pool:
+            for i in range(6):
+                pool.submit(i)
+            for result in pool.results():
+                taken.append(result)
+                if len(taken) == 2:
+                    raise RuntimeError("consumer stopped")
+    assert taken == [0, 1]
+    assert multiprocessing.active_children() == []
+
+
+class _Result:
+    """A result that can be pickled back from a worker and weakly referenced."""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_results_drop_each_result_once_taken(workers):
+    # once the caller releases a result, the pool holds it no longer: not
+    # in its future, and serially not before the next call is made
+    refs = []
+
+    def build(j):
+        assert all(ref() is None for ref in refs), f"a result before {j} is still held"
+        return _Result()
+
+    with pipeline._ForkPool(workers, build) as pool:
+        for j in range(4):
+            pool.submit(j)
+        for result in pool.results():
+            assert all(ref() is None for ref in refs), f"{len(refs)} results, one still held"
+            refs.append(weakref.ref(result))
+            del result
+    assert len(refs) == 4
+
+
+def test_members_are_released_once_fused(monkeypatch):
+    # serial path: member j's affinity is gone before member j + 1 is built
+    refs = []
+    build_affinity = pipeline.build_affinity
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in refs), f"{len(refs)} members built, some still held"
+        affinity = build_affinity(*args, **kwargs)
+        refs.append(weakref.ref(affinity))
+        return affinity
+
+    monkeypatch.setattr(pipeline, "build_affinity", spy)
+    _force_workers(monkeypatch, 1)
+    X, _ = small_data()
+    run_ssc(small_config(m=4, repeats=1), X)
+    assert len(refs) == 4
+
+
 def test_pool_workers_fork_when_the_block_opens():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs two CPUs in the affinity mask")
@@ -684,7 +750,7 @@ def test_a_run_holds_every_openblas_at_one_thread(tmp_path, monkeypatch):
     pin_checked(pipeline, "left_singular_vectors")
     pin_checked(importlib.import_module("snapclust.kmeans"), "lloyd")
 
-    def fuse_failed(members):
+    def fuse_failed(members, m, stage):
         raise NumericalError("fuse failed")
 
     X, y = small_data()
@@ -1064,8 +1130,8 @@ def test_sweep_picks_rm_when_metrics_set():
 
 def test_footprint_report_reference_scale():
     fp = footprint_report(70000, 350, 3, 6)
-    assert fp["member_affinity_bytes"] == 70000 * 3 * 12 + 70001 * 8
-    assert fp["member_affinity_mib"] == pytest.approx(2.937, abs=2e-3)
+    assert fp["member_affinity_bytes"] == 70000 * 3 * 12 + 70001 * 4
+    assert fp["member_affinity_mib"] == pytest.approx(2.670, abs=2e-3)
     assert fp["dense_equivalent_bytes"] == 70000 * 70000 * 8
     assert fp["dense_equivalent_gib"] == pytest.approx(36.51, abs=0.01)
     assert fp["fused_nnz"] == 1_260_000

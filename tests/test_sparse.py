@@ -189,8 +189,8 @@ def test_gram_cap(grams):
 
 
 def test_footprint_formula():
-    # 12 bytes per stored entry plus 8 per row offset
-    assert csr_footprint_bytes(3, 2) == 2 * 12 + 4 * 8
+    # 12 bytes per stored entry plus 4 per row offset
+    assert csr_footprint_bytes(3, 2) == 2 * 12 + 4 * 4
 
 
 def test_hstack_row_mismatch():
