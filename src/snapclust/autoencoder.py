@@ -101,6 +101,8 @@ class EncoderSnapshot:
     activation: str = "relu"
 
     def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise DataError(f"snapshot activation {self.activation!r} is not one of {ACTIVATIONS}")
         for i, (W, b) in enumerate(self.weights):
             if W.ndim != 2 or b.ndim != 1 or b.shape[0] != W.shape[1]:
                 raise DataError(f"snapshot layer {i}: inconsistent shapes {W.shape} / {b.shape}")

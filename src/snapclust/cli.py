@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -28,7 +29,7 @@ from .datasets import (
     save_labels,
     save_rawf32,
 )
-from .errors import ConfigError, SnapclustError
+from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import score
 from .pipeline import (
     BASELINES,
@@ -92,18 +93,29 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir):
+    """An OSError from creating or filling `out_dir` is a DataError (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write to {out_dir}: {exc}") from None
+
+
 def _cmd_train(args) -> int:
     config = _merge_config(args).validate()
     X = _require_dataset(config)
+    with _writing_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
     snapshots, embeddings = train_ensemble(X, config)
-    os.makedirs(args.out, exist_ok=True)
     paths = []
-    for i, (snap, emb) in enumerate(zip(snapshots, embeddings.members)):
-        weight_path = os.path.join(args.out, f"snapshot_cycle{i + 1}.sscw")
-        save_snapshot(weight_path, snap, embeddings.provenance)
-        emb_path = os.path.join(args.out, f"embedding_member{i + 1}.rawf32")
-        save_rawf32(emb_path, emb)
-        paths.append({"snapshot": weight_path, "embedding": emb_path, "loss": snap.train_loss})
+    with _writing_to(args.out):
+        for i, (snap, emb) in enumerate(zip(snapshots, embeddings.members)):
+            weight_path = os.path.join(args.out, f"snapshot_cycle{i + 1}.npz")
+            save_snapshot(weight_path, snap, embeddings.provenance)
+            emb_path = os.path.join(args.out, f"embedding_member{i + 1}.rawf32")
+            save_rawf32(emb_path, emb)
+            paths.append({"snapshot": weight_path, "embedding": emb_path, "loss": snap.train_loss})
     _print_json(
         {
             "config_fingerprint": config.fingerprint(),
@@ -173,15 +185,16 @@ def _cmd_synth(args) -> int:
         )
     else:
         X, labels = make_moons(args.n, args.noise_sigma, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    if args.data_format == "csv":
-        data_path = os.path.join(args.out, "data.csv")
-        np.savetxt(data_path, X, delimiter=",", fmt="%.17g")
-    else:
-        data_path = os.path.join(args.out, "data.rawf32")
-        save_rawf32(data_path, X)
-    labels_path = os.path.join(args.out, "labels.txt")
-    save_labels(labels_path, labels)
+    with _writing_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        if args.data_format == "csv":
+            data_path = os.path.join(args.out, "data.csv")
+            np.savetxt(data_path, X, delimiter=",", fmt="%.17g")
+        else:
+            data_path = os.path.join(args.out, "data.rawf32")
+            save_rawf32(data_path, X)
+        labels_path = os.path.join(args.out, "labels.txt")
+        save_labels(labels_path, labels)
     _print_json(
         {
             "kind": args.kind,

@@ -91,8 +91,8 @@ def load_rawf32(path) -> np.ndarray:
         raise DataError(f"{path}: bad rawf32 magic, expected {RAWF32_MAGIC!r}")
     n, d = struct.unpack_from("<II", data, 4)
     need = 12 + 4 * n * d
-    if len(data) < need:
-        raise DataError(f"{path}: truncated rawf32 payload ({len(data)} < {need} bytes)")
+    if len(data) != need:
+        raise DataError(f"{path}: rawf32 of {n} x {d} needs {need} bytes, file has {len(data)}")
     flat = np.frombuffer(data, dtype="<f4", count=n * d, offset=12)
     return flat.reshape(n, d)
 

@@ -11,14 +11,19 @@ The batches, their order and their input noise come from the seed tree
 alone, so on a machine with a CPU to spare a thread draws each batch
 while the one before trains (`_drawn_ahead`). The thread lives only as
 long as one `train_snapshots` call.
+
+Snapshots are saved as numpy .npz files, which `load_snapshot` and
+`np.load(path, allow_pickle=False)` read without unpickling anything.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import time
+import zipfile
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +43,6 @@ from .autoencoder import (
 from .datasets import check_matrix
 from .distances import _CHUNK_ENTRIES
 from .errors import ConfigError, DataError, NumericalError, SnapclustError
-from .io import SNAPSHOT_MAGIC, read_container, write_container
 from .rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, SeedStream
 
 DEFAULT_MOMENTUM = 0.9
@@ -305,20 +309,29 @@ def _capture(params, spec: AutoencoderSpec, cycle_index: int, loss: float) -> En
 
 
 def save_snapshot(path, snapshot: EncoderSnapshot, provenance: dict | None = None) -> None:
+    """Write `snapshot` to exactly `path`: an .npz of W0, b0, W1, b1, ... and JSON `meta`."""
     meta = {
         "cycle_index": snapshot.cycle_index,
         "train_loss": snapshot.train_loss,
         "activation": snapshot.activation,
         "provenance": provenance or {},
     }
-    write_container(path, SNAPSHOT_MAGIC, snapshot.weights, meta)
+    arrays = {f"{k}{i}": a for i, layer in enumerate(snapshot.weights) for k, a in zip("Wb", layer)}
+    with open(path, "wb") as fh:  # through a file object numpy appends no ".npz"
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_snapshot(path) -> tuple[EncoderSnapshot, dict]:
-    layers, meta = read_container(path, SNAPSHOT_MAGIC)
+    """Read a file written by `save_snapshot`; nothing in it is unpickled."""
     try:
-        cycle_index, train_loss = int(meta["cycle_index"]), float(meta["train_loss"])
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{path}: metadata needs a numeric cycle_index and train_loss") from None
-    snap = EncoderSnapshot(layers, cycle_index, train_loss, str(meta.get("activation", "relu")))
-    return snap, meta.get("provenance", {})
+        with np.load(path, allow_pickle=False) as npz:
+            meta = json.loads(npz["meta"][()])
+            # meta and a W, b pair per layer: a missing or extra array leaves a key absent
+            pairs = [(f"W{i}", f"b{i}") for i in range(len(npz.files) // 2)]
+            layers = [(npz[w].astype(np.float64), npz[b].astype(np.float64)) for w, b in pairs]
+        fields = int(meta["cycle_index"]), float(meta["train_loss"]), str(meta["activation"])
+        return EncoderSnapshot(layers, *fields), meta.get("provenance", {})
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, DataError) as exc:
+        raise DataError(f"{path}: not a snapshot file: {exc}") from None

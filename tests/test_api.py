@@ -2,6 +2,9 @@
 imports a name it never uses, and no private top-level name is dead."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import snapclust
@@ -11,6 +14,17 @@ def test_all_names_resolve():
     missing = [name for name in snapclust.__all__ if not hasattr(snapclust, name)]
     assert missing == []
     assert len(set(snapclust.__all__)) == len(snapclust.__all__)
+
+
+def test_import_loads_every_module_but_the_cli():
+    # a module that `import snapclust` never loads is an orphan nothing reaches
+    package = Path(snapclust.__file__).parent
+    modules = {f"snapclust.{path.stem}" for path in package.glob("*.py")}
+    modules -= {"snapclust.__init__", "snapclust.cli"}
+    code = f"import snapclust, sys; print(sorted(set({sorted(modules)!r}) - set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def unused_imports(source: str) -> list[str]:

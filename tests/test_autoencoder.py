@@ -211,6 +211,13 @@ def test_snapshot_validation():
         )
 
 
+def test_snapshot_rejects_an_unknown_activation():
+    # an unchecked name would encode as identity: [[2.0]] -> [[2., -2.]] under "tanh"
+    weights = [(np.array([[1.0, -1.0]]), np.zeros(2))]
+    with pytest.raises(DataError, match=r"^snapshot activation 'tanh' is not one of \('relu', 'identity'\)$"):
+        EncoderSnapshot(weights, cycle_index=1, train_loss=0.0, activation="tanh")
+
+
 def test_embedding_set_shape_check():
     with pytest.raises(DataError):
         EmbeddingSet([np.zeros((3, 2)), np.zeros((3, 3))])

@@ -88,15 +88,55 @@ def test_train_writes_snapshots(blob_files, capsys, tmp_path):
     doc = json.loads(out)
     assert doc["epochs"] == 4  # cycle_length 2 * m 2
     assert len(doc["members"]) == 2
-    assert (tmp_path / "snapshot_cycle1.sscw").exists()
+    assert (tmp_path / "snapshot_cycle1.npz").exists()
     assert (tmp_path / "embedding_member2.rawf32").exists()
     from snapclust.datasets import load_rawf32
     from snapclust.trainer import load_snapshot
 
-    snap, meta = load_snapshot(tmp_path / "snapshot_cycle1.sscw")
+    snap, meta = load_snapshot(tmp_path / "snapshot_cycle1.npz")
     assert snap.cycle_index == 1
     emb = load_rawf32(tmp_path / "embedding_member1.rawf32")
     assert emb.shape == (90, 3)
+
+
+def test_trained_snapshot_opens_with_bare_numpy(blob_files, capsys, tmp_path):
+    data, _ = blob_files
+    code, out, _ = run_cli(["train", "--dataset", data, "--out", str(tmp_path), *FAST], capsys)
+    assert code == 0
+    path = json.loads(out)["members"][1]["snapshot"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["W0", "W1", "b0", "b1", "meta"]
+        assert npz["W0"].shape == (5, 8) and npz["W1"].shape == (8, 3)
+        meta = json.loads(npz["meta"][()])
+    assert (meta["cycle_index"], meta["activation"]) == (2, "identity")
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_out_under_a_file_is_a_data_error_before_any_work(
+    command, blob_files, capsys, tmp_path, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was created")
+
+    monkeypatch.setattr(cli, "train_ensemble", never)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    if command == "train":
+        argv = ["train", "--dataset", blob_files[0], "--out", str(out), *FAST]
+    else:
+        argv = ["synth", "blobs", "--n", "30", "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert f"error: cannot write to {out}: " in err
+    assert "Traceback" not in err
+
+
+def test_train_maps_a_failed_file_write_to_a_data_error(blob_files, capsys, tmp_path):
+    data, _ = blob_files
+    (tmp_path / "embedding_member1.rawf32").mkdir()  # the embedding cannot be written
+    code, _, err = run_cli(["train", "--dataset", data, "--out", str(tmp_path), *FAST], capsys)
+    assert code == 3
+    assert f"error: cannot write to {tmp_path}: " in err
 
 
 def test_train_writes_the_same_files_with_and_without_the_batch_producer(

@@ -109,6 +109,14 @@ def test_rawf32_truncated(tmp_path):
         load_rawf32(path)
 
 
+def test_rawf32_with_trailing_bytes(tmp_path):
+    path = tmp_path / "long.rawf32"
+    save_rawf32(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(DataError, match=r"rawf32 of 2 x 3 needs 36 bytes, file has 44$"):
+        load_rawf32(path)
+
+
 def test_csv_matrix(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")

@@ -1,5 +1,6 @@
 """Snapshot schedule and trainer: formula identities, capture rules, determinism."""
 
+import json
 import math
 import os
 import re
@@ -13,10 +14,8 @@ from snapclust import trainer
 from snapclust.autoencoder import AutoencoderSpec, backward, encode, init_params, sgd_step
 from snapclust.distances import _CHUNK_ENTRIES
 from snapclust.errors import ConfigError, DataError, NumericalError, SnapclustError
-from snapclust.io import write_container
 from snapclust.rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, STAGE_TRAIN, SeedStream
 from snapclust.trainer import (
-    SNAPSHOT_MAGIC,
     SnapshotSchedule,
     cosine_lr,
     embed_snapshot,
@@ -415,84 +414,140 @@ def test_batch_size_capped_by_n():
         train_snapshots(X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(0))
 
 
-def test_snapshot_container_round_trip(tmp_path):
+def trained_snapshot(cycles=2):
     X = tiny_data()
     spec = AutoencoderSpec.from_encoder_widths([6, 4, 2])
     snaps, _ = train_snapshots(
-        X, spec, SnapshotSchedule(0.01, 4, 2), batch_size=8, rng=SeedStream(4)
+        X, spec, SnapshotSchedule(0.01, 2 * cycles, cycles), batch_size=8, rng=SeedStream(4)
     )
-    path = tmp_path / "snap.sscw"
-    save_snapshot(path, snaps[1], provenance={"cycle": 2})
-    raw = path.read_bytes()
-    assert raw[:4] == SNAPSHOT_MAGIC
-    loaded, meta = load_snapshot(path)
-    assert meta == {"cycle": 2}
-    assert loaded.cycle_index == snaps[1].cycle_index
-    assert loaded.activation == snaps[1].activation
-    assert loaded.train_loss == pytest.approx(snaps[1].train_loss)
-    for (W1, b1), (W2, b2) in zip(loaded.weights, snaps[1].weights):
-        assert np.array_equal(W1, W2)
-        assert np.array_equal(b1, b2)
-
-
-def test_load_snapshot_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bogus.sscw"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(DataError, match="bad magic"):
-        load_snapshot(path)
+    return snaps[-1]
 
 
 def saved_snapshot_bytes(tmp_path):
-    X = tiny_data()
-    spec = AutoencoderSpec.from_encoder_widths([6, 4, 2])
-    snaps, _ = train_snapshots(
-        X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(4)
-    )
-    path = tmp_path / "snap.sscw"
-    save_snapshot(path, snaps[0], provenance={"cycle": 1})
-    return path, path.read_bytes(), snaps[0].weights
+    path = tmp_path / "snap.npz"
+    snap = trained_snapshot(cycles=1)
+    save_snapshot(path, snap, provenance={"cycle": 1})
+    return path, path.read_bytes(), snap
 
 
-def test_load_snapshot_rejects_other_container_version(tmp_path):
-    path, raw, _ = saved_snapshot_bytes(tmp_path)
-    path.write_bytes(raw[:4] + (2).to_bytes(2, "little") + raw[6:])
-    with pytest.raises(DataError, match="unsupported container version 2"):
+def snapshot_error(path) -> str:
+    """The DataError message `load_snapshot` raises for `path`, checked to name it."""
+    with pytest.raises(DataError) as info:
         load_snapshot(path)
+    assert str(path) in str(info.value)
+    return str(info.value)
 
 
-def test_load_snapshot_rejects_each_truncation(tmp_path):
-    path, raw, weights = saved_snapshot_bytes(tmp_path)
-    W0 = weights[0][0]
-    layers_end = 10 + sum(8 + 8 * (W.size + b.size) for W, b in weights)
-    cuts = {
-        10 + 4: "truncated layer header",
-        10 + 8 + 8 * W0.size: "truncated layer payload",
-        layers_end + 2: "truncated metadata length",
-        len(raw) - 1: "truncated metadata",
-    }
-    for cut, message in cuts.items():
-        path.write_bytes(raw[:cut])
-        with pytest.raises(DataError, match=f"{message}$"):
-            load_snapshot(path)
+def test_snapshot_file_round_trip(tmp_path):
+    snap = trained_snapshot()
+    path = tmp_path / "snap"  # no suffix: the file is written under exactly this name
+    save_snapshot(path, snap, provenance={"cycle": 2})
+    assert os.listdir(tmp_path) == ["snap"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["W0", "W1", "b0", "b1", "meta"]
+        assert npz["meta"].shape == () and npz["meta"].dtype.kind == "U"
+    loaded, meta = load_snapshot(path)
+    assert meta == {"cycle": 2}
+    assert loaded.cycle_index == snap.cycle_index == 2
+    assert loaded.activation == snap.activation
+    assert loaded.train_loss == snap.train_loss
+    assert len(loaded.weights) == len(snap.weights)
+    for (W1, b1), (W2, b2) in zip(loaded.weights, snap.weights):
+        assert W1.dtype == b1.dtype == np.float64
+        assert W1.tobytes() == W2.tobytes() and b1.tobytes() == b2.tobytes()
 
 
 def test_load_snapshot_rejects_a_missing_file(tmp_path):
-    path = tmp_path / "missing.sscw"
+    path = tmp_path / "missing.npz"
     with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
         load_snapshot(path)
 
 
-def test_load_snapshot_rejects_undecodable_metadata(tmp_path):
-    path, raw, weights = saved_snapshot_bytes(tmp_path)
-    meta_start = 10 + sum(8 + 8 * (W.size + b.size) for W, b in weights) + 4
-    path.write_bytes(raw[:meta_start] + b"\xff" * (len(raw) - meta_start))
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: metadata is not UTF-8 JSON: "):
-        load_snapshot(path)
+def test_load_snapshot_rejects_a_non_zip_file(tmp_path):
+    path = tmp_path / "bogus.npz"
+    path.write_bytes(b"NOPE" + b"\x00" * 64)
+    assert "not a snapshot file" in snapshot_error(path)
 
 
-@pytest.mark.parametrize("meta", [{"train_loss": 0.5}, {"cycle_index": 1}, [1, 0.5]])
+def test_load_snapshot_rejects_each_truncation(tmp_path):
+    path, raw, _ = saved_snapshot_bytes(tmp_path)
+    for cut in range(0, len(raw), 7):
+        path.write_bytes(raw[:cut])
+        assert "not a snapshot file" in snapshot_error(path), cut
+
+
+def test_load_snapshot_rejects_a_flipped_payload_byte(tmp_path):
+    path, raw, snap = saved_snapshot_bytes(tmp_path)
+    at = raw.index(snap.weights[0][0].tobytes()) + 5
+    path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :])
+    assert "Bad CRC-32" in snapshot_error(path)
+
+
+def rewrite_snapshot(path, **changes):
+    """Rewrite the .npz at `path` with arrays replaced (or, when None, dropped)."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def test_load_snapshot_rejects_a_missing_layer_array(tmp_path):
+    path, _, _ = saved_snapshot_bytes(tmp_path)
+    rewrite_snapshot(path, W1=None)
+    assert "W1 is not a file in the archive" in snapshot_error(path)
+
+
+@pytest.mark.parametrize("meta", [b"\xff\xfe", "{not json", np.float64(1.0)])
+def test_load_snapshot_rejects_undecodable_metadata(tmp_path, meta):
+    path, _, _ = saved_snapshot_bytes(tmp_path)
+    rewrite_snapshot(path, meta=np.array(meta))
+    assert "not a snapshot file" in snapshot_error(path)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"train_loss": 0.5, "activation": "relu"},
+        {"cycle_index": 1, "activation": "relu"},
+        {"cycle_index": 1, "train_loss": 0.5},
+        {"cycle_index": "one", "train_loss": 0.5, "activation": "relu"},
+        [1, 0.5, "relu"],
+    ],
+)
 def test_load_snapshot_rejects_metadata_without_its_fields(tmp_path, meta):
-    path, _, weights = saved_snapshot_bytes(tmp_path)
-    write_container(path, SNAPSHOT_MAGIC, weights, meta)
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: metadata needs a numeric cycle_index"):
-        load_snapshot(path)
+    path, _, _ = saved_snapshot_bytes(tmp_path)
+    rewrite_snapshot(path, meta=np.array(json.dumps(meta)))
+    assert "not a snapshot file" in snapshot_error(path)
+
+
+def test_load_snapshot_rejects_an_unknown_activation(tmp_path):
+    path, _, _ = saved_snapshot_bytes(tmp_path)
+    meta = {"cycle_index": 1, "train_loss": 0.5, "activation": "tanh"}
+    rewrite_snapshot(path, meta=np.array(json.dumps(meta)))
+    assert "snapshot activation 'tanh' is not one of" in snapshot_error(path)
+
+
+UNPICKLED = []
+
+
+def record_unpickling():
+    UNPICKLED.append(True)
+    return "unpickled"
+
+
+class Tripwire:
+    def __reduce__(self):
+        return record_unpickling, ()
+
+
+def test_load_snapshot_never_unpickles(tmp_path):
+    path, _, _ = saved_snapshot_bytes(tmp_path)
+    meta = np.empty((), dtype=object)
+    meta[()] = Tripwire()
+    rewrite_snapshot(path, meta=meta)
+    assert "allow_pickle=False" in snapshot_error(path)
+    assert UNPICKLED == []
+    # the tripwire works: a loader that unpickles sets it off
+    with np.load(path, allow_pickle=True) as npz:
+        assert npz["meta"][()] == "unpickled"
+    assert UNPICKLED == [True]
