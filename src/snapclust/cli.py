@@ -94,11 +94,18 @@ def _print_json(doc) -> None:
 
 
 @contextlib.contextmanager
-def _writing_to(out_dir):
-    """An OSError from creating or filling `out_dir` is a DataError (exit 3)."""
+def _writing_to(out_dir, written=()):
+    """An OSError from creating or filling `out_dir` is a DataError (exit 3).
+
+    The files listed in `written` by then are removed first, so a failed
+    write leaves none of them behind.
+    """
     try:
         yield
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise DataError(f"cannot write to {out_dir}: {exc}") from None
 
 
@@ -109,12 +116,15 @@ def _cmd_train(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     snapshots, embeddings = train_ensemble(X, config)
     paths = []
-    with _writing_to(args.out):
+    written: list = []
+    with _writing_to(args.out, written):
         for i, (snap, emb) in enumerate(zip(snapshots, embeddings.members)):
             weight_path = os.path.join(args.out, f"snapshot_cycle{i + 1}.npz")
             save_snapshot(weight_path, snap, embeddings.provenance)
+            written.append(weight_path)
             emb_path = os.path.join(args.out, f"embedding_member{i + 1}.rawf32")
             save_rawf32(emb_path, emb)
+            written.append(emb_path)
             paths.append({"snapshot": weight_path, "embedding": emb_path, "loss": snap.train_loss})
     _print_json(
         {
@@ -185,7 +195,8 @@ def _cmd_synth(args) -> int:
         )
     else:
         X, labels = make_moons(args.n, args.noise_sigma, args.seed)
-    with _writing_to(args.out):
+    written: list = []
+    with _writing_to(args.out, written):
         os.makedirs(args.out, exist_ok=True)
         if args.data_format == "csv":
             data_path = os.path.join(args.out, "data.csv")
@@ -193,6 +204,7 @@ def _cmd_synth(args) -> int:
         else:
             data_path = os.path.join(args.out, "data.rawf32")
             save_rawf32(data_path, X)
+        written.append(data_path)
         labels_path = os.path.join(args.out, "labels.txt")
         save_labels(labels_path, labels)
     _print_json(

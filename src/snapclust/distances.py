@@ -17,6 +17,16 @@ or an inner sum that BLAS splits) run that two-pass form itself.
 `nearest_centers` takes the argmin of the unclamped values and
 clamps only rows whose minimum is negative; euclidean `pairwise_distance`
 clamps at 0 and takes the square root in place, chunk by chunk.
+
+Two passes add a row vector and a column vector without NumPy's
+broadcast add, which runs at about half the speed of a contiguous pass:
+the prefill sets each chunk to ||b||^2 and adds ||a||^2, and minkowski
+sets each chunk of differences to -b_j and adds a_j. The addition is a
+rank-1 BLAS update, `dger` with alpha 1 and a vector of ones, on the
+chunk's F-contiguous transpose, in place. A product with 1 is exact with
+or without FMA, so each entry is the one rounded sum of the same two
+operands, bit for bit what the broadcast add or `np.subtract.outer`
+gives.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dger
 
 from .errors import ConfigError, DataError
 
@@ -113,19 +123,24 @@ def _sq_euclidean(A: np.ndarray, B: np.ndarray, aa: np.ndarray, out: np.ndarray)
     """Unclamped (aa + bb) - 2 A B^T into the C-contiguous (n, p) `out`.
 
     `aa` holds sum(A * A, axis=1), which callers may compute once and
-    index. `out` is prefilled with bb + aa (the same sum as aa + bb;
-    filling with bb first avoids NumPy's slower two-way broadcast add) in
-    row chunks, then one unsplit dgemm computes out <- -2 A B^T + out.
-    GEMV shapes (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would
-    round differently there, so they subtract 2 (A @ B.T) instead.
+    index. `out` is prefilled with bb + aa (the same sum as aa + bb) in
+    row chunks: each chunk is set to bb, then aa is added by the rank-1
+    update rows^T <- 1 * ones aa^T + rows^T (see the module docstring).
+    Then one unsplit dgemm computes out <- -2 A B^T + out. GEMV shapes
+    (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would round
+    differently there, so they subtract 2 (A @ B.T) instead.
     """
+    if not out.flags.c_contiguous:
+        # dger and dgemm would update a copy and leave `out` unfilled
+        raise ValueError("_sq_euclidean needs a C-contiguous output buffer")
     n, p = out.shape
     bb = np.sum(B * B, axis=1)
+    ones = np.ones(p)
     step = max(1, _CHUNK_ENTRIES // max(1, p))
     for start in range(0, n, step):
         rows = out[start : start + step]
         rows[:] = bb
-        rows += aa[start : start + step, None]
+        dger(1.0, ones, aa[start : start + step], a=rows.T, overwrite_a=1)
     if n > 1 and p > 1 and A.shape[1] <= _FUSED_MAX_DIMS:
         dgemm(-2.0, B.T, A.T, 1.0, out.T, trans_a=1, overwrite_c=1)
     else:
@@ -168,7 +183,9 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
     and minkowski accumulates |a_j - b_j|^q one coordinate j at a time
     into the n x p output before taking the 1/q root, working through
     row chunks of _CHUNK_ENTRIES // p rows with two chunk-sized scratch
-    buffers and no n x p x d one.
+    buffers and no n x p x d one. Each chunk of differences is set to
+    -b_j and a_j is added by the rank-1 update, which rounds exactly as
+    a_j - b_j.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)
@@ -191,12 +208,14 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
         rows = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
         diff = np.empty((min(rows, A.shape[0]), B.shape[0]), dtype=np.float64)
         term = np.empty_like(diff)
-        BT = np.ascontiguousarray(B.T)
+        negBT = -np.ascontiguousarray(B.T)
+        ones = np.ones(B.shape[0])
         for start in range(0, A.shape[0], rows):
             acc = out[start : start + rows]
             d, t = diff[: acc.shape[0]], term[: acc.shape[0]]
-            for a, b in zip(A[start : start + rows].T, BT):
-                np.subtract.outer(a, b, out=d)
+            for a, negb in zip(A[start : start + rows].T, negBT):
+                d[:] = negb
+                dger(1.0, ones, a, a=d.T, overwrite_a=1)
                 np.abs(d, out=d)
                 if q == 3.0:
                     # libm pow(x, 3.0) is slow on exact zeros, which ReLU codes make many of

@@ -3,10 +3,12 @@
 Used both as the final clustering step on the spectral embedding and as
 the initializer inside minibatch landmark selection. Restarts draw
 independent derived seeds; the winner is the minimum (inertia, restart
-index) pair, so results do not depend on evaluation order, and every
-restart's inertia and Lloyd iteration count stay on the Partition. The
-caller may hand the restarts to a map that runs them elsewhere, such as
-forked workers that inherit them with the points (`pipeline._fork_map`).
+index) pair, so results do not depend on evaluation order. Each result
+is folded into the running best in index order as it arrives, so only
+the best restart's labels are kept, and every restart's inertia and
+Lloyd iteration count stay on the Partition. The caller may hand the
+restarts to a map that runs them elsewhere, such as forked workers that
+inherit them with the points (`pipeline._fork_map`).
 Assignment uses `distances.nearest_centers`, the fused squared-euclidean
 kernel, with row norms computed once and the distance buffer reused across
 Lloyd iterations. k-means++ computes each new center's distances as one
@@ -18,7 +20,7 @@ would pick.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,14 +160,16 @@ def kmeans(
     rng: SeedStream,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = DEFAULT_MAX_ITERS,
-    map_restarts: Callable[[Callable, int], list] | None = None,
+    map_restarts: Callable[[Callable, int], Iterable] | None = None,
 ) -> Partition:
     """Best-of-restarts KMeans. `X` is a data matrix or a SpectralEmbedding.
 
-    `map_restarts(fn, count)` must return [fn(0), ..., fn(count - 1)];
-    by default the restarts run here, one after the other. Restart i
-    draws from `rng.child(STAGE_RESTART, i)` wherever it runs, so the
-    map cannot change the result.
+    `map_restarts(fn, count)` must return an iterable of fn(0), ...,
+    fn(count - 1) in that order; by default the restarts run here, one
+    after the other. Restart i draws from `rng.child(STAGE_RESTART, i)`
+    wherever it runs, so the map cannot change the result. Each result
+    is folded into the running best as it arrives, so only the best
+    restart's labels are kept.
     """
     if hasattr(X, "U"):
         X = X.U
@@ -181,9 +185,14 @@ def kmeans(
 
     restart = functools.partial(_restart, X, k, rng, max_iters)
     if map_restarts is None:
-        runs = [restart(i) for i in range(restarts)]
+        runs = map(restart, range(restarts))
     else:
         runs = map_restarts(restart, restarts)
-    best = min(range(restarts), key=lambda i: (runs[i][1], i))
-    log = [{"inertia": inertia, "lloyd_iters": iters} for _, inertia, iters in runs]
-    return Partition(runs[best][0], runs[best][1], k, restarts=log)
+    best = None
+    log = []
+    for labels, inertia, iters in runs:
+        log.append({"inertia": inertia, "lloyd_iters": iters})
+        # the minimum (inertia, index): a tie keeps the earlier restart
+        if best is None or inertia < best[1]:
+            best = labels, inertia
+    return Partition(*best, k, restarts=log)

@@ -3,14 +3,19 @@
 Landmarks are the cluster centers of a streamed KMeans over the embedding,
 seeded by k-means++; selection always measures euclidean distance,
 independent of the metric later used for affinities. The loop runs a fixed
-budget of batches with no early stop. Each batch is assigned by
+budget of batches with no early stop. Each batch and its row norms are
+gathered into buffers allocated once and assigned by
 `distances.nearest_centers`: the squared distances are prefilled with the
-row norms and completed by one fused dgemm in a buffer reused across
-batches, and the argmin runs on them unclamped. The k-means++ seeding
-draws each center exactly as `Generator.choice` would. Per-batch center updates use the
-running-mean form, which is the sequential per-point rule in closed form.
-A center that no batch point reaches keeps its k-means++ position, which
-is a data point and so still a valid landmark.
+row norms, by a copy and an exact rank-1 `dger` update, and completed by
+one fused dgemm in a buffer reused across batches, and the argmin runs on
+them unclamped. The k-means++ seeding draws each center exactly as
+`Generator.choice` would. Per-batch center updates use the running-mean
+form, which is the sequential per-point rule in closed form. It is
+computed for every center into a buffer allocated once and written back
+to the touched centers only: the same operations on the same rows as
+updating the touched rows alone. A center that no batch point reaches
+keeps its k-means++ position, which is a data point and so still a valid
+landmark.
 """
 
 from __future__ import annotations
@@ -85,18 +90,26 @@ def minibatch_kmeans(
     for start in range(0, n, step):
         block = Y[start : start + step]
         np.sum(block * block, axis=1, out=yy[start : start + step])
+    # buffers reused by every batch; mode="clip" lets np.take write into
+    # `out` directly (the indices are in range), "raise" would copy first
+    B = np.empty((bsz, Y.shape[1]), dtype=np.float64)
+    bb = np.empty(bsz)
     gram = np.empty((bsz, p), dtype=np.float64)
+    num = np.empty_like(centers)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
-        B = Y[idx]
-        assign, _ = nearest_centers(B, centers, yy[idx], gram)
+        np.take(Y, idx, axis=0, out=B, mode="clip")
+        np.take(yy, idx, out=bb, mode="clip")
+        assign, _ = nearest_centers(B, centers, bb, gram)
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)
         touched = batch_counts > 0
         new_total = counts + batch_counts
-        centers[touched] = (
-            counts[touched, None] * centers[touched] + sums[touched]
-        ) / new_total[touched, None]
+        # (counts * center + sums) / new_total on the touched rows; the
+        # others keep their center
+        np.multiply(counts[:, None], centers, out=num)
+        num += sums
+        np.divide(num, new_total[:, None], out=centers, where=touched[:, None])
         counts = new_total
 
     return LandmarkSet(centers, seed=rng.seed, meta={"empty": int(np.count_nonzero(counts == 0))})

@@ -139,7 +139,6 @@ _PR_SET_PDEATHSIG = 1
 
 # set only in _ForkPool's workers, by the pool initializer, never in the caller
 _forked_fn = None
-_forked_stop = None
 
 
 def pool_workers(count: int) -> int:
@@ -204,9 +203,9 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _adopt(fn, parent: int, stop) -> None:
-    global _forked_fn, _forked_stop
-    _forked_fn, _forked_stop = fn, stop
+def _adopt(fn, parent: int) -> None:
+    global _forked_fn
+    _forked_fn = fn
     if sys.platform.startswith("linux"):
         # killed with the caller: a worker left behind would wait on the
         # task queue forever, since it holds that queue's write end itself,
@@ -218,8 +217,7 @@ def _adopt(fn, parent: int, stop) -> None:
 
 
 def _call_forked(*args):
-    # the caller has given up on the results: a queued call is dropped
-    return None if _forked_stop.is_set() else _forked_fn(*args)
+    return _forked_fn(*args)
 
 
 class _ForkPool:
@@ -233,10 +231,11 @@ class _ForkPool:
     exception of the lowest failing call in its place, as a serial loop
     would, and drops each future once its result is taken. With fewer
     than 2 workers nothing is forked, and `results()` makes each call
-    here, when its result is asked for. Leaving the block through
-    an exception drops the calls no worker has started; every worker has
-    exited once the block is left. On Linux a worker is killed when this
-    process dies.
+    here, when its result is asked for. Leaving the block normally waits
+    for every call submitted; leaving it through an exception terminates
+    the workers at once, dropping the calls in flight and those queued.
+    Either way every worker has exited once the block is left. On Linux
+    a worker is killed when this process dies.
     """
 
     def __init__(self, workers: int, fn):
@@ -247,15 +246,11 @@ class _ForkPool:
 
     def __enter__(self):
         if self._workers >= 2:
-            context = multiprocessing.get_context("fork")
-            # the executor hands a worker more calls than it has started
-            # and cannot cancel them, so the workers check this first
-            self._stop = context.Event()
             self._pool = ProcessPoolExecutor(
                 self._workers,
-                mp_context=context,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt,
-                initargs=(self._fn, os.getpid(), self._stop),
+                initargs=(self._fn, os.getpid()),
             )
             # with the fork context the executor forks every worker at its
             # first call, before it starts a thread
@@ -263,10 +258,21 @@ class _ForkPool:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self._pool is not None:
-            if exc_type is not None:
-                self._stop.set()
-            self._pool.shutdown(cancel_futures=exc_type is not None)
+        if self._pool is None:
+            return
+        if exc_type is None:
+            self._pool.shutdown()
+            return
+        # the caller has given up on the results: rather than wait for the
+        # calls in flight, stop their workers; the executor then fails
+        # every pending call and reaps its workers, and they are joined
+        # here too in case its thread did not get that far
+        workers = list(self._pool._processes.values())
+        for worker in workers:
+            worker.terminate()
+        self._pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.join()
 
     def submit(self, *args) -> None:
         if self._pool is None:
@@ -283,16 +289,18 @@ class _ForkPool:
             yield self._fn(*call) if self._pool is None else call.result()
 
 
-def _fork_map(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)] on a pool of their own, forked now.
+def _fork_map(fn, count: int):
+    """Yield fn(0), ..., fn(count - 1) from a pool of their own.
 
-    The workers inherit fn and all it holds, so each call sends only its
-    index. The kmeans restarts run here, once their points exist.
+    The pool forks when the first result is asked for, and the workers
+    inherit fn and all it holds, so each call sends only its index. Each
+    result is yielded as soon as it and those before it are in. The
+    kmeans restarts run here, once their points exist.
     """
     with _ForkPool(pool_workers(count), fn) as pool:
         for i in range(count):
             pool.submit(i)
-        return list(pool.results())
+        yield from pool.results()
 
 
 @_one_blas_thread()

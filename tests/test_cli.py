@@ -139,6 +139,26 @@ def test_train_maps_a_failed_file_write_to_a_data_error(blob_files, capsys, tmp_
     assert f"error: cannot write to {tmp_path}: " in err
 
 
+def test_train_removes_the_files_it_wrote_when_a_later_write_fails(
+    blob_files, capsys, tmp_path
+):
+    data, _ = blob_files
+    (tmp_path / "embedding_member2.rawf32").mkdir()  # the second member cannot be written
+    code, _, err = run_cli(["train", "--dataset", data, "--out", str(tmp_path), *FAST], capsys)
+    assert code == 3
+    assert f"error: cannot write to {tmp_path}: " in err
+    # only the obstacle is left: member 1's files and member 2's snapshot are gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding_member2.rawf32"]
+
+
+def test_synth_removes_the_data_it_wrote_when_the_labels_cannot_be_written(capsys, tmp_path):
+    (tmp_path / "labels.txt").mkdir()
+    code, _, err = run_cli(["synth", "blobs", "--n", "30", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert f"error: cannot write to {tmp_path}: " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt"]
+
+
 def test_train_writes_the_same_files_with_and_without_the_batch_producer(
     capsys, tmp_path, monkeypatch, one_cpu
 ):

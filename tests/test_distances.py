@@ -249,3 +249,51 @@ def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups):
     assert np.array_equal(labels, np.argmin(want, axis=1))
     assert mind.tobytes() == want[np.arange(n), labels].tobytes()
     assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
+
+
+@pytest.mark.parametrize("n, p, d", [(1, 600, 16), (1024, 1, 16), (1, 1, 16), (300, 40, 520)])
+def test_prefill_gemv_and_two_pass_shapes_match_oracle_bytes(n, p, d):
+    # n = 1 or p = 1 is a GEMV and d = 520 is past the fused width: both
+    # subtract 2 A B^T from the rank-1 prefill in a second pass
+    gen = np.random.default_rng(n + p + d)
+    C = np.maximum(gen.normal(size=(p, d)), 0.0)
+    X = np.maximum(gen.normal(size=(n, d)), 0.0)
+    X[0] = C[0]  # a point on a center
+    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+    out = distances._sq_euclidean(X, C, np.sum(X * X, axis=1), np.empty((n, p)))
+    assert out.tobytes() == raw.tobytes()
+    want = oracle_sq_dists(X, C)
+    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    assert mind.tobytes() == want[np.arange(n), labels].tobytes()
+    assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
+
+
+def test_prefill_refuses_a_buffer_it_cannot_update_in_place():
+    X, C = np.ones((4, 3)), np.ones((5, 3))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        distances._sq_euclidean(X, C, np.sum(X * X, axis=1), np.empty((5, 4)).T)
+
+
+def oracle_minkowski(A, B, q):
+    # one coordinate at a time from a zero sum, as the kernel accumulates
+    acc = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        t = np.abs(np.subtract.outer(A[:, j], B[:, j]))
+        acc += t * t * t if q == 3.0 else t**q
+    return acc ** (1.0 / q)
+
+
+@pytest.mark.parametrize("n, p, d", [(1747, 600, 16), (1, 5, 3), (40, 1, 16)])
+def test_minkowski_pairwise_bit_identical_to_per_coordinate_oracle(n, p, d):
+    # ReLU codes, as members see them, with a first point that is not all
+    # zero and, when there are several points, one point on a landmark
+    gen = np.random.default_rng(n * p + d)
+    A = np.maximum(gen.normal(size=(n, d)), 0.0)
+    B = np.maximum(gen.normal(size=(p, d)), 0.0)
+    A[0, 0] += 1.0
+    if n > 1:
+        A[-1] = B[0]
+    for q in (3.0, 1.5, 1.0, 0.5):
+        got = pairwise_distance(A, B, Metric("minkowski", q))
+        assert got.tobytes() == oracle_minkowski(A, B, q).tobytes()
+        assert n == 1 or got[-1, 0] == 0.0

@@ -641,9 +641,9 @@ def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
         return i * i, os.getpid() != parent
 
     _force_workers(monkeypatch, 2)
-    assert pipeline._fork_map(task, 5) == [(i * i, True) for i in range(5)]
+    assert list(pipeline._fork_map(task, 5)) == [(i * i, True) for i in range(5)]
     _force_workers(monkeypatch, 1)
-    assert pipeline._fork_map(task, 3) == [(i * i, False) for i in range(3)]
+    assert list(pipeline._fork_map(task, 3)) == [(i * i, False) for i in range(3)]
 
     def fail_from_two(i):
         if i >= 2:
@@ -652,7 +652,20 @@ def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
 
     _force_workers(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^task 2$"):
-        pipeline._fork_map(fail_from_two, 5)
+        list(pipeline._fork_map(fail_from_two, 5))
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_the_pool_block_stops_the_running_calls():
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with pipeline._ForkPool(2, lambda i: time.sleep(30)) as pool:
+            for i in range(4):
+                pool.submit(i)
+            time.sleep(0.2)  # both workers are inside a call
+            raise RuntimeError("caller failed")
+    # the two running calls were not waited for
+    assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
 
 
