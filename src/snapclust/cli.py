@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -28,8 +27,9 @@ from .datasets import (
     make_moons,
     save_labels,
     save_rawf32,
+    writing_to,
 )
-from .errors import ConfigError, DataError, SnapclustError
+from .errors import ConfigError, SnapclustError
 from .evaluation import score
 from .pipeline import (
     BASELINES,
@@ -93,38 +93,22 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-@contextlib.contextmanager
-def _writing_to(out_dir, written=()):
-    """An OSError from creating or filling `out_dir` is a DataError (exit 3).
-
-    The files listed in `written` by then are removed first, so a failed
-    write leaves none of them behind.
-    """
-    try:
-        yield
-    except OSError as exc:
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise DataError(f"cannot write to {out_dir}: {exc}") from None
-
-
 def _cmd_train(args) -> int:
     config = _merge_config(args).validate()
     X = _require_dataset(config)
-    with _writing_to(args.out):
+    with writing_to(args.out):
         os.makedirs(args.out, exist_ok=True)
     snapshots, embeddings = train_ensemble(X, config)
     paths = []
     written: list = []
-    with _writing_to(args.out, written):
+    with writing_to(args.out, written):
         for i, (snap, emb) in enumerate(zip(snapshots, embeddings.members)):
             weight_path = os.path.join(args.out, f"snapshot_cycle{i + 1}.npz")
-            save_snapshot(weight_path, snap, embeddings.provenance)
             written.append(weight_path)
+            save_snapshot(weight_path, snap, embeddings.provenance)
             emb_path = os.path.join(args.out, f"embedding_member{i + 1}.rawf32")
-            save_rawf32(emb_path, emb)
             written.append(emb_path)
+            save_rawf32(emb_path, emb)
             paths.append({"snapshot": weight_path, "embedding": emb_path, "loss": snap.train_loss})
     _print_json(
         {
@@ -196,16 +180,18 @@ def _cmd_synth(args) -> int:
     else:
         X, labels = make_moons(args.n, args.noise_sigma, args.seed)
     written: list = []
-    with _writing_to(args.out, written):
+    with writing_to(args.out, written):
         os.makedirs(args.out, exist_ok=True)
         if args.data_format == "csv":
             data_path = os.path.join(args.out, "data.csv")
+            written.append(data_path)
             np.savetxt(data_path, X, delimiter=",", fmt="%.17g")
         else:
             data_path = os.path.join(args.out, "data.rawf32")
+            written.append(data_path)
             save_rawf32(data_path, X)
-        written.append(data_path)
         labels_path = os.path.join(args.out, "labels.txt")
+        written.append(labels_path)
         save_labels(labels_path, labels)
     _print_json(
         {

@@ -11,6 +11,8 @@ downloads.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -32,6 +34,24 @@ def _read_bytes(path) -> bytes:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def writing_to(out_dir, written=(), what: str = ""):
+    """An OSError from creating or filling `out_dir` is a DataError (exit 3).
+
+    Each path listed in `written` by then is removed first, so a caller
+    that lists every file just before it writes it leaves none of them
+    behind, not even one cut short. `what` names the files in the message.
+    """
+    try:
+        yield
+    except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        target = f"{what} to {out_dir}" if what else f"to {out_dir}"
+        raise DataError(f"cannot write {target}: {exc}") from None
 
 
 def load_idx_images(path) -> np.ndarray:

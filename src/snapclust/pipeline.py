@@ -78,7 +78,7 @@ from .affinity import AffinityParams, build_affinity
 from .autoencoder import AutoencoderSpec
 from .config import PipelineConfig, save_config
 from .consensus import fuse, left_singular_vectors
-from .datasets import check_matrix, load_dataset, save_labels
+from .datasets import check_matrix, load_dataset, save_labels, writing_to
 from .distances import parse_metric
 from .errors import ConfigError, DataError, SnapclustError
 from .evaluation import METRIC_KEYS, aggregate, score
@@ -137,8 +137,14 @@ def _stage(timings: dict, name: str, peaks: dict | None = None):
 # <linux/prctl.h>: deliver a signal to this process when its parent dies
 _PR_SET_PDEATHSIG = 1
 
-# set only in _ForkPool's workers, by the pool initializer, never in the caller
+# set only in _ForkPool's workers, never in the caller: the pool's function,
+# whether the caller has given up on its calls, and whether one is running
 _forked_fn = None
+_forked_stopped = False
+_forked_busy = False
+
+# sent to each worker when the caller gives up on the pool's calls
+_STOP_SIGNAL = signal.SIGUSR1
 
 
 def pool_workers(count: int) -> int:
@@ -203,9 +209,29 @@ def _one_blas_thread():
             set_threads(count)
 
 
+class _CallStopped(BaseException):
+    """Raised in a worker's running call once the caller has given up on it.
+
+    Not an Exception, so that no `except Exception` in the call catches it.
+    """
+
+
+def _stop_forked(signum, frame) -> None:
+    global _forked_stopped
+    _forked_stopped = True
+    # only inside a call: a worker stopped while it sends a result or reads
+    # the next call would leave a message half written in the pool's pipes
+    if _forked_busy:
+        raise _CallStopped
+
+
 def _adopt(fn, parent: int) -> None:
     global _forked_fn
     _forked_fn = fn
+    # the worker forked with the signal blocked, so one sent before now
+    # arrives here
+    signal.signal(_STOP_SIGNAL, _stop_forked)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {_STOP_SIGNAL})
     if sys.platform.startswith("linux"):
         # killed with the caller: a worker left behind would wait on the
         # task queue forever, since it holds that queue's write end itself,
@@ -217,7 +243,13 @@ def _adopt(fn, parent: int) -> None:
 
 
 def _call_forked(*args):
-    return _forked_fn(*args)
+    global _forked_busy
+    _forked_busy = True
+    try:
+        # a call queued before the caller gave up is dropped
+        return None if _forked_stopped else _forked_fn(*args)
+    finally:
+        _forked_busy = False
 
 
 class _ForkPool:
@@ -232,10 +264,15 @@ class _ForkPool:
     would, and drops each future once its result is taken. With fewer
     than 2 workers nothing is forked, and `results()` makes each call
     here, when its result is asked for. Leaving the block normally waits
-    for every call submitted; leaving it through an exception terminates
-    the workers at once, dropping the calls in flight and those queued.
-    Either way every worker has exited once the block is left. On Linux
-    a worker is killed when this process dies.
+    for every call submitted. Leaving it through an exception signals
+    each worker to stop: its running call raises at the next Python
+    bytecode, and the calls still queued return None unrun, so no call is
+    waited for beyond the C function it is in. A worker is never killed
+    while it sends or reads, which would leave a message half written in
+    the pipes and the executor's threads waiting on it for ever. Either
+    way every worker has exited and the executor's threads have ended
+    once the block is left. On Linux a worker is killed when this process
+    dies.
     """
 
     def __init__(self, workers: int, fn):
@@ -246,6 +283,7 @@ class _ForkPool:
 
     def __enter__(self):
         if self._workers >= 2:
+            before = set(multiprocessing.active_children())
             self._pool = ProcessPoolExecutor(
                 self._workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -253,26 +291,26 @@ class _ForkPool:
                 initargs=(self._fn, os.getpid()),
             )
             # with the fork context the executor forks every worker at its
-            # first call, before it starts a thread
-            self._pool.submit(os.getpid)
+            # first call, before it starts a thread; until a worker has set
+            # its handler, the stop signal stays pending
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {_STOP_SIGNAL})
+            try:
+                self._pool.submit(os.getpid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            self._forked = [p for p in multiprocessing.active_children() if p not in before]
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self._pool is None:
             return
-        if exc_type is None:
-            self._pool.shutdown()
-            return
-        # the caller has given up on the results: rather than wait for the
-        # calls in flight, stop their workers; the executor then fails
-        # every pending call and reaps its workers, and they are joined
-        # here too in case its thread did not get that far
-        workers = list(self._pool._processes.values())
-        for worker in workers:
-            worker.terminate()
-        self._pool.shutdown(cancel_futures=True)
-        for worker in workers:
-            worker.join()
+        if exc_type is not None:
+            # the caller has given up on the results
+            for worker in self._forked:
+                if worker.exitcode is None:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(worker.pid, _STOP_SIGNAL)
+        self._pool.shutdown(cancel_futures=exc_type is not None)
 
     def submit(self, *args) -> None:
         if self._pool is None:
@@ -475,31 +513,26 @@ def _write_artifacts(
 ) -> dict:
     written = []
     paths = {"labels": []}
-    try:
+    # never leave a half-written artifact directory behind
+    with writing_to(out_dir, written, "artifacts"):
         os.makedirs(out_dir, exist_ok=True)
         for i, part in enumerate(partitions):
             path = os.path.join(out_dir, f"labels_rep{i}.txt")
-            save_labels(path, part.labels)
             written.append(path)
+            save_labels(path, part.labels)
             paths["labels"].append(path)
         paths["report"] = os.path.join(out_dir, "report.json")
+        written.append(paths["report"])
         with open(paths["report"], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        written.append(paths["report"])
         paths["config"] = os.path.join(out_dir, "config.txt")
-        save_config(paths["config"], config)
         written.append(paths["config"])
+        save_config(paths["config"], config)
         run_doc = dict(run_doc, artifacts={k: v for k, v in paths.items()})
         paths["run"] = os.path.join(out_dir, "run.json")
+        written.append(paths["run"])
         with open(paths["run"], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(run_doc, sort_keys=True, indent=2) + "\n")
-        written.append(paths["run"])
-    except OSError as exc:
-        # never leave a half-written artifact directory behind
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise DataError(f"cannot write artifacts to {out_dir}: {exc}") from None
     return paths
 
 

@@ -151,6 +151,26 @@ def test_train_removes_the_files_it_wrote_when_a_later_write_fails(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding_member2.rawf32"]
 
 
+def test_train_removes_a_file_cut_short_by_a_failed_write(
+    blob_files, capsys, tmp_path, monkeypatch
+):
+    data, _ = blob_files
+    save_rawf32 = cli.save_rawf32
+
+    def cut_short(path, X):
+        if path.endswith("embedding_member2.rawf32"):
+            with open(path, "wb") as fh:
+                fh.write(b"SSCD")
+            raise OSError(28, "No space left on device")
+        save_rawf32(path, X)
+
+    monkeypatch.setattr(cli, "save_rawf32", cut_short)
+    code, _, err = run_cli(["train", "--dataset", data, "--out", str(tmp_path), *FAST], capsys)
+    assert code == 3
+    assert f"error: cannot write to {tmp_path}: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_removes_the_data_it_wrote_when_the_labels_cannot_be_written(capsys, tmp_path):
     (tmp_path / "labels.txt").mkdir()
     code, _, err = run_cli(["synth", "blobs", "--n", "30", "--out", str(tmp_path)], capsys)

@@ -669,6 +669,57 @@ def test_an_exception_in_the_pool_block_stops_the_running_calls():
     assert multiprocessing.active_children() == []
 
 
+LARGE_DATA_POOL = r"""
+import multiprocessing, threading, time
+import numpy as np
+from snapclust import pipeline
+
+# 4 MiB each way, far more than a pipe holds
+payload = np.ones(1 << 19)
+
+def work(i, data):
+    if i >= 2 and sleeping:
+        time.sleep(30)
+    return data + i
+
+threads = set(threading.enumerate())
+for trial in range(12):
+    # in the first trials both workers send results back while the caller
+    # takes them; in the last, calls 2 and 3 keep both workers busy and the
+    # executor is still writing the arguments of the calls queued behind
+    sleeping = trial >= 10
+    start = time.monotonic()
+    try:
+        with pipeline._ForkPool(2, work) as pool:
+            for i in range(40):
+                pool.submit(i, payload)
+            if sleeping:
+                time.sleep(0.5)
+                raise RuntimeError("caller failed")
+            for result in pool.results():
+                if time.monotonic() - start > 0.1 + 0.02 * trial:
+                    raise RuntimeError("caller failed")
+    except RuntimeError:
+        pass
+    assert time.monotonic() - start < 5, f"trial {trial} waited"
+    assert multiprocessing.active_children() == [], f"trial {trial} left a worker"
+    assert set(threading.enumerate()) == threads, f"trial {trial} left a thread"
+print("stopped", trial + 1)
+"""
+
+
+def test_an_exception_in_the_pool_block_stops_calls_that_move_large_data():
+    # in a process of its own, so that a pool which hangs fails the test
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", LARGE_DATA_POOL], capture_output=True, timeout=60
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("leaving the pool block through an exception hung")
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == b"stopped 12\n"
+
+
 def test_pool_results_stream_and_an_abandoned_consumer_leaves_no_worker():
     taken = []
     with pytest.raises(RuntimeError, match="consumer stopped"):
