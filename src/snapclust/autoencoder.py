@@ -3,11 +3,13 @@
 The network is a symmetric stack of dense layers, rectifier (or identity)
 activation on hidden layers and an identity output layer. Training noise
 is additive Gaussian on the input only; encoding always runs noise-free.
-The arithmetic is float64 numpy; the input to `encode` may be float32,
-and is widened one row block at a time. `backward` can run in buffers its
-caller keeps (a `Workspace`) and `encode` runs in row blocks, so neither
-needs memory that grows with the number of rows beyond its input and
-output.
+`init_params` makes float32 weights, and training runs in float32.
+`forward`, `backward` and `sgd_step` run in the dtype of the arrays they
+are given, and `encode` in the dtype of the snapshot's weights: an input
+of another dtype is cast one row block at a time. `backward` can run in
+buffers its caller keeps (a `Workspace`) and `encode` runs in row blocks,
+so neither needs memory that grows with the number of rows beyond its
+input and output.
 """
 
 from __future__ import annotations
@@ -103,9 +105,15 @@ class EncoderSnapshot:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise DataError(f"snapshot activation {self.activation!r} is not one of {ACTIVATIONS}")
+        dtype = self.weights[0][0].dtype if self.weights else None
         for i, (W, b) in enumerate(self.weights):
             if W.ndim != 2 or b.ndim != 1 or b.shape[0] != W.shape[1]:
                 raise DataError(f"snapshot layer {i}: inconsistent shapes {W.shape} / {b.shape}")
+            if W.dtype not in (np.float32, np.float64) or {W.dtype, b.dtype} != {dtype}:
+                raise DataError(
+                    f"snapshot layer {i}: weights must be all float32 or all float64, "
+                    f"got {W.dtype} / {b.dtype}"
+                )
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise DataError(f"snapshot layer {i}: non-finite weights")
             if i and self.weights[i - 1][0].shape[1] != W.shape[0]:
@@ -142,15 +150,15 @@ class EmbeddingSet:
 
 
 def init_params(spec: AutoencoderSpec) -> Params:
-    """Glorot-uniform initialization, one substream per layer."""
+    """Glorot-uniform float32 weights, drawn in float64 from one substream per layer."""
     root = SeedStream(spec.init_seed)
     params = []
     for i in range(len(spec.layer_widths) - 1):
         fan_in, fan_out = spec.layer_widths[i], spec.layer_widths[i + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         gen = root.child(STAGE_INIT, i).generator()
-        W = gen.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = np.zeros(fan_out, dtype=np.float64)
+        W = gen.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
+        b = np.zeros(fan_out, dtype=np.float32)
         params.append((W, b))
     return params
 
@@ -161,8 +169,8 @@ class Workspace:
 
     Per layer i, rows x (output width of layer i): its activation, its
     error signal and, for hidden layers, its relu mask; plus the output's
-    squared errors and one gradient per parameter. A batch of fewer rows
-    uses the leading rows of each buffer.
+    squared errors and one gradient per parameter, in the parameters'
+    dtype. A batch of fewer rows uses the leading rows of each buffer.
     """
 
     acts: list[np.ndarray]
@@ -174,11 +182,12 @@ class Workspace:
     @staticmethod
     def allocate(params: Params, rows: int) -> "Workspace":
         widths = [W.shape[1] for W, _ in params]
+        dtype = params[0][0].dtype
         return Workspace(
-            acts=[np.empty((rows, w)) for w in widths],
-            deltas=[np.empty((rows, w)) for w in widths],
+            acts=[np.empty((rows, w), dtype) for w in widths],
+            deltas=[np.empty((rows, w), dtype) for w in widths],
             masks=[np.empty((rows, w), dtype=bool) for w in widths[:-1]],
-            squares=np.empty((rows, widths[-1])),
+            squares=np.empty((rows, widths[-1]), dtype),
             grads=[(np.empty_like(W), np.empty_like(b)) for W, b in params],
         )
 
@@ -287,19 +296,21 @@ def sgd_step(
 def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     """Deterministic noise-free forward pass through the encoder half.
 
+    Every layer runs in the dtype of the snapshot's weights, and the codes
+    are returned as a float64 n x code matrix. An X of another dtype is
+    cast to the weights' dtype one row block at a time before the block's
+    first GEMM, so a float64 X under float32 weights encodes bit for bit
+    as X.astype(np.float32) does, with no whole float32 copy of X.
     Runs in row blocks of _CHUNK_ENTRIES // (widest layer) rows, the last
     block taking the remainder, and writes each block's codes into the
-    n x code output. Beyond X and that output it holds one block's
-    activations per layer, and its float64 input when X is not float64,
-    O(block * width). A block's GEMMs are the whole-matrix ones restricted
-    to its rows, and OpenBLAS rounds them alike when it takes the same
-    kernel for both, as for 784 -> 256 -> 32.
+    output. Beyond X and that output it holds one block's activations per
+    layer, and its cast input, O(block * width). A block's GEMMs are the
+    whole-matrix ones restricted to its rows, and OpenBLAS rounds them
+    alike when it takes the same kernel for both, as for 784 -> 256 -> 32.
     Where a block's product is small, as for a narrow code layer after a
     wide one (64 -> 512 -> 16), it can take its small-matrix kernel and
     round some codes differently in the last bits; the codes are still a
-    fixed function of X and the weights. An X of another dtype, float32
-    say, is widened to float64 one block at a time before the block's
-    first GEMM, so its codes are those of X.astype(np.float64).
+    fixed function of X and the weights.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != snapshot.input_size:
@@ -308,6 +319,7 @@ def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
             f"width {snapshot.input_size}"
         )
     n = X.shape[0]
+    dtype = snapshot.weights[0][0].dtype
     widths = [W.shape[1] for W, _ in snapshot.weights]
     block = max(1, _CHUNK_ENTRIES // max(widths))
     # no block is shorter than `block` rows unless X is: BLAS takes other
@@ -316,16 +328,17 @@ def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     starts = [0, *stops[:-1]]
     # the last block is the longest
     rows = n - starts[-1]
-    hidden = [np.empty((rows, w)) for w in widths[:-1]]
-    wide = None if X.dtype == np.float64 else np.empty((rows, X.shape[1]))
+    layers = [np.empty((rows, w), dtype) for w in widths]
+    cast = None if X.dtype == dtype else np.empty((rows, X.shape[1]), dtype)
     out = np.empty((n, widths[-1]))
     for start, stop in zip(starts, stops):
         a = X[start:stop]
-        if wide is not None:
-            a = wide[: stop - start]
+        if cast is not None:
+            a = cast[: stop - start]
             a[...] = X[start:stop]
-        for (W, b), buf in zip(snapshot.weights, [*hidden, out[start:]]):
+        for (W, b), buf in zip(snapshot.weights, layers):
             a = np.matmul(a, W, out=buf[: stop - start])
             a += b
             _activate(a, snapshot.activation)
+        out[start:stop] = a
     return out

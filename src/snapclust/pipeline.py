@@ -37,12 +37,14 @@ Serially each member is built when `fuse` asks for it, once training
 has ended, so this process holds one embedding and member at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
 per worker. X is held in the dtype it arrives in when that is float32 or
-float64 (a rawf32 file stays float32) and is widened to float64 only a
-batch or a row block at a time, by training and `encode`; the untrained
-spectral baseline widens it once, and k-means on the raw data widens its
-own copy. Training and `encode` run in fixed-size buffers, so beyond X
-and the n x code embedding the trained path holds O(block * width +
-parameters). The "train" stage seconds are the training loop's wall time,
+float64 (a rawf32 file stays float32). Training and `encode` run in
+float32, so they narrow a float64 X a batch or a row block at a time and
+a trained model runs on it as on its float32 narrowing; the codes are
+handed on as float64. The untrained spectral baseline widens X to
+float64 once, and k-means on the raw data widens its own copy. Training
+and `encode` run in fixed-size buffers, so beyond X and the n x code
+embedding the trained path holds O(block * width + parameters). The
+"train" stage seconds are the training loop's wall time,
 during which the member workers share the CPUs with it. The "landmarks"
 and "affinity" stage seconds sum the members' own seconds, so with
 several workers they can exceed `members_wall_s`, the time from just
@@ -422,6 +424,8 @@ def _single_run(
             "landmarks_s": seconds["landmarks"],
             "affinity_s": seconds["affinity"],
             "empty_landmarks": lm.meta["empty"],
+            "bandwidth": affinity.bandwidth,
+            "zero_code_share": (Y.size - np.count_nonzero(Y)) / Y.size,
             "worker_peak_rss_mib": _peak_rss_mib(),
         }
 

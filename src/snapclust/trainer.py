@@ -5,15 +5,18 @@ each annealing cycle, plus the noise-free embedding of the data under
 each snapshot. The learning rate restarts to its maximum at every cycle
 start and decays along a half cosine within the cycle. A capture hook
 receives each snapshot as soon as its cycle ends, so a caller can embed
-and cluster it while training goes on.
+and cluster it while training goes on. Training runs in float32: the
+weights, the momentum, the batches and their noise, whatever the dtype
+of the data.
 
 The batches, their order and their input noise come from the seed tree
 alone, so on a machine with a CPU to spare a thread draws each batch
 while the one before trains (`_drawn_ahead`). The thread lives only as
 long as one `train_snapshots` call.
 
-Snapshots are saved as numpy .npz files, which `load_snapshot` and
-`np.load(path, allow_pickle=False)` read without unpickling anything.
+Snapshots are saved as numpy .npz files in the weights' dtype, which
+`load_snapshot` and `np.load(path, allow_pickle=False)` read without
+unpickling anything.
 """
 
 from __future__ import annotations
@@ -125,11 +128,12 @@ def train_snapshots(
     The run keeps one set of buffers throughout: one batch slot (two when
     drawn ahead) holding a batch and its noisy copy, a `backward`
     workspace, and the weights and momentum, which are updated in place.
-    A float32 X stays float32: each batch is gathered and widened into a
-    float64 slot, so the arithmetic is the float64 one of
-    X.astype(np.float64). The data is embedded in row blocks (`encode`),
-    so beyond X and the n x code embeddings training holds O(batch *
-    width + parameters).
+    All of them are float32, and so is the arithmetic. A float32 X is
+    gathered straight into its slot; a float64 X is gathered and narrowed
+    into it one batch at a time, so it trains bit for bit as
+    X.astype(np.float32) does, with no whole float32 copy. The data is
+    embedded in row blocks (`encode`), so beyond X and the n x code
+    embeddings training holds O(batch * width + parameters).
 
     Parameters
     ----------
@@ -156,7 +160,8 @@ def train_snapshots(
     Returns
     -------
     (snapshots, embeddings) : exactly M snapshots in cycle order, and the
-        noise-free embedding of X under each snapshot. `embeddings.history`
+        noise-free float64 embedding of X under each snapshot, computed in
+        float32 (`encode`). `embeddings.history`
         holds each epoch's learning rate and mean minibatch loss, and
         `embeddings.feed` where the batches were drawn.
     """
@@ -218,17 +223,17 @@ def train_snapshots(
 
 
 def _slots(count: int, batch_size: int, d: int, sigma: float) -> list:
-    """`count` batch slots: (clean, noisy) pairs of batch_size x d float64 buffers.
+    """`count` batch slots: (clean, noisy) pairs of batch_size x d float32 buffers.
 
     With sigma == 0 the noisy buffer is the clean one, since no noise is
     added.
     """
     shape = (count, 2 if sigma > 0 else 1, batch_size, d)
-    return [(slot[0], slot[-1]) for slot in np.empty(shape)]
+    return [(slot[0], slot[-1]) for slot in np.empty(shape, np.float32)]
 
 
 def _batches(X, batch_size: int, epochs: int, rng: SeedStream, sigma: float, slots: list):
-    """Every training step's (clean, noisy) float64 batch, in draw order.
+    """Every training step's (clean, noisy) float32 batch, in draw order.
 
     Epoch t permutes the rows with the stream rng.child(STAGE_EPOCH, t)
     .child(STAGE_BATCH) and draws the input noise from its STAGE_NOISE
@@ -238,8 +243,8 @@ def _batches(X, batch_size: int, epochs: int, rng: SeedStream, sigma: float, slo
     noisy is clean.
     """
     n = X.shape[0]
-    # np.take cannot cast into `out`: a float32 X is gathered here, then widened
-    gather = None if X.dtype == np.float64 else np.empty((batch_size, X.shape[1]), X.dtype)
+    # np.take cannot cast into `out`: a float64 X is gathered here, then narrowed
+    gather = None if X.dtype == np.float32 else np.empty((batch_size, X.shape[1]), X.dtype)
     step = 0
     for t in range(1, epochs + 1):
         epoch_stream = rng.child(STAGE_EPOCH, t)
@@ -258,7 +263,7 @@ def _batches(X, batch_size: int, epochs: int, rng: SeedStream, sigma: float, slo
                 clean[...] = np.take(X, idx, axis=0, out=gather[: len(idx)], mode="clip")
             noisy = clean
             if sigma > 0:
-                noisy = noise_gen.standard_normal(out=noisy_buf[: len(idx)])
+                noisy = noise_gen.standard_normal(out=noisy_buf[: len(idx)], dtype=np.float32)
                 noisy *= sigma
                 noisy += clean
             yield clean, noisy
@@ -322,13 +327,18 @@ def save_snapshot(path, snapshot: EncoderSnapshot, provenance: dict | None = Non
 
 
 def load_snapshot(path) -> tuple[EncoderSnapshot, dict]:
-    """Read a file written by `save_snapshot`; nothing in it is unpickled."""
+    """Read a file written by `save_snapshot`; nothing in it is unpickled.
+
+    The weights keep the dtype they were stored in, float32 for a
+    snapshot `train_snapshots` captured, so a reloaded snapshot encodes
+    bit for bit as the one captured in the run.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(npz["meta"][()])
             # meta and a W, b pair per layer: a missing or extra array leaves a key absent
             pairs = [(f"W{i}", f"b{i}") for i in range(len(npz.files) // 2)]
-            layers = [(npz[w].astype(np.float64), npz[b].astype(np.float64)) for w, b in pairs]
+            layers = [(npz[w], npz[b]) for w, b in pairs]
         fields = int(meta["cycle_index"]), float(meta["train_loss"]), str(meta["activation"])
         return EncoderSnapshot(layers, *fields), meta.get("provenance", {})
     except OSError as exc:

@@ -111,9 +111,12 @@ def whole_matrix_encode(X, snapshot):
     return a
 
 
-def random_snapshot(gen, widths, activation):
+def random_snapshot(gen, widths, activation, dtype=np.float64):
     weights = [
-        (gen.normal(size=(a, b)) / np.sqrt(a), gen.normal(size=b) * 0.1)
+        (
+            (gen.normal(size=(a, b)) / np.sqrt(a)).astype(dtype),
+            (gen.normal(size=b) * 0.1).astype(dtype),
+        )
         for a, b in zip(widths, widths[1:])
     ]
     return EncoderSnapshot(weights, cycle_index=1, train_loss=0.0, activation=activation)
@@ -146,12 +149,17 @@ def test_encode_in_row_blocks_agrees_to_rounding_where_blas_rounds_blocks_apart(
 
 
 @pytest.mark.parametrize("widths", [[784, 256, 32], [64, 512, 16]])
-def test_encode_of_float32_equals_encode_of_its_float64_widening(widths):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_of_x_equals_encode_of_x_cast_to_the_weights_dtype(widths, dtype):
+    # float32 weights narrow a float64 X; float64 weights widen a float32 X
     gen = np.random.default_rng(9)
-    snapshot = random_snapshot(gen, widths, "relu")
+    snapshot = random_snapshot(gen, widths, "relu", dtype)
     block = autoencoder._CHUNK_ENTRIES // max(widths[1:])
-    X32 = gen.normal(size=(3 * block + 7, widths[0])).astype(np.float32)
-    assert np.array_equal(encode(X32, snapshot), encode(X32.astype(np.float64), snapshot))
+    other = np.float64 if dtype == np.float32 else np.float32
+    X = gen.normal(size=(3 * block + 7, widths[0])).astype(other)
+    codes = encode(X, snapshot)
+    assert codes.dtype == np.float64
+    assert np.array_equal(codes, encode(X.astype(dtype), snapshot))
 
 
 def test_encode_memory_is_bounded_by_the_block():
@@ -192,7 +200,10 @@ def test_sgd_step_in_place_equals_the_pure_step():
     velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
     arrays = [a for pair in inplace + velocity for a in pair]
     for lr in (0.1, 0.05, 0.01):
-        grads = [(gen.normal(size=W.shape), gen.normal(size=b.shape)) for W, b in params]
+        grads = [
+            (gen.normal(size=W.shape).astype(W.dtype), gen.normal(size=b.shape).astype(b.dtype))
+            for W, b in params
+        ]
         pure, pure_velocity = sgd_step(pure, grads, lr, 0.9, pure_velocity)
         inplace, velocity = sgd_step(inplace, grads, lr, 0.9, velocity, in_place=True)
         for state, ref in ((inplace, pure), (velocity, pure_velocity)):
@@ -209,6 +220,22 @@ def test_snapshot_validation():
         EncoderSnapshot(
             [(np.full((4, 2), np.nan), np.zeros(2))], cycle_index=1, train_loss=0.0
         )
+
+
+@pytest.mark.parametrize(
+    "layers, bad",
+    [
+        ([(np.zeros((4, 2), np.float32), np.zeros(2))], 0),
+        ([(np.zeros((4, 2), np.int64), np.zeros(2, np.int64))], 0),
+        ([(np.zeros((4, 2), np.float16), np.zeros(2, np.float16))], 0),
+        # a float32 layer after a float64 one
+        ([(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 2), np.float32), np.zeros(2, np.float32))], 1),
+    ],
+)
+def test_snapshot_rejects_mixed_or_non_float_weights(layers, bad):
+    error = f"^snapshot layer {bad}: weights must be all float32 or all float64"
+    with pytest.raises(DataError, match=error):
+        EncoderSnapshot(layers, cycle_index=1, train_loss=0.0)
 
 
 def test_snapshot_rejects_an_unknown_activation():

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from snapclust import cli, distances, pipeline, trainer
+from snapclust.affinity import scott_bandwidth
 from snapclust.autoencoder import backward
 from snapclust.config import PipelineConfig, load_config
 from snapclust.datasets import make_blobs, save_rawf32
@@ -280,7 +281,10 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     assert run_doc["footprint"]["member_affinity_nbytes"] > 0
     assert 0 < run_doc["peak_rss_mib"] < 2**20
     assert 0 <= run_doc["peak_rss_children_mib"] < 2**20
-    for key in (b"members_wall_s", b"workers", b"peak_rss_children", b"worker_peak_rss"):
+    for key in (
+        b"members_wall_s", b"workers", b"peak_rss_children", b"worker_peak_rss", b"bandwidth",
+        b"zero_code_share",
+    ):
         assert key not in report, key
     for repeat in run_doc["diagnostics"]:
         assert 1 <= repeat["workers"] <= cfg.m
@@ -293,12 +297,32 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
         for member in members:
             assert set(member) == {
                 "metric", "encode_s", "landmarks_s", "affinity_s", "empty_landmarks",
-                "worker_peak_rss_mib",
+                "bandwidth", "zero_code_share", "worker_peak_rss_mib",
             }
             assert member["encode_s"] > 0
             assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
             assert 0 <= member["empty_landmarks"] < cfg.landmarks
             assert 0 < member["worker_peak_rss_mib"] < 2**20
+
+
+@pytest.mark.parametrize("model", ["ssc", "lsc"])
+def test_member_bandwidth_and_zero_code_share_equal_a_direct_recomputation(tmp_path, model):
+    X, y = small_data()
+    cfg = small_config(m=3, activation="relu", repeats=1)
+    run_model(model, cfg, X, y, out_dir=tmp_path)
+    members = json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["members"]
+    if model == "lsc":
+        # the untrained member's points are the data itself
+        embeddings = [X]
+    else:
+        snapshots, _ = train_ensemble(X, cfg)
+        embeddings = [trainer.embed_snapshot(X, snapshot) for snapshot in snapshots]
+    for member, Y in zip(members, embeddings, strict=True):
+        assert member["zero_code_share"] == np.mean(Y == 0.0)
+        assert member["bandwidth"] == scott_bandwidth(Y)
+    if model == "ssc":
+        # the relu code layer rectifies some entries to exactly zero
+        assert all(0 < member["zero_code_share"] < 1 for member in members)
 
 
 def test_final_kmeans_restarts_only_in_run_json(tmp_path):

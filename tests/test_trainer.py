@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from snapclust import trainer
-from snapclust.autoencoder import AutoencoderSpec, backward, encode, init_params, sgd_step
+from snapclust.autoencoder import (
+    AutoencoderSpec,
+    EncoderSnapshot,
+    backward,
+    encode,
+    init_params,
+    sgd_step,
+)
 from snapclust.distances import _CHUNK_ENTRIES
 from snapclust.errors import ConfigError, DataError, NumericalError, SnapclustError
 from snapclust.rng import STAGE_BATCH, STAGE_EPOCH, STAGE_NOISE, STAGE_TRAIN, SeedStream
@@ -232,8 +239,9 @@ def test_divergence_reports_epoch_and_lr():
 
 
 def reference_training(X, spec, schedule, batch_size, rng, momentum):
-    """The training loop written with the pure `backward` and `sgd_step`:
-    (encoder weights at each capture, per-epoch history)."""
+    """The training loop written with the pure `backward` and `sgd_step` on
+    float32 batches and noise: (encoder weights at each capture, per-epoch
+    history)."""
     params, velocity = init_params(spec), None
     captures, history = [], []
     n = X.shape[0]
@@ -245,10 +253,11 @@ def reference_training(X, spec, schedule, batch_size, rng, momentum):
         lr = cosine_lr(t, schedule)
         loss_sum = 0.0
         for b in range(n_batches):
-            clean = X[order[b * batch_size : (b + 1) * batch_size]]
+            clean = X[order[b * batch_size : (b + 1) * batch_size]].astype(np.float32)
             noisy = clean
             if spec.input_noise_sigma > 0:
-                noisy = clean + spec.input_noise_sigma * noise_gen.standard_normal(clean.shape)
+                noise = noise_gen.standard_normal(clean.shape, dtype=np.float32)
+                noisy = clean + spec.input_noise_sigma * noise
             loss, grads = backward(noisy, clean, params, spec.activation)
             loss_sum += loss
             params, velocity = sgd_step(params, grads, lr, momentum, velocity)
@@ -286,27 +295,27 @@ def test_non_finite_gradient_raises_from_training(monkeypatch):
         train_snapshots(X, spec, SnapshotSchedule(0.01, 2, 1), batch_size=8, rng=SeedStream(0))
 
 
-def test_float32_training_equals_training_on_its_float64_widening():
-    X32 = tiny_data(29, 6, seed=5).astype(np.float32)
-    X32.setflags(write=False)
+def test_float64_training_equals_training_on_its_float32_narrowing():
+    X64 = tiny_data(29, 6, seed=5)
+    X64.setflags(write=False)
     spec = AutoencoderSpec.from_encoder_widths([6, 5, 2], input_noise_sigma=0.1, init_seed=2)
     runs = [
         train_snapshots(X, spec, SnapshotSchedule(0.05, 4, 2), batch_size=8, rng=SeedStream(7))
-        for X in (X32, X32.astype(np.float64))
+        for X in (X64, X64.astype(np.float32))
     ]
     (snaps, emb), (snaps_ref, emb_ref) = runs
     assert emb.history == emb_ref.history
     for snap, ref in zip(snaps, snaps_ref):
         for (W, b), (W_ref, b_ref) in zip(snap.weights, ref.weights):
+            assert W.dtype == b.dtype == np.float32
             assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
     for Y, Y_ref in zip(emb.members, emb_ref.members):
         assert Y.dtype == np.float64 and np.array_equal(Y, Y_ref)
 
 
-def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
-    n = 20_000
-    X = np.random.default_rng(8).normal(size=(n, 64)).astype(np.float32)
-    spec = AutoencoderSpec.from_encoder_widths([64, 16], input_noise_sigma=0.1)
+def train_and_embed_peak_bytes(X):
+    """Peak traced bytes of one epoch of training on X and embedding X."""
+    spec = AutoencoderSpec.from_encoder_widths([X.shape[1], 16], input_noise_sigma=0.1)
     captured = []
     tracemalloc.start()
     try:
@@ -322,9 +331,20 @@ def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert codes.shape == (n, 16)
+    assert codes.shape == (X.shape[0], 16)
+    return peak
+
+
+def test_float32_training_and_embedding_hold_no_float64_copy_of_the_data():
+    X = np.random.default_rng(8).normal(size=(20_000, 64)).astype(np.float32)
     # a float64 copy of X alone would take 2 * X.nbytes
-    assert peak < X.nbytes
+    assert train_and_embed_peak_bytes(X) < X.nbytes
+
+
+def test_float64_training_and_embedding_hold_no_float32_copy_of_the_data():
+    X = np.random.default_rng(8).normal(size=(20_000, 64))
+    # a float32 copy of X alone would take X.nbytes / 2
+    assert train_and_embed_peak_bytes(X) < X.nbytes / 2
 
 
 # 150 rows in batches of 64: the last batch of each epoch is short. A
@@ -453,8 +473,32 @@ def test_snapshot_file_round_trip(tmp_path):
     assert loaded.train_loss == snap.train_loss
     assert len(loaded.weights) == len(snap.weights)
     for (W1, b1), (W2, b2) in zip(loaded.weights, snap.weights):
-        assert W1.dtype == b1.dtype == np.float64
+        assert W1.dtype == b1.dtype == np.float32
         assert W1.tobytes() == W2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+def test_reloaded_snapshot_encodes_bit_for_bit_as_the_one_in_the_run(tmp_path):
+    X = tiny_data()
+    spec = AutoencoderSpec.from_encoder_widths([6, 4, 2])
+    snaps, emb = train_snapshots(
+        X, spec, SnapshotSchedule(0.01, 4, 2), batch_size=8, rng=SeedStream(4)
+    )
+    for snap, Y in zip(snaps, emb.members, strict=True):
+        save_snapshot(tmp_path / "snap.npz", snap)
+        loaded, _ = load_snapshot(tmp_path / "snap.npz")
+        assert np.array_equal(embed_snapshot(X, loaded), Y)
+
+
+def test_a_float64_snapshot_file_loads_and_encodes_in_float64(tmp_path):
+    X = tiny_data()
+    snap = trained_snapshot()
+    wide = [(W.astype(np.float64), b.astype(np.float64)) for W, b in snap.weights]
+    snap64 = EncoderSnapshot(wide, snap.cycle_index, snap.train_loss, snap.activation)
+    save_snapshot(tmp_path / "snap.npz", snap64)
+    loaded, _ = load_snapshot(tmp_path / "snap.npz")
+    assert all(W.dtype == b.dtype == np.float64 for W, b in loaded.weights)
+    assert np.array_equal(embed_snapshot(X, loaded), encode(X, snap64))
+    assert np.allclose(embed_snapshot(X, loaded), encode(X, snap), rtol=1e-5, atol=1e-6)
 
 
 def test_load_snapshot_rejects_a_missing_file(tmp_path):
@@ -518,6 +562,14 @@ def test_load_snapshot_rejects_metadata_without_its_fields(tmp_path, meta):
     path, _, _ = saved_snapshot_bytes(tmp_path)
     rewrite_snapshot(path, meta=np.array(json.dumps(meta)))
     assert "not a snapshot file" in snapshot_error(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64])
+def test_load_snapshot_rejects_weights_neither_float32_nor_float64(tmp_path, dtype):
+    # the stored dtype is kept, so the file's dtype is checked
+    path, _, snap = saved_snapshot_bytes(tmp_path)
+    rewrite_snapshot(path, W1=snap.weights[1][0].astype(dtype))
+    assert "weights must be all float32 or all float64" in snapshot_error(path)
 
 
 def test_load_snapshot_rejects_an_unknown_activation(tmp_path):
