@@ -4,12 +4,18 @@ Each data point keeps Gaussian kernel weights to its r nearest landmarks
 and drops everything else, so each row has exactly r nonzeros and sums to
 one after normalization. Density is r/p by construction, independent of n.
 
-Distances are computed in row blocks of max(1, BLOCK_ENTRIES // p) points,
-and the r nearest landmarks of each row are picked by r successive
-argmins rather than a full sort, so peak memory is O(block * p + n * r)
-instead of a dense n x p matrix. Ties at the r-th distance still go to
-the lower landmark index, exactly as a stable sort would order them. The
-result is a scipy `csr_array` with sorted columns in each row and int32
+The r nearest landmarks are picked in float32 and weighted in float64.
+Distances to a float32 copy of the landmarks are computed in float32, in
+row blocks of max(1, BLOCK_ENTRIES // p) points (a float64 embedding is
+narrowed one block at a time), and the r nearest landmarks of each row
+are picked by r successive argmins rather than a full sort, so peak
+memory is O(block * p + n * r) instead of a dense n x p matrix. Ties at
+the r-th distance still go to the lower landmark index, exactly as a
+stable sort would order them. Only where float32 rounding flips a near
+tie does a pick differ from float64's. The r picked distances are then
+recomputed in float64 from each row and its float64 landmarks, a chunk
+of rows at a time, and the kernel's squares, shift, exp and
+normalization run on those. The result is a scipy `csr_array` with sorted columns in each row and int32
 indices and offsets, unless n * r or p needs int64 (`index_dtype`).
 """
 
@@ -20,13 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .distances import EUCLIDEAN, Metric, pairwise_distance
+from .distances import (
+    _CHUNK_ENTRIES,
+    EUCLIDEAN,
+    Metric,
+    as_float,
+    pairwise_distance,
+    sq_norms,
+    unit_rows,
+)
 from .errors import ConfigError, DataError, NumericalError
 from .landmarks import LandmarkSet
 
 ROW_SUM_TOL = 1e-10
 
-# distance entries per row block: 2**20 float64 values is 8 MiB per buffer
+# distance entries per row block: 2**20 float32 values is 4 MiB per buffer
 BLOCK_ENTRIES = 2**20
 
 
@@ -38,14 +52,24 @@ def index_dtype(nnz: int, width: int) -> type:
 def scott_bandwidth(Y: np.ndarray) -> float:
     """Scott's rule on the embedding: mean per-dim std times n^(-1/(d+4)).
 
-    Standard deviations use the n-1 denominator. Degenerate input (fewer
-    than two samples, or all rows identical) has no usable spread.
+    Standard deviations use the n-1 denominator. They are accumulated in
+    float64 from the column means, a chunk of rows at a time, so a float32
+    Y is never copied whole to float64. Degenerate input (fewer than two
+    samples, or all rows identical) has no usable spread.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise DataError("bandwidth needs at least two samples")
     n, d = Y.shape
-    sigma = float(np.mean(np.std(Y, axis=0, ddof=1))) * n ** (-1.0 / (d + 4))
+    mean = np.sum(Y, axis=0, dtype=np.float64) / n
+    squares = np.zeros(d)
+    step = max(1, _CHUNK_ENTRIES // max(1, d))
+    for start in range(0, n, step):
+        dev = Y[start : start + step] - mean
+        dev *= dev
+        squares += np.sum(dev, axis=0)
+    std = np.sqrt(squares / (n - 1))
+    sigma = float(np.mean(std)) * n ** (-1.0 / (d + 4))
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DataError("degenerate embedding: zero spread in every dimension")
     return sigma
@@ -92,21 +116,64 @@ def _nearest_rows(dists: np.ndarray, r: int) -> np.ndarray:
 
 def _nearest_landmark_rows(
     Y: np.ndarray, centers: np.ndarray, r: int, metric: Metric
-) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, r nearest landmark indices) for each row of Y.
+) -> np.ndarray:
+    """The r nearest landmark indices of each row of Y.
 
-    Under cosine a zero-norm row is at distance 1 from every nonzero
-    landmark, so instead of the first r by index it takes the r landmarks
-    of smallest euclidean norm (stable order), the ones a zero row picks
+    Under cosine a zero row is at distance 1 from every nonzero landmark,
+    so instead of the first r by index it takes the r landmarks of
+    smallest euclidean norm (stable order), the ones a zero row picks
     under euclidean distance. Zero landmarks, at distance 0, come first.
     """
-    dists = pairwise_distance(Y, centers, metric)
-    nearest = _nearest_rows(dists, r)
+    nearest = _nearest_rows(pairwise_distance(Y, centers, metric), r)
     if metric.name == "cosine":
-        zero = np.sum(Y * Y, axis=1) == 0.0
+        zero = ~np.any(Y, axis=1)
         if np.any(zero):
-            nearest[zero] = np.argsort(np.sum(centers * centers, axis=1), kind="stable")[:r]
-    return dists, nearest
+            nearest[zero] = np.argsort(sq_norms(centers), kind="stable")[:r]
+    return nearest
+
+
+def _picked_distances(
+    Y: np.ndarray, centers: np.ndarray, nearest: np.ndarray, metric: Metric
+) -> np.ndarray:
+    """float64 distances from each row of Y to the landmarks `nearest` names.
+
+    Computed from the float64 widening of each row and the float64
+    centers, a chunk of _CHUNK_ENTRIES // (r * d) rows at a time: euclidean
+    and minkowski from the differences row - center, cosine from the unit
+    vectors, with the conventions of `pairwise_distance` for zero rows. A
+    row's values do not depend on the chunk it falls in.
+    """
+    n, r = nearest.shape
+    out = np.empty((n, r))
+    if metric.name == "cosine":
+        units, zero_c = unit_rows(centers)
+    step = max(1, _CHUNK_ENTRIES // max(1, r * centers.shape[1]))
+    for start in range(0, n, step):
+        rows = Y[start : start + step].astype(np.float64, copy=False)
+        picks = nearest[start : start + step]
+        dist = out[start : start + step]
+        if metric.name == "cosine":
+            unit, zero = unit_rows(rows)
+            sim = np.sum(units[picks] * unit[:, None], axis=2)
+            np.clip(sim, -1.0, 1.0, out=sim)
+            np.subtract(1.0, sim, out=dist)
+            dist[zero[:, None] & zero_c[picks]] = 0.0
+            continue
+        diff = centers[picks]
+        diff -= rows[:, None]
+        if metric.name == "euclidean":
+            diff *= diff
+            np.sqrt(np.sum(diff, axis=2), out=dist)
+            continue
+        np.abs(diff, out=diff)
+        if metric.q == 3.0:
+            # libm pow(x, 3.0) is slow on exact zeros, as in pairwise_distance
+            terms = diff * diff
+            terms *= diff
+        else:
+            terms = np.power(diff, metric.q, out=diff)
+        np.power(np.sum(terms, axis=2), 1.0 / metric.q, out=dist)
+    return out
 
 
 @dataclass
@@ -154,14 +221,16 @@ def build_affinity(
     reported as a numerical failure rather than silently densified.
 
     Points are processed in row blocks of max(1, BLOCK_ENTRIES // p):
-    each block gets its own distance matrix and keeps only its r nearest
-    landmarks (ties to the lower index), so peak memory is
-    O(block * p + n * r) rather than O(n * p). Under cosine a zero-norm
+    each block gets its own float32 distance matrix and keeps only its r
+    nearest landmarks (ties to the lower index), so peak memory is
+    O(block * p + n * r) rather than O(n * p). The weights come from the
+    picked distances recomputed in float64, so they equal those of the
+    float64 widening of Y wherever the picks do. Under cosine a zero-norm
     point takes the r landmarks of smallest euclidean norm; they are all
     at distance 1 from it unless some are zero too, so its weights are
     uniform, 1/r.
     """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    Y = as_float(Y)
     centers = landmarks.centers
     if Y.ndim != 2 or Y.shape[1] != centers.shape[1]:
         raise DataError(f"embedding/landmark dims disagree: {Y.shape} vs {centers.shape}")
@@ -172,14 +241,12 @@ def build_affinity(
     sigma = scott_bandwidth(Y) if params.sigma is None else float(params.sigma)
 
     block = max(1, BLOCK_ENTRIES // p)
+    centers32 = centers.astype(np.float32)
     nearest = np.empty((n, r), dtype=np.int64)
-    sel = np.empty((n, r), dtype=np.float64)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        dists, nearest[start:stop] = _nearest_landmark_rows(
-            Y[start:stop], centers, r, params.metric
-        )
-        sel[start:stop] = np.take_along_axis(dists, nearest[start:stop], axis=1)
+        rows = Y[start : start + block].astype(np.float32, copy=False)
+        nearest[start : start + block] = _nearest_landmark_rows(rows, centers32, r, params.metric)
+    sel = _picked_distances(Y, centers, nearest, params.metric)
     sel_sq = sel**2
     shifted = sel_sq - sel_sq.min(axis=1, keepdims=True)
     weights = np.exp(-shifted / (2.0 * sigma * sigma))

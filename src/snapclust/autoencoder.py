@@ -296,8 +296,8 @@ def sgd_step(
 def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     """Deterministic noise-free forward pass through the encoder half.
 
-    Every layer runs in the dtype of the snapshot's weights, and the codes
-    are returned as a float64 n x code matrix. An X of another dtype is
+    Every layer runs in the dtype of the snapshot's weights, and the n x
+    code codes are returned in that dtype. An X of another dtype is
     cast to the weights' dtype one row block at a time before the block's
     first GEMM, so a float64 X under float32 weights encodes bit for bit
     as X.astype(np.float32) does, with no whole float32 copy of X.
@@ -330,7 +330,7 @@ def encode(X: np.ndarray, snapshot: EncoderSnapshot) -> np.ndarray:
     rows = n - starts[-1]
     layers = [np.empty((rows, w), dtype) for w in widths]
     cast = None if X.dtype == dtype else np.empty((rows, X.shape[1]), dtype)
-    out = np.empty((n, widths[-1]))
+    out = np.empty((n, widths[-1]), dtype)
     for start, stop in zip(starts, stops):
         a = X[start:stop]
         if cast is not None:

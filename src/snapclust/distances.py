@@ -3,30 +3,41 @@
 Cosine distance is 1 - cosine similarity. It is defined on zero-norm
 vectors too: d(0, b) = 1 for b != 0, as for orthogonal vectors, and
 d(0, 0) = 0, which keeps d(x, x) = 0. Minkowski defaults to q=3 so it is a
-genuinely different metric from euclidean. All accumulation is float64.
+genuinely different metric from euclidean.
+
+The kernels are dtype-generic: `pairwise_distance` and `nearest_centers`
+work in float32 when their inputs are float32 and in float64 otherwise,
+with their buffers in that dtype and their BLAS routines (`sgemm`/`sger`
+or `dgemm`/`dger`) chosen for it. Row norms are the one exception: each
+row's squares are summed in float64 and rounded once to the working dtype
+(`sq_norms`). The ensemble members assign and rank landmarks in float32;
+Lloyd and the final k-means call the same kernels in float64.
 
 Squared euclidean distances have one kernel, `_sq_euclidean`, shared by
 euclidean `pairwise_distance` and by `nearest_centers` (landmark
 assignment and Lloyd). It prefills the (n, p) output with ||a||^2 + ||b||^2
 in row chunks of _CHUNK_ENTRIES // p rows, so those passes run over an
-L2-sized block, and then subtracts 2 a.b with one unsplit dgemm into the
-same buffer (C <- -2 A B^T + C). Scaling by -2 is exact, so the values
-equal (||a||^2 + ||b||^2) - 2 (A @ B.T) bit for bit, whatever the chunk
-size. Shapes where one dgemm would round differently (a GEMV in NumPy,
-or an inner sum that BLAS splits) run that two-pass form itself.
-`nearest_centers` takes the argmin of the unclamped values and
-clamps only rows whose minimum is negative; euclidean `pairwise_distance`
-clamps at 0 and takes the square root in place, chunk by chunk.
+L2-sized block, and then subtracts 2 a.b with one unsplit gemm into the
+same buffer (C <- -2 A B^T + C). The gemm kernel accumulates each dot
+product in the working precision and then adds alpha times it to C, and
+scaling by -2 is exact in either precision, so the values equal
+(||a||^2 + ||b||^2) - 2 (A @ B.T) bit for bit, whatever the chunk size,
+in float32 as in float64. Shapes where one gemm would round differently
+(a GEMV in NumPy, or an inner sum that BLAS splits) run that two-pass
+form itself. `nearest_centers` takes the argmin of the unclamped values
+and clamps only rows whose minimum is negative; euclidean
+`pairwise_distance` clamps at 0 and takes the square root in place,
+chunk by chunk.
 
 Two passes add a row vector and a column vector without NumPy's
 broadcast add, which runs at about half the speed of a contiguous pass:
 the prefill sets each chunk to ||b||^2 and adds ||a||^2, and minkowski
 sets each chunk of differences to -b_j and adds a_j. The addition is a
-rank-1 BLAS update, `dger` with alpha 1 and a vector of ones, on the
+rank-1 BLAS update, `ger` with alpha 1 and a vector of ones, on the
 chunk's F-contiguous transpose, in place. A product with 1 is exact with
-or without FMA, so each entry is the one rounded sum of the same two
-operands, bit for bit what the broadcast add or `np.subtract.outer`
-gives.
+or without FMA, in either precision, so each entry is the one rounded sum
+of the same two operands, bit for bit what the broadcast add or
+`np.subtract.outer` gives.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dger
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import ConfigError, DataError
 
@@ -42,13 +53,16 @@ METRIC_NAMES = ("euclidean", "cosine", "minkowski")
 
 DEFAULT_MINKOWSKI_Q = 3.0
 
-# row chunk size for elementwise passes: 2**15 float64 entries (256 KiB)
-# per buffer stays in L2
+# row chunk size for elementwise passes: 2**15 entries (256 KiB in
+# float64, half that in float32) per buffer stays in L2
 _CHUNK_ENTRIES = 2**15
 
-# widest d for which one dgemm rounds like the two-pass form: OpenBLAS
-# splits the inner sum into blocks of 128 (generic x86-64 kernels), 256
-# (Nehalem to Zen) or 384 (Skylake-X) and updates C after each block
+# widest d for which one gemm rounds like the two-pass form: OpenBLAS
+# splits the inner sum into blocks and updates C after each one. dgemm's
+# blocks are 128 (generic x86-64 kernels), 256 (Nehalem to Zen) or 384
+# (Skylake-X) long. sgemm's are sized for entries half as wide, so they
+# are no shorter (448 against dgemm's 384 with the Skylake-X kernels of
+# OpenBLAS 0.3.31), and 128 bounds both precisions
 _FUSED_MAX_DIMS = 128
 
 
@@ -119,30 +133,69 @@ def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
     return 1.0 - sim
 
 
+def as_float(A) -> np.ndarray:
+    """A as a C-contiguous array: float32 if it is float32, else float64."""
+    A = np.asarray(A)
+    return np.ascontiguousarray(A, dtype=np.float32 if A.dtype == np.float32 else np.float64)
+
+
+def sq_norms(A: np.ndarray, dtype=None) -> np.ndarray:
+    """sum(A * A, axis=1) of A cast to `dtype` (A's own by default), in `dtype`.
+
+    Each chunk of _CHUNK_ENTRIES // d rows is cast to `dtype`, then widened
+    to float64, where a float32 entry's square is exact, and its squares are
+    summed; each sum is rounded to `dtype` once. For a float64 A this is
+    np.sum(A * A, axis=1) bit for bit, and no n x d temporary is made.
+    """
+    dtype = A.dtype if dtype is None else np.dtype(dtype)
+    out = np.empty(A.shape[0], dtype)
+    step = max(1, _CHUNK_ENTRIES // max(1, A.shape[1]))
+    for start in range(0, A.shape[0], step):
+        rows = A[start : start + step].astype(dtype, copy=False).astype(np.float64, copy=False)
+        out[start : start + step] = np.sum(rows * rows, axis=1)
+    return out
+
+
+def unit_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A's rows scaled to unit norm, which rows are zero), in A's dtype.
+
+    Each norm is taken in float64 and rounded once to A's dtype. A zero
+    row is divided by 1 instead and stays zero. A norm is zero exactly
+    when its row is: it is at least the row's largest entry, which its
+    rounding cannot go below.
+    """
+    norms = np.sqrt(sq_norms(A, np.float64)).astype(A.dtype, copy=False)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    return A / norms[:, None], zero
+
+
 def _sq_euclidean(A: np.ndarray, B: np.ndarray, aa: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unclamped (aa + bb) - 2 A B^T into the C-contiguous (n, p) `out`.
 
-    `aa` holds sum(A * A, axis=1), which callers may compute once and
-    index. `out` is prefilled with bb + aa (the same sum as aa + bb) in
-    row chunks: each chunk is set to bb, then aa is added by the rank-1
-    update rows^T <- 1 * ones aa^T + rows^T (see the module docstring).
-    Then one unsplit dgemm computes out <- -2 A B^T + out. GEMV shapes
-    (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would round
-    differently there, so they subtract 2 (A @ B.T) instead.
+    A, B, `aa` and `out` share one dtype, float32 or float64, which picks
+    the BLAS routines. `aa` holds `sq_norms(A)`, which callers may compute
+    once and index. `out` is prefilled with bb + aa (the same sum as
+    aa + bb) in row chunks: each chunk is set to bb, then aa is added by
+    the rank-1 update rows^T <- 1 * ones aa^T + rows^T (see the module
+    docstring). Then one unsplit gemm computes out <- -2 A B^T + out. GEMV
+    shapes (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would
+    round differently there, so they subtract 2 (A @ B.T) instead.
     """
     if not out.flags.c_contiguous:
-        # dger and dgemm would update a copy and leave `out` unfilled
+        # ger and gemm would update a copy and leave `out` unfilled
         raise ValueError("_sq_euclidean needs a C-contiguous output buffer")
+    gemm, ger = get_blas_funcs(("gemm", "ger"), (out,))
     n, p = out.shape
-    bb = np.sum(B * B, axis=1)
-    ones = np.ones(p)
+    bb = sq_norms(B)
+    ones = np.ones(p, out.dtype)
     step = max(1, _CHUNK_ENTRIES // max(1, p))
     for start in range(0, n, step):
         rows = out[start : start + step]
         rows[:] = bb
-        dger(1.0, ones, aa[start : start + step], a=rows.T, overwrite_a=1)
+        ger(1.0, ones, aa[start : start + step], a=rows.T, overwrite_a=1)
     if n > 1 and p > 1 and A.shape[1] <= _FUSED_MAX_DIMS:
-        dgemm(-2.0, B.T, A.T, 1.0, out.T, trans_a=1, overwrite_c=1)
+        gemm(-2.0, B.T, A.T, 1.0, out.T, trans_a=1, overwrite_c=1)
     else:
         gram = A @ B.T
         gram *= 2.0
@@ -156,15 +209,16 @@ def nearest_centers(
     """(labels, squared distance) of each row of X to its nearest row of C.
 
     Equals the argmin and minimum of the distances clamped at 0, ties to
-    the lower center index. `xx` holds sum(X * X, axis=1); `gram` is an
-    optional C-contiguous (n, k) float64 buffer reused across calls. The
-    argmin runs on the unclamped values; only a row whose minimum is
+    the lower center index. X, C and `xx`, which holds `sq_norms(X)`,
+    share one dtype, float32 or float64, the kernel's; `gram` is an
+    optional C-contiguous (n, k) buffer of that dtype reused across calls.
+    The argmin runs on the unclamped values; only a row whose minimum is
     negative is then fixed up: clamping would make every entry <= 0 of it
     a tie at 0, so its label becomes the first such index.
     """
     n, k = X.shape[0], C.shape[0]
     if gram is None:
-        gram = np.empty((n, k), dtype=np.float64)
+        gram = np.empty((n, k), dtype=X.dtype)
     sq = _sq_euclidean(X, C, xx, gram)
     labels = np.argmin(sq, axis=1)
     # each row's minimum, read from the flattened buffer: half the cost of
@@ -181,23 +235,26 @@ def nearest_centers(
 def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarray:
     """All-pairs distances between rows of A (n x d) and rows of B (p x d).
 
-    Euclidean clamps the `_sq_euclidean` output at 0 and takes its square
-    root in place, chunk by chunk; cosine normalizes nonzero rows once;
-    and minkowski accumulates |a_j - b_j|^q one coordinate j at a time
-    into the n x p output before taking the 1/q root, working through
-    row chunks of _CHUNK_ENTRIES // p rows with two chunk-sized scratch
-    buffers and no n x p x d one. Each chunk of differences is set to
-    -b_j and a_j is added by the rank-1 update, which rounds exactly as
-    a_j - b_j.
+    Runs in float32 when A and B are both float32, else in float64, and
+    returns that dtype. Euclidean clamps the `_sq_euclidean` output at 0
+    and takes its square root in place, chunk by chunk; cosine normalizes
+    nonzero rows once; and minkowski accumulates |a_j - b_j|^q one
+    coordinate j at a time into the n x p output before taking the 1/q
+    root, working through row chunks of _CHUNK_ENTRIES // p rows with two
+    chunk-sized scratch buffers and no n x p x d one. Each chunk of
+    differences is set to -b_j and a_j is added by the rank-1 update,
+    which rounds exactly as a_j - b_j.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
+    A, B = as_float(A), as_float(B)
+    if A.dtype != B.dtype:
+        A, B = A.astype(np.float64, copy=False), B.astype(np.float64, copy=False)
+    dtype = A.dtype
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise DataError(f"pairwise shapes incompatible: {A.shape} vs {B.shape}")
 
     if metric.name == "euclidean":
-        out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-        _sq_euclidean(A, B, np.sum(A * A, axis=1), out)
+        out = np.empty((A.shape[0], B.shape[0]), dtype=dtype)
+        _sq_euclidean(A, B, sq_norms(A), out)
         step = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
         for start in range(0, A.shape[0], step):
             rows = out[start : start + step]
@@ -207,18 +264,19 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
 
     if metric.name == "minkowski":
         q = metric.q
-        out = np.zeros((A.shape[0], B.shape[0]), dtype=np.float64)
+        (ger,) = get_blas_funcs(("ger",), (A,))
+        out = np.zeros((A.shape[0], B.shape[0]), dtype=dtype)
         rows = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
-        diff = np.empty((min(rows, A.shape[0]), B.shape[0]), dtype=np.float64)
+        diff = np.empty((min(rows, A.shape[0]), B.shape[0]), dtype=dtype)
         term = np.empty_like(diff)
         negBT = -np.ascontiguousarray(B.T)
-        ones = np.ones(B.shape[0])
+        ones = np.ones(B.shape[0], dtype)
         for start in range(0, A.shape[0], rows):
             acc = out[start : start + rows]
             d, t = diff[: acc.shape[0]], term[: acc.shape[0]]
             for a, negb in zip(A[start : start + rows].T, negBT):
                 d[:] = negb
-                dger(1.0, ones, a, a=d.T, overwrite_a=1)
+                ger(1.0, ones, a, a=d.T, overwrite_a=1)
                 np.abs(d, out=d)
                 if q == 3.0:
                     # libm pow(x, 3.0) is slow on exact zeros, which ReLU codes make many of
@@ -229,14 +287,11 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
                 acc += t
         return np.power(out, 1.0 / q, out=out)
 
-    # cosine; a zero-norm row is divided by 1 instead, stays zero and so has
-    # similarity 0 (distance 1) to every row; zero against zero is set to 0
-    na = np.sqrt(np.sum(A * A, axis=1))
-    nb = np.sqrt(np.sum(B * B, axis=1))
-    zero_a, zero_b = na == 0.0, nb == 0.0
-    na[zero_a] = 1.0
-    nb[zero_b] = 1.0
-    sim = (A / na[:, None]) @ (B / nb[:, None]).T
+    # cosine; a zero row stays zero and so has similarity 0 (distance 1) to
+    # every row; zero against zero is set to 0
+    ua, zero_a = unit_rows(A)
+    ub, zero_b = unit_rows(B)
+    sim = ua @ ub.T
     np.clip(sim, -1.0, 1.0, out=sim)
     dist = 1.0 - sim
     dist[np.ix_(zero_a, zero_b)] = 0.0

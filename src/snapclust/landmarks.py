@@ -3,14 +3,19 @@
 Landmarks are the cluster centers of a streamed KMeans over the embedding,
 seeded by k-means++; selection always measures euclidean distance,
 independent of the metric later used for affinities. The loop runs a fixed
-budget of batches with no early stop. Each batch and its row norms are
-gathered into buffers allocated once and assigned by
-`distances.nearest_centers`: the squared distances are prefilled with the
-row norms, by a copy and an exact rank-1 `dger` update, and completed by
-one fused dgemm in a buffer reused across batches, and the argmin runs on
-them unclamped. The k-means++ seeding draws each center exactly as
-`Generator.choice` would. Per-batch center updates use the running-mean
-form, which is the sequential per-point rule in closed form. It is
+budget of batches with no early stop. The centers are float64 throughout;
+each batch is assigned in float32, against a float32 copy of the centers
+refreshed in place before every batch. Each batch and its row norms are
+gathered into float32 buffers allocated once (a float64 Y is gathered in
+its own dtype, then narrowed) and assigned by `distances.nearest_centers`:
+the squared distances are prefilled with the row norms, by a copy and an
+exact rank-1 `sger` update, and completed by one fused sgemm in a buffer
+reused across batches, and the argmin runs on them unclamped. The row
+norms are summed in float64 and rounded once to float32. The k-means++
+seeding runs on the float64 widening of the subset, which is exact, and
+draws each center exactly as `Generator.choice` would. Per-batch center
+updates use the running-mean form, which is the sequential per-point rule
+in closed form, on the batch in Y's own dtype summed in float64. It is
 computed for every center into a buffer allocated once and written back
 to the touched centers only: the same operations on the same rows as
 updating the touched rows alone. A center that no batch point reaches
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _CHUNK_ENTRIES, nearest_centers
+from .distances import as_float, nearest_centers, sq_norms
 from .errors import ConfigError, DataError
 from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
@@ -65,42 +70,46 @@ def minibatch_kmeans(
 
     Initialization is k-means++ on a uniform subset of max(10p, 2048)
     points. Runs `max_iters` batches; each assigns its points to the
-    nearest center and moves every touched center to the running mean of
-    all points it has ever absorbed. `meta["empty"]` counts the centers no
-    batch point reached. Centers never leave the bounding box of Y.
+    nearest center, in float32, and moves every touched center to the
+    running mean of all points it has ever absorbed. `meta["empty"]`
+    counts the centers no batch point reached, and `meta["occupancy"]`
+    holds the min, median and max of the points each center absorbed.
+    Centers never leave the bounding box of Y. A float32 Y is used as it
+    is; any other dtype is taken as float64.
     """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    Y = as_float(Y)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise DataError("minibatch_kmeans: empty input")
-    n = Y.shape[0]
+    n, d = Y.shape
     if not 2 <= p < n:
         raise ConfigError(f"landmark count must satisfy 2 <= p < n, got p={p}, n={n}")
 
     init_gen = rng.child(STAGE_INIT).generator()
     subset_size = min(n, max(10 * p, 2048))
     subset = init_gen.choice(n, size=subset_size, replace=False)
-    centers = kmeans_pp_init(Y[subset], p, init_gen)
+    centers = kmeans_pp_init(Y[subset].astype(np.float64, copy=False), p, init_gen)
 
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
-    # row norms a block at a time: Y * Y whole would be an n x d temporary
-    yy = np.empty(n)
-    step = max(1, _CHUNK_ENTRIES // Y.shape[1])
-    for start in range(0, n, step):
-        block = Y[start : start + step]
-        np.sum(block * block, axis=1, out=yy[start : start + step])
+    yy = sq_norms(Y, np.float32)
     # buffers reused by every batch; mode="clip" lets np.take write into
-    # `out` directly (the indices are in range), "raise" would copy first
-    B = np.empty((bsz, Y.shape[1]), dtype=np.float64)
-    bb = np.empty(bsz)
-    gram = np.empty((bsz, p), dtype=np.float64)
+    # `out` directly (the indices are in range), "raise" would copy first.
+    # np.take cannot cast into `out`, so a float64 batch is narrowed after
+    B = np.empty((bsz, d), dtype=Y.dtype)
+    B32 = B if Y.dtype == np.float32 else np.empty((bsz, d), dtype=np.float32)
+    bb = np.empty(bsz, dtype=np.float32)
+    C32 = np.empty((p, d), dtype=np.float32)
+    gram = np.empty((bsz, p), dtype=np.float32)
     num = np.empty_like(centers)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         np.take(Y, idx, axis=0, out=B, mode="clip")
+        if B32 is not B:
+            B32[...] = B
         np.take(yy, idx, out=bb, mode="clip")
-        assign, _ = nearest_centers(B, centers, bb, gram)
+        C32[...] = centers
+        assign, _ = nearest_centers(B32, C32, bb, gram)
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)
         touched = batch_counts > 0
@@ -112,4 +121,12 @@ def minibatch_kmeans(
         np.divide(num, new_total[:, None], out=centers, where=touched[:, None])
         counts = new_total
 
-    return LandmarkSet(centers, seed=rng.seed, meta={"empty": int(np.count_nonzero(counts == 0))})
+    meta = {
+        "empty": int(np.count_nonzero(counts == 0)),
+        "occupancy": {
+            "min": int(counts.min()),
+            "median": float(np.median(counts)),
+            "max": int(counts.max()),
+        },
+    }
+    return LandmarkSet(centers, seed=rng.seed, meta=meta)

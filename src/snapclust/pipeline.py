@@ -40,8 +40,12 @@ per worker. X is held in the dtype it arrives in when that is float32 or
 float64 (a rawf32 file stays float32). Training and `encode` run in
 float32, so they narrow a float64 X a batch or a row block at a time and
 a trained model runs on it as on its float32 narrowing; the codes are
-handed on as float64. The untrained spectral baseline widens X to
-float64 once, and k-means on the raw data widens its own copy. Training
+handed on as float32. Every member is built on a float32 embedding: the
+untrained spectral baseline uses a float32 X as it is and narrows a
+float64 X once, so it too runs on X's float32 narrowing. Landmarks are
+assigned and affinities picked in float32, while the landmark centers,
+the affinity weights, fusion, the SVD and k-means stay float64; k-means
+widens float32 codes or data to its own float64 copy, exactly. Training
 and `encode` run in fixed-size buffers, so beyond X and the n x code
 embedding the trained path holds O(block * width + parameters). The
 "train" stage seconds are the training loop's wall time,
@@ -409,8 +413,8 @@ def _single_run(
         seconds: dict = {}
         with _stage(seconds, "train"):
             if snapshot is None:
-                # widened once here, not by each of the two layers below
-                Y = X.astype(np.float64, copy=False)
+                # narrowed once here, not by each of the two layers below
+                Y = X.astype(np.float32, copy=False)
             else:
                 Y = embed_snapshot(X, snapshot)
         with _stage(seconds, "landmarks"):
@@ -424,6 +428,7 @@ def _single_run(
             "landmarks_s": seconds["landmarks"],
             "affinity_s": seconds["affinity"],
             "empty_landmarks": lm.meta["empty"],
+            "occupancy": lm.meta["occupancy"],
             "bandwidth": affinity.bandwidth,
             "zero_code_share": (Y.size - np.count_nonzero(Y)) / Y.size,
             "worker_peak_rss_mib": _peak_rss_mib(),
@@ -591,6 +596,10 @@ def run_model(
 
     report = _build_report(config, per_run)
     total = time.perf_counter() - wall_start
+    peak = _peak_rss_mib()
+    worker_peaks = [
+        member["worker_peak_rss_mib"] for diag in diagnostics for member in diag.get("members", ())
+    ]
     run_doc = {
         "model": model,
         "config": dataclasses.asdict(config),
@@ -604,7 +613,9 @@ def run_model(
         "total_seconds": total,
         "footprint": footprint,
         "diagnostics": diagnostics,
-        "peak_rss_mib": _peak_rss_mib(),
+        "peak_rss_mib": peak,
+        # this process or any member's worker, whichever peaked higher
+        "peak_rss_all_mib": max([peak, *worker_peaks]),
         # the largest child this process has waited for: member and restart workers included
         "peak_rss_children_mib": _peak_rss_mib(resource.RUSAGE_CHILDREN),
     }

@@ -160,8 +160,8 @@ def train_snapshots(
     Returns
     -------
     (snapshots, embeddings) : exactly M snapshots in cycle order, and the
-        noise-free float64 embedding of X under each snapshot, computed in
-        float32 (`encode`). `embeddings.history`
+        noise-free float32 embedding of X under each snapshot (`encode`).
+        `embeddings.history`
         holds each epoch's learning rate and mean minibatch loss, and
         `embeddings.feed` where the batches were drawn.
     """

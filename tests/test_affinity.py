@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
+from scipy.spatial.distance import cdist
 
 from snapclust import affinity
 from snapclust.affinity import (
@@ -60,7 +61,7 @@ def landmarks_from(arr, seed=0):
 
 def nearest_to_point(x, lm, r, metric):
     """The r nearest landmarks of the single point x."""
-    return _nearest_landmark_rows(x[None, :], lm.centers, r, metric)[1][0]
+    return _nearest_landmark_rows(x[None, :], lm.centers, r, metric)[0]
 
 
 def test_nearest_landmarks_matches_sort_oracle():
@@ -317,3 +318,73 @@ def test_cosine_zero_landmark():
     assert np.array_equal(np.nonzero(dense[1])[0], [0, 1])
     assert dense[1, 1] > dense[1, 0]  # distance 0 weighs more than distance 1
     assert np.array_equal(nearest_to_point(np.zeros(2), lm, 2, COSINE), [1, 0])
+
+
+def oracle_picked_weights(Y, centers, nearest, metric, sigma):
+    """float64 kernel weights over the given picks, one point and one landmark at a time."""
+    weights = np.empty(nearest.shape)
+    for i, y in enumerate(Y.astype(np.float64)):
+        dist = np.empty(nearest.shape[1])
+        for j, c in enumerate(centers[nearest[i]]):
+            if metric is COSINE:
+                sim = np.sum((c / np.sqrt(np.sum(c * c))) * (y / np.sqrt(np.sum(y * y))))
+                dist[j] = 1.0 - np.clip(sim, -1.0, 1.0)
+            elif metric is EUCLIDEAN:
+                dist[j] = np.sqrt(np.sum((c - y) * (c - y)))
+            else:
+                a = np.abs(c - y)
+                dist[j] = np.sum(a * a * a)
+        if metric is MINKOWSKI3:
+            # one array call: NumPy's vectorized pow can round unlike the scalar one
+            dist = np.power(dist, 1.0 / 3.0)
+        sq = dist**2
+        w = np.exp(-(sq - sq.min()) / (2.0 * sigma * sigma))
+        weights[i] = w / w.sum()
+    return weights
+
+
+def separated_code(seed, n=400, d=16, k=5):
+    """A float32 ReLU code of k well-separated blobs and p = 24 landmarks among its rows."""
+    gen = np.random.default_rng(seed)
+    means = 6.0 * np.abs(gen.normal(size=(k, d)))
+    Y = np.maximum(means[gen.integers(k, size=n)] + gen.normal(size=(n, d)), 0.0)
+    Y[:, 0] += 0.5  # no zero rows, so cosine is defined everywhere
+    Y32 = Y.astype(np.float32)
+    return Y32, landmarks_from(Y32[gen.choice(n, size=24, replace=False)] + 0.25)
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE, MINKOWSKI3], ids=lambda m: m.name)
+def test_float32_code_picks_like_float64_and_weighs_in_float64(metric):
+    Y32, lm = separated_code(11)
+    r = 5
+    aff = build_affinity(Y32, lm, AffinityParams(r=r, metric=metric))
+    assert aff.matrix.data.dtype == np.float64
+    assert aff.bandwidth == scott_bandwidth(Y32)
+    # the picks equal float64's: a stable sort of float64 distances
+    kwargs = {"p": 3.0} if metric is MINKOWSKI3 else {}
+    d64 = cdist(Y32.astype(np.float64), lm.centers, metric.name, **kwargs)
+    nearest = np.argsort(d64, axis=1, kind="stable")[:, :r]
+    order = np.argsort(nearest, axis=1)
+    assert np.array_equal(
+        aff.matrix.indices.reshape(-1, r), np.take_along_axis(nearest, order, axis=1)
+    )
+    # and the weights are a float64 kernel's over them, bit for bit
+    want = oracle_picked_weights(Y32, lm.centers, nearest, metric, aff.bandwidth)
+    got = aff.matrix.data.reshape(-1, r)
+    assert got.tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
+    # the float64 widening of the code gives the same matrix
+    wide = build_affinity(Y32.astype(np.float64), lm, AffinityParams(r=r, metric=metric))
+    assert wide.bandwidth == aff.bandwidth
+    assert np.array_equal(wide.matrix.indices, aff.matrix.indices)
+    assert wide.matrix.data.tobytes() == aff.matrix.data.tobytes()
+
+
+def test_scott_bandwidth_of_float32_sums_in_float64():
+    Y32 = separated_code(12)[0]
+    Y64 = Y32.astype(np.float64)
+    # the widening is exact, so both inputs give one bandwidth, which
+    # agrees with NumPy's float64 std to rounding
+    assert scott_bandwidth(Y32) == scott_bandwidth(Y64)
+    n, d = Y64.shape
+    want = np.mean(np.std(Y64, axis=0, ddof=1)) * n ** (-1.0 / (d + 4))
+    assert scott_bandwidth(Y32) == pytest.approx(want, rel=1e-13)

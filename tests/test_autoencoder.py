@@ -158,7 +158,7 @@ def test_encode_of_x_equals_encode_of_x_cast_to_the_weights_dtype(widths, dtype)
     other = np.float64 if dtype == np.float32 else np.float32
     X = gen.normal(size=(3 * block + 7, widths[0])).astype(other)
     codes = encode(X, snapshot)
-    assert codes.dtype == np.float64
+    assert codes.dtype == dtype
     assert np.array_equal(codes, encode(X.astype(dtype), snapshot))
 
 

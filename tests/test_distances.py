@@ -153,19 +153,25 @@ def test_pairwise_nonnegative_under_cancellation():
 # --- the chunked squared-euclidean kernel against the unchunked formulation -
 
 
+def oracle_norms(X):
+    """Row sums of squares, summed in float64 and rounded once to X's dtype."""
+    return np.sum(np.square(X, dtype=np.float64), axis=1).astype(X.dtype)
+
+
+def oracle_raw_sq_dists(X, C):
+    """Unclamped squared distances in X's dtype, by the two-pass formula."""
+    return (oracle_norms(X)[:, None] + oracle_norms(C)[None, :]) - 2.0 * (X @ C.T)
+
+
 def oracle_sq_dists(X, C):
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(C * C, axis=1)[None, :]
-        - 2.0 * (X @ C.T)
-    )
+    sq = oracle_raw_sq_dists(X, C)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
 def assert_kernel_matches_oracle(X, C):
     want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    labels, mind = nearest_centers(X, C, oracle_norms(X))
     assert np.array_equal(labels, np.argmin(want, axis=1))
     assert np.array_equal(mind, want[np.arange(X.shape[0]), labels])
     assert np.array_equal(pairwise_distance(X, C, EUCLIDEAN), np.sqrt(want))
@@ -210,24 +216,42 @@ def test_kernel_one_row_per_chunk_when_p_exceeds_chunk():
     assert_kernel_matches_oracle(X, C)
 
 
+DTYPES = [np.float64, np.float32]
+
+
+def test_sq_norms_sum_in_float64_and_round_once():
+    gen = np.random.default_rng(24)
+    X = gen.normal(size=(3000, 40))
+    assert distances.sq_norms(X).tobytes() == np.sum(X * X, axis=1).tobytes()
+    X32 = X.astype(np.float32)
+    want = oracle_norms(X32)
+    assert distances.sq_norms(X32).tobytes() == want.tobytes()
+    assert distances.sq_norms(X, np.float32).tobytes() == want.tobytes()
+    # a float32 sum of float32 squares rounds at every step
+    assert not np.array_equal(want, np.sum(X32 * X32, axis=1))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("entries", [1, 7, 100, 2**20])
-def test_kernel_bits_do_not_depend_on_chunk_size(entries, monkeypatch):
+def test_kernel_bits_do_not_depend_on_chunk_size(entries, dtype, monkeypatch):
     gen = np.random.default_rng(23)
-    X = gen.normal(size=(301, 8))
-    C = np.concatenate([gen.normal(size=(11, 8)), X[:2]])
-    xx = np.sum(X * X, axis=1)
+    X = gen.normal(size=(301, 8)).astype(dtype)
+    C = np.concatenate([gen.normal(size=(11, 8)).astype(dtype), X[:2]])
+    xx = oracle_norms(X)
     want = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
     monkeypatch.setattr(distances, "_CHUNK_ENTRIES", entries)
     (labels, mind), dist = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
     assert np.array_equal(labels, want[0][0]) and np.array_equal(mind, want[0][1])
     assert np.array_equal(dist, want[1])
+    assert mind.dtype == dist.dtype == dtype
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize(
     "n, p, d, dups",
     [(1024, 600, 16, 60), (1024, 350, 16, 35), (20000, 10, 10, 5), (300, 40, 520, 4)],
 )
-def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups):
+def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups, dtype):
     # landmark-assignment shapes on ReLU codes, a Lloyd shape on spectral rows
     # and a code wider than any OpenBLAS inner block; `dups` centers appear
     # twice and every center is also a point, so some rows hold several
@@ -242,28 +266,30 @@ def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups):
     X = np.concatenate([C, C[0] + 0.5 * gen.standard_normal(size=(n - p, d))])
     if relu:
         X = np.maximum(X, 0.0)
-    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+    X, C = X.astype(dtype), C.astype(dtype)
+    raw = oracle_raw_sq_dists(X, C)
     assert np.count_nonzero(np.count_nonzero(raw < 0.0, axis=1) >= 2) > 0
     want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    labels, mind = nearest_centers(X, C, oracle_norms(X))
     assert np.array_equal(labels, np.argmin(want, axis=1))
     assert mind.tobytes() == want[np.arange(n), labels].tobytes()
     assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, p, d", [(1, 600, 16), (1024, 1, 16), (1, 1, 16), (300, 40, 520)])
-def test_prefill_gemv_and_two_pass_shapes_match_oracle_bytes(n, p, d):
+def test_prefill_gemv_and_two_pass_shapes_match_oracle_bytes(n, p, d, dtype):
     # n = 1 or p = 1 is a GEMV and d = 520 is past the fused width: both
     # subtract 2 A B^T from the rank-1 prefill in a second pass
     gen = np.random.default_rng(n + p + d)
-    C = np.maximum(gen.normal(size=(p, d)), 0.0)
-    X = np.maximum(gen.normal(size=(n, d)), 0.0)
+    C = np.maximum(gen.normal(size=(p, d)), 0.0).astype(dtype)
+    X = np.maximum(gen.normal(size=(n, d)), 0.0).astype(dtype)
     X[0] = C[0]  # a point on a center
-    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
-    out = distances._sq_euclidean(X, C, np.sum(X * X, axis=1), np.empty((n, p)))
+    raw = oracle_raw_sq_dists(X, C)
+    out = distances._sq_euclidean(X, C, oracle_norms(X), np.empty((n, p), dtype))
     assert out.tobytes() == raw.tobytes()
     want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, np.sum(X * X, axis=1))
+    labels, mind = nearest_centers(X, C, oracle_norms(X))
     assert mind.tobytes() == want[np.arange(n), labels].tobytes()
     assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
 
@@ -276,15 +302,16 @@ def test_prefill_refuses_a_buffer_it_cannot_update_in_place():
 
 def oracle_minkowski(A, B, q):
     # one coordinate at a time from a zero sum, as the kernel accumulates
-    acc = np.zeros((A.shape[0], B.shape[0]))
+    acc = np.zeros((A.shape[0], B.shape[0]), A.dtype)
     for j in range(A.shape[1]):
         t = np.abs(np.subtract.outer(A[:, j], B[:, j]))
         acc += t * t * t if q == 3.0 else t**q
     return acc ** (1.0 / q)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, p, d", [(1747, 600, 16), (1, 5, 3), (40, 1, 16)])
-def test_minkowski_pairwise_bit_identical_to_per_coordinate_oracle(n, p, d):
+def test_minkowski_pairwise_bit_identical_to_per_coordinate_oracle(n, p, d, dtype):
     # ReLU codes, as members see them, with a first point that is not all
     # zero and, when there are several points, one point on a landmark
     gen = np.random.default_rng(n * p + d)
@@ -293,7 +320,26 @@ def test_minkowski_pairwise_bit_identical_to_per_coordinate_oracle(n, p, d):
     A[0, 0] += 1.0
     if n > 1:
         A[-1] = B[0]
+    A, B = A.astype(dtype), B.astype(dtype)
     for q in (3.0, 1.5, 1.0, 0.5):
         got = pairwise_distance(A, B, Metric("minkowski", q))
+        assert got.dtype == dtype
         assert got.tobytes() == oracle_minkowski(A, B, q).tobytes()
         assert n == 1 or got[-1, 0] == 0.0
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE, MINKOWSKI3], ids=Metric.label)
+def test_float32_pairwise_is_float32_and_close_to_float64(metric):
+    gen = np.random.default_rng(25)
+    A = np.maximum(gen.normal(size=(300, 16)), 0.0).astype(np.float32)
+    B = np.maximum(gen.normal(size=(40, 16)), 0.0).astype(np.float32)
+    A[:3] = 0.0  # zero rows: cosine takes its conventions in float32 too
+    B[0] = 0.0
+    got = pairwise_distance(A, B, metric)
+    assert got.dtype == np.float32
+    want = pairwise_distance(A.astype(np.float64), B.astype(np.float64), metric)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * want.max())
+    if metric is COSINE:
+        assert np.array_equal(got[:3, 0], np.zeros(3)) and np.all(got[:3, 1:] == 1.0)
+    # one float64 operand makes the whole call float64
+    assert pairwise_distance(A, B.astype(np.float64), metric).tobytes() == want.tobytes()

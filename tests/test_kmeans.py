@@ -292,3 +292,16 @@ def test_lloyd_repairs_several_empty_clusters_among_ties_like_oracle(seed):
     want = oracle_lloyd(X, init)
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1] and got[2] == want[2]
+
+
+def test_float32_points_cluster_as_their_float64_widening():
+    # a float32 code reaches the final k-means (dae_kmeans), which widens it
+    # exactly, so its labels and inertia are those of the float64 widening
+    gen = np.random.default_rng(14)
+    X32 = np.maximum(
+        np.repeat(4.0 * gen.normal(size=(4, 16)), 250, axis=0) + gen.normal(size=(1000, 16)), 0.0
+    ).astype(np.float32)
+    got = kmeans(X32, 4, SeedStream(3), restarts=3)
+    want = kmeans(X32.astype(np.float64), 4, SeedStream(3), restarts=3)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.inertia == want.inertia and got.restarts == want.restarts

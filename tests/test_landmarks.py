@@ -1,10 +1,13 @@
 """Landmark selection: fixed points, blob recovery, objective quality."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from snapclust.affinity import AffinityParams, build_affinity
+from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3
 from snapclust.errors import ConfigError, DataError
 from snapclust.landmarks import LandmarkSet, minibatch_kmeans
 from snapclust.kmeans import kmeans_pp_init
@@ -84,39 +87,45 @@ def test_beats_uniform_landmarks():
         assert quantization_error(Y, lm.centers) <= quantization_error(Y, Y[uniform_idx]) + 1e-12
 
 
-def oracle_sq_dists(X, C):
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(C * C, axis=1)[None, :]
-        - 2.0 * (X @ C.T)
-    )
+def oracle_sq_dists(X, C, dtype=np.float32):
+    """Clamped squared distances between X and C cast to `dtype`, computed
+    in `dtype` from row norms summed in float64."""
+    X, C = X.astype(dtype), C.astype(dtype)
+    xx = np.sum(np.square(X, dtype=np.float64), axis=1).astype(dtype)
+    cc = np.sum(np.square(C, dtype=np.float64), axis=1).astype(dtype)
+    sq = (xx[:, None] + cc[None, :]) - 2.0 * (X @ C.T)
+    assert sq.dtype == dtype
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
-def oracle_minibatch(Y, p, rng, batch_size, max_iters=100):
-    """Buffer-free formulation: fresh distance arrays, np.add.at center sums."""
+def oracle_minibatch(Y, p, rng, batch_size, max_iters=100, dtype=np.float32):
+    """Buffer-free formulation: fresh distance arrays, np.add.at center sums.
+
+    Float64 centers, each batch assigned to them in `dtype`. Returns the
+    centers and how many batch points each center absorbed.
+    """
     n = Y.shape[0]
     init_gen = rng.child(STAGE_INIT).generator()
     subset = init_gen.choice(n, size=min(n, max(10 * p, 2048)), replace=False)
-    centers = kmeans_pp_init(Y[subset], p, init_gen)
+    centers = kmeans_pp_init(Y[subset].astype(np.float64), p, init_gen)
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         B = Y[idx]
-        assign = np.argmin(oracle_sq_dists(B, centers), axis=1)
+        assign = np.argmin(oracle_sq_dists(B, centers, dtype), axis=1)
         batch_counts = np.bincount(assign, minlength=p)
         sums = np.zeros_like(centers)
-        np.add.at(sums, assign, B)
+        np.add.at(sums, assign, B.astype(np.float64))
         touched = batch_counts > 0
         new_total = counts + batch_counts
         centers[touched] = (
             counts[touched, None] * centers[touched] + sums[touched]
         ) / new_total[touched, None]
         counts = new_total
-    return centers, int(np.sum(counts == 0))
+    return centers, counts
 
 
 def test_minibatch_bit_identical_to_oracle():
@@ -127,13 +136,29 @@ def test_minibatch_bit_identical_to_oracle():
         (gen.normal(size=(600, 4)), 200, 32),
         # two tight blobs: centers barely move after the first batch
         (np.repeat([[0.0, 0.0], [5.0, 5.0]], 200, axis=0) + 1e-9 * gen.normal(size=(400, 2)), 2, 64),
+        # far from the origin, where float32 rounding decides assignments
+        (100.0 + gen.normal(size=(1500, 8)), 40, 256),
     )
-    for Y, p, bsz in cases:
-        for seed in (0, 1):
+    for Y64, p, bsz in cases:
+        # a float32 Y is used as it is; a float64 one is narrowed per batch
+        # for the assignment, but its centers move with its own values
+        for Y, seed in itertools.product((Y64, Y64.astype(np.float32)), (0, 1)):
             lm = minibatch_kmeans(Y, p, SeedStream(seed), batch_size=bsz)
-            centers, empty = oracle_minibatch(Y, p, SeedStream(seed), bsz)
+            centers, counts = oracle_minibatch(Y, p, SeedStream(seed), bsz)
+            assert lm.centers.dtype == np.float64
             assert np.array_equal(lm.centers, centers)
-            assert lm.meta["empty"] == empty
+            assert lm.meta["empty"] == np.count_nonzero(counts == 0)
+            assert lm.meta["occupancy"] == {
+                "min": int(counts.min()),
+                "median": float(np.median(counts)),
+                "max": int(counts.max()),
+            }
+    # a float64-assignment oracle disagrees on the last case, so the cases
+    # tell float32 assignment from float64
+    Y, p, bsz = cases[-1]
+    lm = minibatch_kmeans(Y, p, SeedStream(0), batch_size=bsz)
+    centers64, _ = oracle_minibatch(Y, p, SeedStream(0), bsz, dtype=np.float64)
+    assert not np.array_equal(lm.centers, centers64)
 
 
 def test_unreached_centers_keep_their_kmeans_pp_seed():
@@ -151,13 +176,25 @@ def test_unreached_centers_keep_their_kmeans_pp_seed():
     assert np.array_equal(lm.centers[~reached], seeds[~reached])
 
 
-def test_landmark_selection_holds_no_n_by_d_temporary():
-    Y = np.random.default_rng(4).normal(size=(20_000, 64))
+def traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        minibatch_kmeans(Y, 50, SeedStream(2))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the row norms are summed a block of rows at a time, not from Y * Y
-    assert peak < 0.5 * Y.nbytes
+
+
+def test_landmark_selection_holds_no_n_by_d_temporary():
+    Y = np.random.default_rng(4).normal(size=(20_000, 64))
+    # the row norms are summed a block of rows at a time, not from Y * Y,
+    # and a float64 Y is narrowed a batch at a time
+    assert traced_peak(minibatch_kmeans, Y, 50, SeedStream(2)) < 0.5 * Y.nbytes
+    # nor does either stage hold a float64 copy of a float32 code, which
+    # alone would take 2 * Y32.nbytes; the affinity's O(n * r) arrays and
+    # its one 20 000 x 10 distance block take about Y32.nbytes here
+    Y32 = Y.astype(np.float32)
+    assert traced_peak(minibatch_kmeans, Y32, 50, SeedStream(2)) < 0.5 * Y32.nbytes
+    lm = minibatch_kmeans(Y32, 10, SeedStream(2))
+    for metric in (EUCLIDEAN, COSINE, MINKOWSKI3):
+        assert traced_peak(build_affinity, Y32, lm, AffinityParams(3, metric)) < 2 * Y32.nbytes

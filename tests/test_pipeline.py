@@ -39,7 +39,7 @@ from snapclust.pipeline import (
     sweep,
     train_ensemble,
 )
-from snapclust.rng import STAGE_REPEAT, STAGE_TRAIN, SeedStream
+from snapclust.rng import STAGE_LANDMARKS, STAGE_REPEAT, STAGE_TRAIN, SeedStream
 from snapclust.trainer import SnapshotSchedule, cosine_lr, train_snapshots
 
 DATA_SEED = 42
@@ -283,7 +283,7 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
     assert 0 <= run_doc["peak_rss_children_mib"] < 2**20
     for key in (
         b"members_wall_s", b"workers", b"peak_rss_children", b"worker_peak_rss", b"bandwidth",
-        b"zero_code_share",
+        b"zero_code_share", b"occupancy",
     ):
         assert key not in report, key
     for repeat in run_doc["diagnostics"]:
@@ -297,12 +297,21 @@ def test_member_diagnostics_only_in_run_json(tmp_path):
         for member in members:
             assert set(member) == {
                 "metric", "encode_s", "landmarks_s", "affinity_s", "empty_landmarks",
-                "bandwidth", "zero_code_share", "worker_peak_rss_mib",
+                "occupancy", "bandwidth", "zero_code_share", "worker_peak_rss_mib",
             }
             assert member["encode_s"] > 0
             assert member["landmarks_s"] > 0 and member["affinity_s"] > 0
             assert 0 <= member["empty_landmarks"] < cfg.landmarks
             assert 0 < member["worker_peak_rss_mib"] < 2**20
+
+
+def member_embeddings(model, X, cfg):
+    """The points each member of repeat 0 of `model` is built on."""
+    if model == "lsc":
+        # the untrained member's points are the data's float32 narrowing
+        return [X.astype(np.float32)]
+    snapshots, _ = train_ensemble(X, cfg)
+    return [trainer.embed_snapshot(X, snapshot) for snapshot in snapshots]
 
 
 @pytest.mark.parametrize("model", ["ssc", "lsc"])
@@ -311,18 +320,62 @@ def test_member_bandwidth_and_zero_code_share_equal_a_direct_recomputation(tmp_p
     cfg = small_config(m=3, activation="relu", repeats=1)
     run_model(model, cfg, X, y, out_dir=tmp_path)
     members = json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["members"]
-    if model == "lsc":
-        # the untrained member's points are the data itself
-        embeddings = [X]
-    else:
-        snapshots, _ = train_ensemble(X, cfg)
-        embeddings = [trainer.embed_snapshot(X, snapshot) for snapshot in snapshots]
+    embeddings = member_embeddings(model, X, cfg)
     for member, Y in zip(members, embeddings, strict=True):
         assert member["zero_code_share"] == np.mean(Y == 0.0)
         assert member["bandwidth"] == scott_bandwidth(Y)
     if model == "ssc":
         # the relu code layer rectifies some entries to exactly zero
         assert all(0 < member["zero_code_share"] < 1 for member in members)
+
+
+@pytest.mark.parametrize("model", ["ssc", "lsc"])
+def test_member_occupancy_and_peak_rss_all_equal_a_direct_recomputation(
+    tmp_path, monkeypatch, model
+):
+    # a forked member worker reports a peak far above this process's
+    caller, peak_rss_mib = os.getpid(), pipeline._peak_rss_mib
+    monkeypatch.setattr(
+        pipeline,
+        "_peak_rss_mib",
+        lambda *who: peak_rss_mib(*who) + (1e4 if os.getpid() != caller else 0.0),
+    )
+    X, y = small_data()
+    cfg = small_config(m=3, activation="relu", repeats=1)
+    run_model(model, cfg, X, y, out_dir=tmp_path)
+    run_doc = json.loads((tmp_path / "run.json").read_text())
+    members = run_doc["diagnostics"][0]["members"]
+    rep = SeedStream(cfg.seed).child(STAGE_REPEAT, 0)
+    for j, (member, Y) in enumerate(zip(members, member_embeddings(model, X, cfg), strict=True)):
+        lm = minibatch_kmeans(Y, cfg.landmarks, rep.child(STAGE_LANDMARKS, j))
+        assert lm.meta["empty"] == member["empty_landmarks"]
+        assert member["occupancy"] == lm.meta["occupancy"]
+        assert member["occupancy"]["min"] <= member["occupancy"]["median"]
+        assert member["occupancy"]["median"] <= member["occupancy"]["max"]
+        assert (member["occupancy"]["min"] == 0) == (member["empty_landmarks"] > 0)
+    worker_peaks = [member["worker_peak_rss_mib"] for member in members]
+    assert run_doc["peak_rss_all_mib"] == max(run_doc["peak_rss_mib"], *worker_peaks)
+    pooled = run_doc["diagnostics"][0]["workers"] >= 2
+    assert (run_doc["peak_rss_all_mib"] > run_doc["peak_rss_mib"]) == pooled
+
+
+def test_lsc_member_uses_a_float32_x_as_it_is(monkeypatch):
+    X, y = small_data()
+    X32 = X.astype(np.float32)
+    seen = []
+
+    def recording(fn):
+        def wrapped(Y, *args, **kwargs):
+            seen.append(Y)
+            return fn(Y, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("minibatch_kmeans", "build_affinity"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    run_model("lsc", small_config(repeats=1), X32, y)
+    # both stages get X itself: no widened (or any other) copy of it
+    assert len(seen) == 2 and all(Y is X32 for Y in seen)
 
 
 def test_final_kmeans_restarts_only_in_run_json(tmp_path):

@@ -310,7 +310,7 @@ def test_float64_training_equals_training_on_its_float32_narrowing():
             assert W.dtype == b.dtype == np.float32
             assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
     for Y, Y_ref in zip(emb.members, emb_ref.members):
-        assert Y.dtype == np.float64 and np.array_equal(Y, Y_ref)
+        assert Y.dtype == np.float32 and np.array_equal(Y, Y_ref)
 
 
 def train_and_embed_peak_bytes(X):
