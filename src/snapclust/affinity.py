@@ -6,17 +6,26 @@ one after normalization. Density is r/p by construction, independent of n.
 
 The r nearest landmarks are picked in float32 and weighted in float64.
 Distances to a float32 copy of the landmarks are computed in float32, in
-row blocks of max(1, BLOCK_ENTRIES // p) points (a float64 embedding is
+row blocks of max(1, BLOCK_ENTRIES // p) points (the embedding is
 narrowed one block at a time), and the r nearest landmarks of each row
 are picked by r successive argmins rather than a full sort, so peak
-memory is O(block * p + n * r) instead of a dense n x p matrix. Ties at
+memory is O(block * (p + d) + n * r) instead of a dense n x p matrix. Ties at
 the r-th distance still go to the lower landmark index, exactly as a
-stable sort would order them. Only where float32 rounding flips a near
-tie does a pick differ from float64's. The r picked distances are then
-recomputed in float64 from each row and its float64 landmarks, a chunk
-of rows at a time, and the kernel's squares, shift, exp and
-normalization run on those. The result is a scipy `csr_array` with sorted columns in each row and int32
-indices and offsets, unless n * r or p needs int64 (`index_dtype`).
+stable sort would order them. The rows and the landmarks are narrowed as
+offsets from the landmarks' mean, computed in float64 and rounded once:
+euclidean and minkowski distances do not depend on the origin, and
+float32 rounding then scales with the spread of the data, not with its
+distance from the origin. Cosine ranks the landmarks as the euclidean
+distance between unit vectors does, ||u - v||^2 = 2 (1 - u.v), so under
+cosine both are scaled to unit norm in float64 first and ranked by that
+distance from their offsets; a float32 1 - u.v would round by about 1e-7
+whatever the spread of the directions. Only where float32 rounding flips
+a near tie does a pick differ from float64's. The r picked distances are
+then recomputed in float64 from each row and its float64 landmarks, a
+chunk of rows at a time, and the kernel's squares, shift, exp and
+normalization run on those. The result is a scipy `csr_array` with
+sorted columns in each row and int32 indices and offsets, unless n * r
+or p needs int64 (`index_dtype`).
 """
 
 from __future__ import annotations
@@ -114,21 +123,57 @@ def _nearest_rows(dists: np.ndarray, r: int) -> np.ndarray:
     return nearest
 
 
+def _narrowed_offsets(
+    Y: np.ndarray, shift: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """float32 Y / scale[:, None] - shift, each entry computed in float64 and rounded once.
+
+    Works through chunks of _CHUNK_ENTRIES // d rows, so the float64
+    values never take more than one chunk. Without `scale` the rows are
+    not divided.
+    """
+    out = np.empty(Y.shape, dtype=np.float32)
+    step = max(1, _CHUNK_ENTRIES // max(1, Y.shape[1]))
+    for start in range(0, Y.shape[0], step):
+        rows = Y[start : start + step].astype(np.float64)
+        if scale is not None:
+            rows /= scale[start : start + step, None]
+        rows -= shift
+        out[start : start + step] = rows
+    return out
+
+
 def _nearest_landmark_rows(
     Y: np.ndarray, centers: np.ndarray, r: int, metric: Metric
 ) -> np.ndarray:
-    """The r nearest landmark indices of each row of Y.
+    """The r nearest landmark indices of each row of Y, picked in float32.
 
-    Under cosine a zero row is at distance 1 from every nonzero landmark,
-    so instead of the first r by index it takes the r landmarks of
-    smallest euclidean norm (stable order), the ones a zero row picks
-    under euclidean distance. Zero landmarks, at distance 0, come first.
+    Y and the float64 centers are narrowed as offsets from the centers'
+    mean (see the module docstring). Under cosine they are scaled to unit
+    norm first and ranked by euclidean distance; a zero landmark, at
+    cosine distance 1 from every nonzero row, is put at sqrt(2), the unit
+    distance of cosine distance 1. A zero row is at cosine distance 1 from
+    every nonzero landmark, so instead of the first r by index it takes
+    the r landmarks of smallest euclidean norm (stable order), the ones a
+    zero row picks under euclidean distance. Zero landmarks, at distance
+    0, come first.
     """
-    nearest = _nearest_rows(pairwise_distance(Y, centers, metric), r)
-    if metric.name == "cosine":
-        zero = ~np.any(Y, axis=1)
-        if np.any(zero):
-            nearest[zero] = np.argsort(sq_norms(centers), kind="stable")[:r]
+    if metric.name != "cosine":
+        shift = centers.mean(axis=0)
+        rows = _narrowed_offsets(Y, shift)
+        dists = pairwise_distance(rows, (centers - shift).astype(np.float32), metric)
+        return _nearest_rows(dists, r)
+    units, zero_c = unit_rows(centers)
+    norms = np.sqrt(sq_norms(Y, np.float64))
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    shift = units.mean(axis=0)
+    rows = _narrowed_offsets(Y, shift, norms)
+    dists = pairwise_distance(rows, (units - shift).astype(np.float32), EUCLIDEAN)
+    dists[:, zero_c] = np.sqrt(np.float32(2.0))
+    nearest = _nearest_rows(dists, r)
+    if np.any(zero):
+        nearest[zero] = np.argsort(sq_norms(centers), kind="stable")[:r]
     return nearest
 
 
@@ -221,9 +266,10 @@ def build_affinity(
     reported as a numerical failure rather than silently densified.
 
     Points are processed in row blocks of max(1, BLOCK_ENTRIES // p):
-    each block gets its own float32 distance matrix and keeps only its r
+    each block, narrowed as offsets from the landmarks' mean (under cosine
+    of unit vectors), gets its own float32 distance matrix and keeps only its r
     nearest landmarks (ties to the lower index), so peak memory is
-    O(block * p + n * r) rather than O(n * p). The weights come from the
+    O(block * (p + d) + n * r) rather than O(n * p). The weights come from the
     picked distances recomputed in float64, so they equal those of the
     float64 widening of Y wherever the picks do. Under cosine a zero-norm
     point takes the r landmarks of smallest euclidean norm; they are all
@@ -241,11 +287,10 @@ def build_affinity(
     sigma = scott_bandwidth(Y) if params.sigma is None else float(params.sigma)
 
     block = max(1, BLOCK_ENTRIES // p)
-    centers32 = centers.astype(np.float32)
     nearest = np.empty((n, r), dtype=np.int64)
     for start in range(0, n, block):
-        rows = Y[start : start + block].astype(np.float32, copy=False)
-        nearest[start : start + block] = _nearest_landmark_rows(rows, centers32, r, params.metric)
+        rows = Y[start : start + block]
+        nearest[start : start + block] = _nearest_landmark_rows(rows, centers, r, params.metric)
     sel = _picked_distances(Y, centers, nearest, params.metric)
     sel_sq = sel**2
     shifted = sel_sq - sel_sq.min(axis=1, keepdims=True)

@@ -139,19 +139,24 @@ def as_float(A) -> np.ndarray:
     return np.ascontiguousarray(A, dtype=np.float32 if A.dtype == np.float32 else np.float64)
 
 
-def sq_norms(A: np.ndarray, dtype=None) -> np.ndarray:
+def sq_norms(A: np.ndarray, dtype=None, shift: np.ndarray | None = None) -> np.ndarray:
     """sum(A * A, axis=1) of A cast to `dtype` (A's own by default), in `dtype`.
 
     Each chunk of _CHUNK_ENTRIES // d rows is cast to `dtype`, then widened
     to float64, where a float32 entry's square is exact, and its squares are
     summed; each sum is rounded to `dtype` once. For a float64 A this is
-    np.sum(A * A, axis=1) bit for bit, and no n x d temporary is made.
+    np.sum(A * A, axis=1) bit for bit, and no n x d temporary is made. With
+    a float64 `shift`, the rows are A - shift, subtracted in float64 before
+    the cast: the norms of the rows `np.subtract(A, shift, out=...)` writes.
     """
     dtype = A.dtype if dtype is None else np.dtype(dtype)
     out = np.empty(A.shape[0], dtype)
     step = max(1, _CHUNK_ENTRIES // max(1, A.shape[1]))
     for start in range(0, A.shape[0], step):
-        rows = A[start : start + step].astype(dtype, copy=False).astype(np.float64, copy=False)
+        rows = A[start : start + step]
+        if shift is not None:
+            rows = rows - shift
+        rows = rows.astype(dtype, copy=False).astype(np.float64, copy=False)
         out[start : start + step] = np.sum(rows * rows, axis=1)
     return out
 
@@ -235,10 +240,11 @@ def nearest_centers(
 def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarray:
     """All-pairs distances between rows of A (n x d) and rows of B (p x d).
 
-    Runs in float32 when A and B are both float32, else in float64, and
-    returns that dtype. Euclidean clamps the `_sq_euclidean` output at 0
-    and takes its square root in place, chunk by chunk; cosine normalizes
-    nonzero rows once; and minkowski accumulates |a_j - b_j|^q one
+    Runs in and returns float32 when A and B are both float32, and
+    float64 when neither is; a float32 operand with a float64 one is a
+    DataError. Euclidean clamps the `_sq_euclidean` output at 0 and takes
+    its square root in place, chunk by chunk; cosine normalizes nonzero
+    rows once; and minkowski accumulates |a_j - b_j|^q one
     coordinate j at a time into the n x p output before taking the 1/q
     root, working through row chunks of _CHUNK_ENTRIES // p rows with two
     chunk-sized scratch buffers and no n x p x d one. Each chunk of
@@ -246,11 +252,11 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
     which rounds exactly as a_j - b_j.
     """
     A, B = as_float(A), as_float(B)
-    if A.dtype != B.dtype:
-        A, B = A.astype(np.float64, copy=False), B.astype(np.float64, copy=False)
     dtype = A.dtype
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise DataError(f"pairwise shapes incompatible: {A.shape} vs {B.shape}")
+    if B.dtype != dtype:
+        raise DataError(f"pairwise dtypes differ: {A.dtype} vs {B.dtype}")
 
     if metric.name == "euclidean":
         out = np.empty((A.shape[0], B.shape[0]), dtype=dtype)

@@ -5,15 +5,20 @@ seeded by k-means++; selection always measures euclidean distance,
 independent of the metric later used for affinities. The loop runs a fixed
 budget of batches with no early stop. The centers are float64 throughout;
 each batch is assigned in float32, against a float32 copy of the centers
-refreshed in place before every batch. Each batch and its row norms are
-gathered into float32 buffers allocated once (a float64 Y is gathered in
-its own dtype, then narrowed) and assigned by `distances.nearest_centers`:
-the squared distances are prefilled with the row norms, by a copy and an
-exact rank-1 `sger` update, and completed by one fused sgemm in a buffer
-reused across batches, and the argmin runs on them unclamped. The row
-norms are summed in float64 and rounded once to float32. The k-means++
-seeding runs on the float64 widening of the subset, which is exact, and
-draws each center exactly as `Generator.choice` would. Per-batch center
+refreshed in place before every batch. Both are taken as offsets from one
+float64 shift, the mean of the k-means++ seeds, subtracted in float64
+before the narrowing: distances do not change, but the float32 expansion
+||a||^2 + ||c||^2 - 2 a.c rounds in proportion to the norms, so data far
+from the origin would otherwise be assigned by its rounding. Each batch is
+gathered in Y's dtype into a buffer allocated once and shifted into a
+float32 one; its row norms, of the shifted and narrowed rows, are summed
+in float64 once for all of Y and rounded once to float32. Each batch is
+assigned by `distances.nearest_centers`: the squared distances are
+prefilled with the row norms, by a copy and an exact rank-1 `sger`
+update, and completed by one fused sgemm in a buffer reused across
+batches, and the argmin runs on them unclamped. The k-means++ seeding
+runs on the float64 widening of the subset, which is exact, and draws
+each center exactly as `Generator.choice` would. Per-batch center
 updates use the running-mean form, which is the sequential per-point rule
 in closed form, on the batch in Y's own dtype summed in float64. It is
 computed for every center into a buffer allocated once and written back
@@ -92,12 +97,12 @@ def minibatch_kmeans(
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
-    yy = sq_norms(Y, np.float32)
+    shift = centers.mean(axis=0)
+    yy = sq_norms(Y, np.float32, shift)
     # buffers reused by every batch; mode="clip" lets np.take write into
-    # `out` directly (the indices are in range), "raise" would copy first.
-    # np.take cannot cast into `out`, so a float64 batch is narrowed after
+    # `out` directly (the indices are in range), "raise" would copy first
     B = np.empty((bsz, d), dtype=Y.dtype)
-    B32 = B if Y.dtype == np.float32 else np.empty((bsz, d), dtype=np.float32)
+    B32 = np.empty((bsz, d), dtype=np.float32)
     bb = np.empty(bsz, dtype=np.float32)
     C32 = np.empty((p, d), dtype=np.float32)
     gram = np.empty((bsz, p), dtype=np.float32)
@@ -105,10 +110,10 @@ def minibatch_kmeans(
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         np.take(Y, idx, axis=0, out=B, mode="clip")
-        if B32 is not B:
-            B32[...] = B
+        # float64 differences, each rounded once to float32
+        np.subtract(B, shift, out=B32)
         np.take(yy, idx, out=bb, mode="clip")
-        C32[...] = centers
+        np.subtract(centers, shift, out=C32)
         assign, _ = nearest_centers(B32, C32, bb, gram)
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)

@@ -43,7 +43,9 @@ a trained model runs on it as on its float32 narrowing; the codes are
 handed on as float32. Every member is built on a float32 embedding: the
 untrained spectral baseline uses a float32 X as it is and narrows a
 float64 X once, so it too runs on X's float32 narrowing. Landmarks are
-assigned and affinities picked in float32, while the landmark centers,
+assigned and affinities picked in float32 (as offsets from a float64
+mean, of unit vectors under cosine, so data far from the origin rounds
+like its spread; see `landmarks` and `affinity`), while the landmark centers,
 the affinity weights, fusion, the SVD and k-means stay float64; k-means
 widens float32 codes or data to its own float64 copy, exactly. Training
 and `encode` run in fixed-size buffers, so beyond X and the n x code

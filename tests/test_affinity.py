@@ -14,7 +14,7 @@ from snapclust.affinity import (
     build_affinity,
     scott_bandwidth,
 )
-from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3
+from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3, pairwise_distance
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.landmarks import LandmarkSet
 from snapclust.rng import SeedStream
@@ -377,6 +377,34 @@ def test_float32_code_picks_like_float64_and_weighs_in_float64(metric):
     assert wide.bandwidth == aff.bandwidth
     assert np.array_equal(wide.matrix.indices, aff.matrix.indices)
     assert wide.matrix.data.tobytes() == aff.matrix.data.tobytes()
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE, MINKOWSKI3], ids=lambda m: m.name)
+def test_data_far_from_the_origin_picks_like_float64(metric):
+    # at 1e3 from the origin with unit spread, ||a||^2 is about 1.6e7: a
+    # float32 expansion of the raw rows rounds by 1-2 against squared
+    # distances of about 32, and a float32 1 - u.v by about 1e-7 against
+    # cosine distances of about 1e-5, while the offsets from the
+    # landmarks' mean (of unit vectors under cosine) round like the spread
+    gen = np.random.default_rng(13)
+    n, d, r = 2000, 16, 5
+    Y32 = (1e3 + gen.normal(size=(n, d))).astype(np.float32)
+    lm = landmarks_from(Y32[gen.choice(n, size=40, replace=False)] + 0.25)
+    aff = build_affinity(Y32, lm, AffinityParams(r=r, metric=metric))
+    kwargs = {"p": 3.0} if metric is MINKOWSKI3 else {}
+    d64 = cdist(Y32.astype(np.float64), lm.centers, metric.name, **kwargs)
+    nearest = np.argsort(d64, axis=1, kind="stable")[:, :r]
+    order = np.argsort(nearest, axis=1)
+    assert np.array_equal(
+        aff.matrix.indices.reshape(-1, r), np.take_along_axis(nearest, order, axis=1)
+    )
+    want = oracle_picked_weights(Y32, lm.centers, nearest, metric, aff.bandwidth)
+    got = aff.matrix.data.reshape(-1, r)
+    assert got.tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
+    if metric is not MINKOWSKI3:
+        # float32 distances of the raw rows pick otherwise: the case has teeth
+        raw = _nearest_rows(pairwise_distance(Y32, lm.centers.astype(np.float32), metric), r)
+        assert not np.array_equal(raw, nearest)
 
 
 def test_scott_bandwidth_of_float32_sums_in_float64():

@@ -102,20 +102,22 @@ def oracle_sq_dists(X, C, dtype=np.float32):
 def oracle_minibatch(Y, p, rng, batch_size, max_iters=100, dtype=np.float32):
     """Buffer-free formulation: fresh distance arrays, np.add.at center sums.
 
-    Float64 centers, each batch assigned to them in `dtype`. Returns the
-    centers and how many batch points each center absorbed.
+    Float64 centers, each batch assigned to them in `dtype` as offsets
+    from the mean of the k-means++ seeds. Returns the centers and how many
+    batch points each center absorbed.
     """
     n = Y.shape[0]
     init_gen = rng.child(STAGE_INIT).generator()
     subset = init_gen.choice(n, size=min(n, max(10 * p, 2048)), replace=False)
     centers = kmeans_pp_init(Y[subset].astype(np.float64), p, init_gen)
+    shift = centers.mean(axis=0)
     counts = np.zeros(p, dtype=np.int64)
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         B = Y[idx]
-        assign = np.argmin(oracle_sq_dists(B, centers, dtype), axis=1)
+        assign = np.argmin(oracle_sq_dists(B - shift, centers - shift, dtype), axis=1)
         batch_counts = np.bincount(assign, minlength=p)
         sums = np.zeros_like(centers)
         np.add.at(sums, assign, B.astype(np.float64))
@@ -136,8 +138,11 @@ def test_minibatch_bit_identical_to_oracle():
         (gen.normal(size=(600, 4)), 200, 32),
         # two tight blobs: centers barely move after the first batch
         (np.repeat([[0.0, 0.0], [5.0, 5.0]], 200, axis=0) + 1e-9 * gen.normal(size=(400, 2)), 2, 64),
-        # far from the origin, where float32 rounding decides assignments
-        (100.0 + gen.normal(size=(1500, 8)), 40, 256),
+        # far from the origin
+        (1e3 + gen.normal(size=(1500, 8)), 40, 256),
+        # a tight blob far from a loose one: within the tight blob, float32
+        # rounding of the offsets from the seeds' mean decides assignments
+        (np.vstack([1e-3 * gen.normal(size=(750, 8)), 1e3 + gen.normal(size=(750, 8))]), 40, 256),
     )
     for Y64, p, bsz in cases:
         # a float32 Y is used as it is; a float64 one is narrowed per batch
@@ -156,6 +161,7 @@ def test_minibatch_bit_identical_to_oracle():
     # a float64-assignment oracle disagrees on the last case, so the cases
     # tell float32 assignment from float64
     Y, p, bsz = cases[-1]
+    assert Y.dtype == np.float64
     lm = minibatch_kmeans(Y, p, SeedStream(0), batch_size=bsz)
     centers64, _ = oracle_minibatch(Y, p, SeedStream(0), bsz, dtype=np.float64)
     assert not np.array_equal(lm.centers, centers64)
@@ -171,9 +177,24 @@ def test_unreached_centers_keep_their_kmeans_pp_seed():
     seeds = kmeans_pp_init(Y[subset], p, init_gen)
     idx = SeedStream(2).child(STAGE_BATCH).generator().choice(len(Y), size=bsz, replace=False)
     reached = np.zeros(p, dtype=bool)
-    reached[np.argmin(oracle_sq_dists(Y[idx], seeds), axis=1)] = True
+    shift = seeds.mean(axis=0)
+    reached[np.argmin(oracle_sq_dists(Y[idx] - shift, seeds - shift), axis=1)] = True
     assert lm.meta["empty"] == np.count_nonzero(~reached) > 0
     assert np.array_equal(lm.centers[~reached], seeds[~reached])
+
+
+def test_data_far_from_the_origin_is_assigned_as_in_float64():
+    # at 1e3 from the origin with unit spread, ||a||^2 is about 1.6e7, so
+    # a float32 expansion of the raw points would round by 1-2 against
+    # squared distances of about 32; the offsets from the seeds' mean
+    # round like the spread, and every assignment is float64's
+    gen = np.random.default_rng(12)
+    Y64 = 1e3 + gen.normal(size=(3000, 16))
+    for Y, seed in itertools.product((Y64, Y64.astype(np.float32)), (0, 1)):
+        lm = minibatch_kmeans(Y, 60, SeedStream(seed), batch_size=512)
+        centers64, counts64 = oracle_minibatch(Y, 60, SeedStream(seed), 512, dtype=np.float64)
+        assert np.array_equal(lm.centers, centers64)
+        assert lm.meta["occupancy"]["max"] == counts64.max()
 
 
 def traced_peak(fn, *args):
@@ -191,8 +212,9 @@ def test_landmark_selection_holds_no_n_by_d_temporary():
     # and a float64 Y is narrowed a batch at a time
     assert traced_peak(minibatch_kmeans, Y, 50, SeedStream(2)) < 0.5 * Y.nbytes
     # nor does either stage hold a float64 copy of a float32 code, which
-    # alone would take 2 * Y32.nbytes; the affinity's O(n * r) arrays and
-    # its one 20 000 x 10 distance block take about Y32.nbytes here
+    # alone would take 2 * Y32.nbytes; the affinity's O(n * r) arrays, its
+    # one 20 000 x 10 distance block and that block's narrowed float32
+    # rows take about 1.5 * Y32.nbytes here
     Y32 = Y.astype(np.float32)
     assert traced_peak(minibatch_kmeans, Y32, 50, SeedStream(2)) < 0.5 * Y32.nbytes
     lm = minibatch_kmeans(Y32, 10, SeedStream(2))
