@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 from .autoencoder import ACTIVATIONS
@@ -81,8 +82,8 @@ class PipelineConfig:
             raise ConfigError(f"ensemble size must be >= 1, got {self.m}")
         if self.cycle_length < 1:
             raise ConfigError(f"cycle length must be >= 1, got {self.cycle_length}")
-        if not self.alpha0 > 0:
-            raise ConfigError(f"alpha0 must be > 0, got {self.alpha0}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ConfigError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.encoding_size < 1:
             raise ConfigError(f"encoding size must be >= 1, got {self.encoding_size}")
         if self.landmarks < 2:
@@ -100,8 +101,8 @@ class PipelineConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if any(h < 1 for h in self.hidden):

@@ -22,6 +22,8 @@ from .errors import ConfigError, DataError
 from .rng import STAGE_SYNTH, SeedStream
 
 FORMATS = ("auto", "idx", "csv", "rawf32")
+# labels save_labels formats per write; each line is a str of about 50 bytes
+_LABEL_BLOCK = 4096
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -189,7 +191,8 @@ def load_labels(path) -> np.ndarray:
 def save_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels).astype(np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{v}\n" for v in labels.tolist()))
+        for start in range(0, labels.size, _LABEL_BLOCK):
+            fh.write("".join(f"{v}\n" for v in labels[start : start + _LABEL_BLOCK].tolist()))
 
 
 def make_blobs(

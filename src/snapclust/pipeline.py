@@ -11,28 +11,27 @@ fields.
 Ensemble members are independent: member j draws its landmarks from its
 own seed stream, so they are built in parallel, while training goes on.
 A pool of forked worker processes (`_ForkPool`) runs one function, which
-its workers inherit. Each repeat opens one pool for the members, one
-worker per CPU in the process's affinity mask and at most m, and then
-one for the final k-means restarts (`_fork_map`), at most one worker per
-restart. Each snapshot goes to the members' pool as soon as training
-captures it, and a worker embeds the data under it, selects landmarks
-and builds the affinity; only the affinity and its diagnostics come
-back. This process trains meanwhile and never builds a member itself,
-so it holds no embedding, and collects the members in index order once
-training ends: a training error is raised first, then the lowest failing
-member's. `fuse` copies each member into the fused matrix as it is
-collected and drops it. The pools are the only things a run forks, and
-never while a second Python thread is alive: the members' workers fork before training
-starts its batch-drawing thread (`trainer._drawn_ahead`), and the
-restarts' once training has joined it and the points exist, so they
-inherit the points and a restart sends only its index. Fusion and the
-SVD stay in this process. On Linux a worker is killed when this process
-dies. A pool of one worker runs its calls serially, in this process: so
-do the one member of `lsc` and `dae_lsc`, a one-CPU mask (`taskset -c
-0`), and a call made while other Python threads are alive, since forking
-a threaded process can deadlock (`pool_workers`). A run holds every
-loaded OpenBLAS at one thread, which the workers inherit (`run_model`),
-so its outputs are byte-identical whatever the CPU count.
+its workers inherit. Each repeat opens one pool, for the members, with
+one worker per CPU in the process's affinity mask and at most m. Each
+snapshot goes to the pool as soon as training captures it, and a worker
+embeds the data under it, selects landmarks and builds the affinity;
+only the affinity and its diagnostics come back. This process trains
+meanwhile and never builds a member itself, so it holds no embedding,
+and collects the members in index order once training ends: a training
+error is raised first, then the lowest failing member's. `fuse` copies
+each member into the fused matrix as it is collected and drops it. The
+pool is the only thing a run forks, and never while a second Python
+thread is alive: its workers fork before training starts its
+batch-drawing thread (`trainer._drawn_ahead`). Fusion, the SVD and the
+final k-means stay in this process; on many rows the k-means restarts
+run on a sample of them (see `kmeans`). On Linux a worker is killed
+when this process dies. A pool of one worker runs its calls serially,
+in this process: so do the one member of `lsc` and `dae_lsc`, a one-CPU
+mask (`taskset -c 0`), and a call made while other Python threads are
+alive, since forking a threaded process can deadlock (`pool_workers`).
+A run holds every loaded OpenBLAS at one thread, which the workers
+inherit (`run_model`), so its outputs are byte-identical whatever the
+CPU count.
 Serially each member is built when `fuse` asks for it, once training
 has ended, so this process holds one embedding and member at a time.
 Memory grows to about one member's embedding plus its O(block * p + nnz)
@@ -335,20 +334,6 @@ class _ForkPool:
             yield self._fn(*call) if self._pool is None else call.result()
 
 
-def _fork_map(fn, count: int):
-    """Yield fn(0), ..., fn(count - 1) from a pool of their own.
-
-    The pool forks when the first result is asked for, and the workers
-    inherit fn and all it holds, so each call sends only its index. Each
-    result is yielded as soon as it and those before it are in. The
-    kmeans restarts run here, once their points exist.
-    """
-    with _ForkPool(pool_workers(count), fn) as pool:
-        for i in range(count):
-            pool.submit(i)
-        yield from pool.results()
-
-
 @_one_blas_thread()
 def train_ensemble(
     X: np.ndarray,
@@ -486,17 +471,19 @@ def _single_run(
                 row_normalize=config.row_normalize,
             )
         footprint.update(fused_nnz=fused.nnz, dense_equivalent_bytes=n * n * 8)
+        # not held while k-means runs
+        del fused
         diagnostics["workers"] = workers
         diagnostics["spectrum"] = points.meta
         diagnostics["members"] = member_diagnostics
     else:
         points = embeddings.members[0] if model in _TRAINED else X
 
-    # the restarts fork their own workers, which inherit the points
     with _stage(timings, "kmeans", peaks):
-        partition = kmeans(points, config.k, rep.child(STAGE_KMEANS), map_restarts=_fork_map)
+        partition = kmeans(points, config.k, rep.child(STAGE_KMEANS))
     if model in _SPECTRAL:
         diagnostics["kmeans"] = partition.restarts
+        diagnostics["kmeans_sample"] = partition.sample
     return partition, footprint, diagnostics
 
 
@@ -616,9 +603,9 @@ def run_model(
         "footprint": footprint,
         "diagnostics": diagnostics,
         "peak_rss_mib": peak,
-        # this process or any member's worker, whichever peaked higher
+        # this process or any worker it forked, whichever peaked higher
         "peak_rss_all_mib": max([peak, *worker_peaks]),
-        # the largest child this process has waited for: member and restart workers included
+        # the largest child this process has waited for, whatever started it
         "peak_rss_children_mib": _peak_rss_mib(resource.RUSAGE_CHILDREN),
     }
     paths = _write_artifacts(out_dir, config, partitions, report, run_doc) if out_dir else {}
@@ -673,6 +660,7 @@ def sweep(
     field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
     if name not in field_names:
         raise ConfigError(f"unknown hyperparameter {name!r}; expected a config field")
+    values = list(values)
     configs = [config.replace(**{name: value}).validate() for value in values]
     records: list[RunRecord] = []
     if X is None and config.dataset and name not in ("dataset", "format"):

@@ -24,6 +24,7 @@ STAGE_RESTART = 7
 STAGE_SYNTH = 8
 STAGE_BATCH = 9
 STAGE_SPECTRAL = 10
+STAGE_SAMPLE = 11
 
 
 class SeedStream:

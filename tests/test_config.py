@@ -82,6 +82,22 @@ def test_validate_rejects(changes):
         PipelineConfig(**changes).validate()
 
 
+@pytest.mark.parametrize(
+    "key, raw, name",
+    [
+        ("alpha0", "inf", "alpha0"),
+        ("alpha0", "nan", "alpha0"),
+        ("noise_sigma", "inf", "noise sigma"),
+        ("noise_sigma", "nan", "noise sigma"),
+    ],
+)
+def test_validate_rejects_non_finite_floats_by_name(key, raw, name):
+    # config files and CLI flags parse these spellings as floats
+    value = parse_value(key, raw)
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        PipelineConfig(**{key: value}).validate()
+
+
 def test_off_domain_warns_not_rejects(caplog):
     cfg = PipelineConfig(alpha0=0.5, landmarks=30, sparsity=3)
     with caplog.at_level(logging.WARNING, logger="snapclust"):

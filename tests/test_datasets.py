@@ -164,6 +164,10 @@ def test_labels_text_round_trip(tmp_path):
     assert load_labels(path).tolist() == [2, 0, 1, 1]
     save_labels(path, np.array([0, 12, 3]))
     assert path.read_bytes() == b"0\n12\n3\n"
+    # written a block at a time; the blocks join into one line per label
+    many = np.arange(10_000) % 13
+    save_labels(path, many)
+    assert path.read_text() == "".join(f"{v}\n" for v in many.tolist())
 
 
 def test_labels_idx_sniffed(tmp_path):

@@ -1,13 +1,24 @@
 """KMeans: seeding, Lloyd convergence, brute-force optimality on tiny instances."""
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from snapclust.errors import ConfigError, DataError
-from snapclust.kmeans import Partition, kmeans, kmeans_pp_init, lloyd
-from snapclust.rng import SeedStream
+from snapclust.kmeans import (
+    DEFAULT_RESTARTS,
+    SAMPLE_ROWS,
+    Partition,
+    kmeans,
+    kmeans_pp_init,
+    lloyd,
+)
+from snapclust.rng import STAGE_RESTART, STAGE_SAMPLE, SeedStream
+
+# the package exports the function kmeans under the module's name
+kmeans_module = importlib.import_module("snapclust.kmeans")
 
 
 def brute_force_inertia(X, k):
@@ -155,22 +166,81 @@ def test_kmeans_keeps_every_restart_inertia_and_iterations():
 def test_kmeans_result_does_not_depend_on_the_restart_order():
     # duplicated blobs give tied inertias: the lowest tied restart must win
     X = np.repeat(np.random.default_rng(10).normal(size=(20, 2)), 2, axis=0)
-    order = []
+    rng = SeedStream(4)
+    part = kmeans(X, 3, rng, restarts=6)
+    tied = [i for i, r in enumerate(part.restarts) if r["inertia"] == part.inertia]
+    assert len(tied) >= 2
 
-    def backwards(fn, count):
-        results = {}
-        for i in reversed(range(count)):
-            order.append(i)
-            results[i] = fn(i)
-        return [results[i] for i in range(count)]
+    def restart(i):
+        return lloyd(X, kmeans_pp_init(X, 3, rng.child(STAGE_RESTART, i).generator()))[0]
 
-    serial = kmeans(X, 3, SeedStream(4), restarts=6)
-    mapped = kmeans(X, 3, SeedStream(4), restarts=6, map_restarts=backwards)
-    assert order == [5, 4, 3, 2, 1, 0]
-    assert sum(r["inertia"] == serial.inertia for r in serial.restarts) >= 2
-    assert np.array_equal(mapped.labels, serial.labels)
-    assert mapped.inertia == serial.inertia
-    assert mapped.restarts == serial.restarts
+    assert np.array_equal(part.labels, restart(tied[0]))
+    assert not np.array_equal(part.labels, restart(tied[-1]))
+
+
+def blobs(n, k, seed):
+    gen = np.random.default_rng(seed)
+    truth = np.arange(n) % k
+    return 10.0 * gen.normal(size=(k, 4))[truth] + gen.normal(size=(n, 4)), truth
+
+
+def test_sampled_restarts_are_deterministic():
+    X, _ = blobs(3 * SAMPLE_ROWS, 5, 15)
+    p1 = kmeans(X, 5, SeedStream(7))
+    p2 = kmeans(X, 5, SeedStream(7))
+    assert p1.sample["rows"] == SAMPLE_ROWS
+    assert np.array_equal(p1.labels, p2.labels)
+    assert p1.inertia == p2.inertia
+    assert p1.restarts == p2.restarts and p1.sample == p2.sample
+
+
+def test_sampled_restarts_recover_blobs_as_the_full_path_does(monkeypatch):
+    X, truth = blobs(3 * SAMPLE_ROWS, 5, 16)
+    sampled = kmeans(X, 5, SeedStream(8))
+    monkeypatch.setattr(kmeans_module, "SAMPLE_ROWS", X.shape[0])
+    full = kmeans(X, 5, SeedStream(8))
+    assert sampled.sample and not full.sample
+    for part in (sampled, full):
+        # each true blob is one cluster, whatever its label
+        pairs = set(zip(truth.tolist(), part.labels.tolist()))
+        assert len(pairs) == len({label for _, label in pairs}) == 5
+    assert sampled.inertia == pytest.approx(full.inertia, rel=1e-12)
+
+
+def test_sampled_restarts_log_the_sample_and_the_full_lloyd():
+    X, _ = blobs(3 * SAMPLE_ROWS, 5, 17)
+    rng = SeedStream(9)
+    part = kmeans(X, 5, rng)
+    # the documented steps: restarts on the seeded sample, whose size lets
+    # kmeans run them on every row it is given, then one Lloyd on all rows
+    gen = rng.child(STAGE_SAMPLE).generator()
+    sample = X[np.sort(gen.choice(X.shape[0], SAMPLE_ROWS, replace=False))]
+    on_sample = kmeans(sample, 5, rng)
+    assert part.restarts == on_sample.restarts
+    assert len(part.restarts) == DEFAULT_RESTARTS
+    centers = np.stack([sample[on_sample.labels == c].mean(axis=0) for c in range(5)])
+    labels, inertia, history = lloyd(X, centers)
+    assert np.array_equal(part.labels, labels)
+    assert part.inertia == pytest.approx(inertia, rel=1e-12)
+    assert part.sample == {"rows": SAMPLE_ROWS, "lloyd_iters": len(history)}
+
+
+def test_a_sample_with_fewer_than_k_distinct_rows_falls_back_to_every_row():
+    # two lone points among copies of one: a sample of the rows misses one
+    X = np.zeros((15 * SAMPLE_ROWS, 2))
+    X[[1234, 23456]] = [[5.0, 0.0], [0.0, 5.0]]
+    part = kmeans(X, 3, SeedStream(0))
+    assert part.sample == {}
+    assert part.inertia == 0.0
+    assert len(np.unique(part.labels[[0, 1234, 23456]])) == 3
+
+
+def test_more_clusters_than_the_sample_holds_restart_on_every_row(monkeypatch):
+    monkeypatch.setattr(kmeans_module, "SAMPLE_ROWS", 5)
+    X = np.random.default_rng(18).normal(size=(40, 2))
+    part = kmeans(X, 6, SeedStream(1))
+    assert part.sample == {}
+    assert len(np.unique(part.labels)) == 6
 
 
 # --- bit-identity against the buffer-free formulation -----------------------

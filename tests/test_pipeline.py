@@ -6,7 +6,6 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import re
 import select
 import signal
@@ -26,7 +25,7 @@ from snapclust.autoencoder import backward
 from snapclust.config import PipelineConfig, load_config
 from snapclust.datasets import make_blobs, save_rawf32
 from snapclust.errors import ConfigError, DataError, NumericalError
-from snapclust.kmeans import DEFAULT_RESTARTS, kmeans
+from snapclust.kmeans import DEFAULT_RESTARTS, SAMPLE_ROWS, kmeans
 from snapclust.landmarks import minibatch_kmeans
 from snapclust.pipeline import (
     BASELINES,
@@ -396,6 +395,8 @@ def test_final_kmeans_restarts_only_in_run_json(tmp_path):
         assert len(restarts) == DEFAULT_RESTARTS
         assert min(r["inertia"] for r in restarts) == entry["inertia"]
         assert all(r["lloyd_iters"] >= 1 for r in restarts)
+        # too few rows for a sample: the restarts ran on every row
+        assert repeat["kmeans_sample"] == {}
 
 
 def test_chunk_size_does_not_change_outputs(tmp_path, monkeypatch):
@@ -597,7 +598,7 @@ def test_overflowing_embedding_raises_as_serial(monkeypatch):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_pooled_restarts_match_the_serial_loop(tmp_path, monkeypatch, model):
+def test_final_kmeans_runs_in_this_process(tmp_path, monkeypatch, model):
     X, y = small_data()
     cfg = small_config(repeats=1, metrics=RM_METRICS if model == "ssc_rm" else ())
     pids = tmp_path / "restart_pids.log"
@@ -613,30 +614,28 @@ def test_pooled_restarts_match_the_serial_loop(tmp_path, monkeypatch, model):
     monkeypatch.setattr(kmeans_module, "kmeans_pp_init", logged)
     calls = []
 
-    def recorded(points, k, rng, **kwargs):
-        partition = kmeans(points, k, rng, **kwargs)
+    def recorded(points, k, rng):
+        partition = kmeans(points, k, rng)
         calls.append((points, k, rng, partition))
         return partition
 
     monkeypatch.setattr(pipeline, "kmeans", recorded)
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        out = tmp_path / str(workers)
-        run_model(model, cfg, X, y, out_dir=out)
-        ran_in = set(map(int, pids.read_text().split()))
-        pids.unlink()
-        assert (ran_in == {os.getpid()}) == (workers == 1)
-        if model in ("lsc", "dae_lsc"):
-            # one member: a pool of one worker builds it in this process
-            run_doc = json.loads((out / "run.json").read_text())
-            assert run_doc["diagnostics"][0]["workers"] == 1
-    assert len(calls) == 2
-    for points, k, rng, partition in calls:
-        oracle = kmeans(points, k, rng)
-        assert np.array_equal(partition.labels, oracle.labels)
-        assert partition.inertia == oracle.inertia
-        assert partition.restarts == oracle.restarts
-        assert len(partition.restarts) == DEFAULT_RESTARTS
+    _force_workers(monkeypatch, 2)
+    run_model(model, cfg, X, y, out_dir=tmp_path / "out")
+    # every restart ran here, beside a pool of two workers for the members
+    assert set(map(int, pids.read_text().split())) == {os.getpid()}
+    run_doc = json.loads((tmp_path / "out" / "run.json").read_text())
+    if model in ("lsc", "dae_lsc"):
+        # one member: a pool of one worker builds it in this process
+        assert run_doc["diagnostics"][0]["workers"] == 1
+    elif model in ("ssc", "ssc_rm"):
+        assert run_doc["diagnostics"][0]["workers"] == 2
+    [(points, k, rng, partition)] = calls
+    oracle = kmeans(points, k, rng)
+    assert np.array_equal(partition.labels, oracle.labels)
+    assert partition.inertia == oracle.inertia
+    assert partition.restarts == oracle.restarts
+    assert len(partition.restarts) == DEFAULT_RESTARTS
 
 
 def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
@@ -647,10 +646,9 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
-    # the members are handed over as training captures them, and the final
-    # k-means restarts go to a pool of their own: both must stay in this process
-    captured, pools, restart_maps = [], [], []
-    kmeans_module = importlib.import_module("snapclust.kmeans")
+    # the members are handed over as training captures them: they must stay
+    # in this process
+    captured, pools = [], []
     train_ensemble = pipeline.train_ensemble
 
     def capturing(*args, on_capture=None, **kwargs):
@@ -662,15 +660,8 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
 
     class CountedPool(pipeline._ForkPool):
         def __init__(self, workers, fn):
-            self.restarts = getattr(fn, "func", None) is kmeans_module._restart
-            pools.append((workers, "restarts" if self.restarts else "members"))
+            pools.append(workers)
             super().__init__(workers, fn)
-
-        def results(self):
-            results = list(super().results())
-            if self.restarts:
-                restart_maps.append(len(results))
-            return results
 
     monkeypatch.setattr(pipeline, "train_ensemble", capturing)
     monkeypatch.setattr(pipeline, "_ForkPool", CountedPool)
@@ -685,10 +676,8 @@ def test_one_cpu_affinity_mask_never_forks(tmp_path, monkeypatch):
         os.sched_setaffinity(0, mask)
     assert json.loads((tmp_path / "run.json").read_text())["diagnostics"][0]["workers"] == 1
     assert captured == [1, 2, 3]
-    # two pools per repeat, members' then restarts': ssc 1 repeat,
-    # dae_kmeans 1, kmeans 2
-    assert pools == [(1, "members"), (1, "restarts")] * 4
-    assert restart_maps == [DEFAULT_RESTARTS] * 4
+    # one pool per repeat, the members': ssc 1 repeat, dae_kmeans 1, kmeans 2
+    assert pools == [1] * 4
 
 
 def test_pool_workers_runs_serially_beside_threads():
@@ -708,7 +697,7 @@ def test_pool_workers_runs_serially_beside_threads():
     assert not thread.is_alive()
 
 
-def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
+def test_pool_map_keeps_index_order_and_the_first_error():
     parent = os.getpid()
     # a generator cannot be pickled: the function reaches the workers by fork
     unpicklable = (i for i in range(3))
@@ -717,19 +706,22 @@ def test_pool_map_keeps_index_order_and_the_first_error(monkeypatch):
         assert unpicklable is not None
         return i * i, os.getpid() != parent
 
-    _force_workers(monkeypatch, 2)
-    assert list(pipeline._fork_map(task, 5)) == [(i * i, True) for i in range(5)]
-    _force_workers(monkeypatch, 1)
-    assert list(pipeline._fork_map(task, 3)) == [(i * i, False) for i in range(3)]
+    def mapped(workers, fn, count):
+        with pipeline._ForkPool(workers, fn) as pool:
+            for i in range(count):
+                pool.submit(i)
+            return list(pool.results())
+
+    assert mapped(2, task, 5) == [(i * i, True) for i in range(5)]
+    assert mapped(1, task, 3) == [(i * i, False) for i in range(3)]
 
     def fail_from_two(i):
         if i >= 2:
             raise NumericalError(f"task {i}")
         return i
 
-    _force_workers(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^task 2$"):
-        list(pipeline._fork_map(fail_from_two, 5))
+        mapped(2, fail_from_two, 5)
     assert multiprocessing.active_children() == []
 
 
@@ -918,34 +910,27 @@ def test_a_run_holds_every_openblas_at_one_thread(tmp_path, monkeypatch):
     assert seen == {"backward", "minibatch_kmeans", "left_singular_vectors", "lloyd"}
 
 
-def test_restarts_never_send_the_points(monkeypatch):
-    kmeans_module = importlib.import_module("snapclust.kmeans")
+def test_workers_are_sent_only_the_members(monkeypatch):
     sent = []
 
     class Spied(ProcessPoolExecutor):
-        def __init__(self, *args, initargs, **kwargs):
-            self.inherited = initargs[0]
-            super().__init__(*args, initargs=initargs, **kwargs)
-
         def submit(self, fn, *args):
             # the pool's calls; not the one that makes the executor fork
             if fn is pipeline._call_forked:
-                restart = getattr(self.inherited, "func", None) is kmeans_module._restart
-                sent.append((restart, len(pickle.dumps((fn, args)))))
+                sent.append(args)
             return super().submit(fn, *args)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Spied)
     _force_workers(monkeypatch, 2)
-    X, y = make_blobs(2000, 50, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
+    # more rows than the final restarts' sample
+    X, y = make_blobs(2500, 50, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
     cfg = small_config(m=3, repeats=1)
     for model, members in (("kmeans", 0), ("dae_kmeans", 0), ("ssc", cfg.m)):
         sent.clear()
-        run_model(model, cfg, X, y)
-        # the restarts' workers forked once the points existed and inherited them
-        restarts = [size for restart, size in sent if restart]
-        assert len(restarts) == DEFAULT_RESTARTS
-        assert max(restarts) < 1024
-        assert len(sent) == members + DEFAULT_RESTARTS
+        partition, _, _ = run_model(model, cfg, X, y)
+        # the final k-means ran in this process, on a sample and then every row
+        assert [snapshot.cycle_index for (snapshot,) in sent] == list(range(1, members + 1))
+        assert partition.sample["rows"] == SAMPLE_ROWS
 
 
 def test_pooled_and_serial_runs_match_at_two_blas_threads(tmp_path, monkeypatch, inline_training):
@@ -1056,8 +1041,8 @@ def test_no_fork_while_the_batch_thread_runs(tmp_path, monkeypatch):
     X, y = make_blobs(150, 512, 3, separation=5.0, noise_sigma=0.3, seed=DATA_SEED)
     cfg = small_config(batch_size=64, repeats=2)
     run_ssc(cfg, X, y, out_dir=tmp_path)
-    # each repeat forks 2 workers for its members, then 2 for its restarts
-    assert threads_at_fork == [1] * 8
+    # each repeat forks 2 workers, for its members
+    assert threads_at_fork == [1] * 4
     repeats = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
     assert [repeat["train_feed"] for repeat in repeats] == ["thread"] * 2
     assert [repeat["workers"] for repeat in repeats] == [2] * 2
@@ -1260,6 +1245,12 @@ def test_sweep_runs_per_value(tmp_path):
         assert rec.model == "ssc"
         assert rec.report["repeats"] == 1
         assert rec.footprint["density"] == r / cfg.landmarks
+
+
+def test_sweep_takes_values_from_a_one_shot_iterable():
+    X, y = small_data()
+    records = sweep(small_config(repeats=1), "sparsity", (r for r in (2, 3)), X, y)
+    assert [rec.footprint["density"] for rec in records] == [0.2, 0.3]
 
 
 def test_sweep_picks_rm_when_metrics_set():
