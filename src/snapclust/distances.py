@@ -10,14 +10,14 @@ work in float32 when their inputs are float32 and in float64 otherwise,
 with their buffers in that dtype and their BLAS routines (`sgemm`/`sger`
 or `dgemm`/`dger`) chosen for it. Row norms are the one exception: each
 row's squares are summed in float64 and rounded once to the working dtype
-(`sq_norms`). The ensemble members assign and rank landmarks in float32;
-Lloyd and the final k-means call the same kernels in float64.
+(`sq_norms`). The ensemble members pick landmarks in float32; Lloyd
+and the final k-means call `nearest_centers` in float64.
 
 Squared euclidean distances have one kernel, `_sq_euclidean`, shared by
-euclidean `pairwise_distance` and by `nearest_centers` (landmark
-assignment and Lloyd). It prefills the (n, p) output with ||a||^2 + ||b||^2
-in row chunks of _CHUNK_ENTRIES // p rows, so those passes run over an
-L2-sized block, and then subtracts 2 a.b with one unsplit gemm into the
+euclidean `pairwise_distance` and by `nearest_centers` (Lloyd). It
+prefills the (n, p) output with ||a||^2 + ||b||^2 in row chunks of
+_CHUNK_ENTRIES // p rows, so those passes run over an L2-sized block,
+and then subtracts 2 a.b with one unsplit gemm into the
 same buffer (C <- -2 A B^T + C). The gemm kernel accumulates each dot
 product in the working precision and then adds alpha times it to C, and
 scaling by -2 is exact in either precision, so the values equal
@@ -139,24 +139,19 @@ def as_float(A) -> np.ndarray:
     return np.ascontiguousarray(A, dtype=np.float32 if A.dtype == np.float32 else np.float64)
 
 
-def sq_norms(A: np.ndarray, dtype=None, shift: np.ndarray | None = None) -> np.ndarray:
+def sq_norms(A: np.ndarray, dtype=None) -> np.ndarray:
     """sum(A * A, axis=1) of A cast to `dtype` (A's own by default), in `dtype`.
 
     Each chunk of _CHUNK_ENTRIES // d rows is cast to `dtype`, then widened
     to float64, where a float32 entry's square is exact, and its squares are
     summed; each sum is rounded to `dtype` once. For a float64 A this is
-    np.sum(A * A, axis=1) bit for bit, and no n x d temporary is made. With
-    a float64 `shift`, the rows are A - shift, subtracted in float64 before
-    the cast: the norms of the rows `np.subtract(A, shift, out=...)` writes.
+    np.sum(A * A, axis=1) bit for bit, and no n x d temporary is made.
     """
     dtype = A.dtype if dtype is None else np.dtype(dtype)
     out = np.empty(A.shape[0], dtype)
     step = max(1, _CHUNK_ENTRIES // max(1, A.shape[1]))
     for start in range(0, A.shape[0], step):
-        rows = A[start : start + step]
-        if shift is not None:
-            rows = rows - shift
-        rows = rows.astype(dtype, copy=False).astype(np.float64, copy=False)
+        rows = A[start : start + step].astype(dtype, copy=False).astype(np.float64, copy=False)
         out[start : start + step] = np.sum(rows * rows, axis=1)
     return out
 
@@ -227,8 +222,7 @@ def nearest_centers(
     sq = _sq_euclidean(X, C, xx, gram)
     labels = np.argmin(sq, axis=1)
     # each row's minimum, read from the flattened buffer: half the cost of
-    # sq[np.arange(n), labels]. Landmark selection discards it, but a
-    # labels-only path would still read it to find the negative rows.
+    # sq[np.arange(n), labels]
     mind = np.take(sq, labels + np.arange(0, n * k, k))
     neg = np.flatnonzero(mind < 0.0)
     if neg.size:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 from scipy.sparse import csc_array
 
 from .distances import nearest_centers, sq_norms
@@ -75,27 +76,28 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
     Each D^2 draw is `gen.choice(n, p=d2 / d2.sum())` without the checks
     NumPy repeats on every call: the same cumulative sum, normalized by
     its last entry, searched with the same one uniform draw, so the index
-    and the generator state match. Distances to each new center are one
-    GEMV, then (||c||^2 + ||x||^2) - 2 x.c clamped at 0, the arithmetic
-    of `distances.nearest_centers`, in buffers allocated once.
+    and the generator state match. Distances to each new center are
+    (||c||^2 + ||x||^2) - 2 x.c clamped at 0, the arithmetic of
+    `distances.nearest_centers`: the row norms plus the chosen row's, then
+    one `dgemv` with alpha -2 added, in buffers allocated once.
     """
     n = X.shape[0]
     if k > n:
         raise ConfigError(f"kmeans++: k={k} exceeds n={n}")
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    first = int(gen.integers(n))
-    centers[0] = X[first]
+    index = int(gen.integers(n))
+    centers[0] = X[index]
     if k == 1:
         return centers
     xx = sq_norms(X)
     gram, dist, cdf = np.empty(n), np.empty(n), np.empty(n)
     d2 = np.full(n, np.inf)
     for i in range(1, k):
-        c = centers[i - 1 : i]
-        np.matmul(X, c[0], out=gram)
-        gram *= 2.0
-        np.add(np.sum(c * c, axis=1), xx, out=dist)
-        dist -= gram
+        np.add(xx[index], xx, out=dist)
+        # -2 (X @ c) exactly; beta=1 into dist would round differently
+        # where OpenBLAS adds the tail of an unrolled width separately
+        dgemv(-2.0, X.T, centers[i - 1], beta=0.0, y=gram, trans=1, overwrite_y=1)
+        dist += gram
         np.maximum(dist, 0.0, out=dist)
         np.minimum(d2, dist, out=d2)
         total = float(d2.sum())
@@ -106,7 +108,8 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
         np.divide(d2, total, out=cdf)
         np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
-        centers[i] = X[int(cdf.searchsorted(gen.random(), side="right"))]
+        index = int(cdf.searchsorted(gen.random(), side="right"))
+        centers[i] = X[index]
     return centers
 
 

@@ -4,28 +4,25 @@ Landmarks are the cluster centers of a streamed KMeans over the embedding,
 seeded by k-means++; selection always measures euclidean distance,
 independent of the metric later used for affinities. The loop runs a fixed
 budget of batches with no early stop. The centers are float64 throughout;
-each batch is assigned in float32, against a float32 copy of the centers
-refreshed in place before every batch. Both are taken as offsets from one
-float64 shift, the mean of the k-means++ seeds, subtracted in float64
-before the narrowing: distances do not change, but the float32 expansion
-||a||^2 + ||c||^2 - 2 a.c rounds in proportion to the norms, so data far
-from the origin would otherwise be assigned by its rounding. Each batch is
-gathered in Y's dtype into a buffer allocated once and shifted into a
-float32 one; its row norms, of the shifted and narrowed rows, are summed
-in float64 once for all of Y and rounded once to float32. Each batch is
-assigned by `distances.nearest_centers`: the squared distances are
-prefilled with the row norms, by a copy and an exact rank-1 `sger`
-update, and completed by one fused sgemm in a buffer reused across
-batches, and the argmin runs on them unclamped. The k-means++ seeding
-runs on the float64 widening of the subset, which is exact, and draws
-each center exactly as `Generator.choice` would. Per-batch center
-updates use the running-mean form, which is the sequential per-point rule
-in closed form, on the batch in Y's own dtype summed in float64. It is
-computed for every center into a buffer allocated once and written back
-to the touched centers only: the same operations on the same rows as
-updating the touched rows alone. A center that no batch point reaches
-keeps its k-means++ position, which is a data point and so still a valid
-landmark.
+each batch is assigned in float32, with points and centers taken as
+offsets from one float64 shift, the mean of the k-means++ seeds,
+subtracted in float64 before the narrowing: distances do not change, but
+their float32 expansion rounds in proportion to the norms, so data far
+from the origin would otherwise be assigned by its rounding. A point a
+goes to the argmin over j of ||c_j||^2 - 2 a.c_j (||a||^2 adds nothing),
+one float32 product of [a, 1] and [-2 c_j; ||c_j||^2], each norm summed
+in float64 from the float32 offsets and rounded once. `_nearest_rows`
+takes it and its row argmins in L2-sized blocks of _CHUNK_ENTRIES // p
+rows, which depend on p alone, so no batch-by-p matrix is written.
+The k-means++ seeding runs on the float64 widening of the subset, which
+is exact, and draws each center exactly as `Generator.choice` would.
+Per-batch center updates use the running-mean form, which is the
+sequential per-point rule in closed form, on the batch in Y's own dtype
+summed in float64. It is computed for every center into a buffer
+allocated once and written back to the touched centers only: the same
+operations on the same rows as updating the touched rows alone. A center
+that no batch point reaches keeps its k-means++ position, which is a data
+point and so still a valid landmark.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import as_float, nearest_centers, sq_norms
+from .distances import _CHUNK_ENTRIES, as_float, sq_norms
 from .errors import ConfigError, DataError
 from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
@@ -62,6 +59,16 @@ class LandmarkSet:
     def p(self) -> int:
         return self.centers.shape[0]
 
+
+def _nearest_rows(A1: np.ndarray, C1: np.ndarray, G: np.ndarray, labels: np.ndarray):
+    """labels[i] = argmin over j of (A1 @ C1)[i, j], the lower j on a tie,
+    one block of G's rows at a time, reduced while it is in cache."""
+    step = G.shape[0]
+    for start in range(0, A1.shape[0], step):
+        g = G[: min(step, A1.shape[0] - start)]
+        np.matmul(A1[start : start + step], C1, out=g)
+        np.argmin(g, axis=1, out=labels[start : start + step])
+    return labels
 
 
 def minibatch_kmeans(
@@ -98,23 +105,26 @@ def minibatch_kmeans(
     batch_gen = rng.child(STAGE_BATCH).generator()
     bsz = min(batch_size, n)
     shift = centers.mean(axis=0)
-    yy = sq_norms(Y, np.float32, shift)
     # buffers reused by every batch; mode="clip" lets np.take write into
     # `out` directly (the indices are in range), "raise" would copy first
     B = np.empty((bsz, d), dtype=Y.dtype)
-    B32 = np.empty((bsz, d), dtype=np.float32)
-    bb = np.empty(bsz, dtype=np.float32)
+    # [B - shift, 1] and [-2 (C - shift)^T; ||C - shift||^2] in float32
+    A1 = np.empty((bsz, d + 1), dtype=np.float32)
+    A1[:, d] = 1.0
     C32 = np.empty((p, d), dtype=np.float32)
-    gram = np.empty((bsz, p), dtype=np.float32)
+    C1 = np.empty((d + 1, p), dtype=np.float32)
+    G = np.empty((min(bsz, max(1, _CHUNK_ENTRIES // p)), p), dtype=np.float32)
+    assign = np.empty(bsz, dtype=np.intp)
     num = np.empty_like(centers)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         np.take(Y, idx, axis=0, out=B, mode="clip")
         # float64 differences, each rounded once to float32
-        np.subtract(B, shift, out=B32)
-        np.take(yy, idx, out=bb, mode="clip")
+        np.subtract(B, shift, out=A1[:, :d])
         np.subtract(centers, shift, out=C32)
-        assign, _ = nearest_centers(B32, C32, bb, gram)
+        np.multiply(C32.T, -2.0, out=C1[:d])
+        C1[d] = sq_norms(C32)
+        _nearest_rows(A1, C1, G, assign)
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)
         touched = batch_counts > 0

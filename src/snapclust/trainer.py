@@ -60,8 +60,8 @@ class SnapshotSchedule:
     cycles: int
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ConfigError(f"alpha0 must be > 0, got {self.alpha0}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ConfigError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
         if self.total_epochs < self.cycles:

@@ -1,7 +1,8 @@
 """Make the source tree importable by the interpreters the CLI tests start,
-fail any test that leaves a child process or a Python thread running, and
-let a test take the serial paths: training without its batch-drawing
-thread, and the pipeline without its worker pool.
+run the session at one OpenBLAS thread, fail any test that leaves a child
+process or a Python thread running, and let a test take the serial paths:
+training without its batch-drawing thread, and the pipeline without its
+worker pool.
 
 `pythonpath = ["src"]` in pyproject.toml puts `src/` on this process's
 `sys.path` only; the tests that run `python -m snapclust.cli` in a child
@@ -17,12 +18,29 @@ import threading
 
 import pytest
 
+from snapclust import pipeline
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def pytest_configure(config):
     inherited = os.environ.get("PYTHONPATH")
     os.environ["PYTHONPATH"] = SRC + os.pathsep + inherited if inherited else SRC
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread for the whole session.
+
+    Tests that call `minibatch_kmeans` or the `distances` kernels directly
+    run outside `run_model`, which pins the count itself; on a busy machine
+    a second OpenBLAS thread made such calls up to ten times slower. The
+    import above has loaded numpy's and `scipy.linalg`'s OpenBLAS. A test
+    that sets its own count restores one thread; the CLI tests' child
+    processes take theirs from the environment.
+    """
+    with pipeline._one_blas_thread():
+        yield
 
 
 def _running_children() -> list[int]:

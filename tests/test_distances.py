@@ -252,7 +252,7 @@ def test_kernel_bits_do_not_depend_on_chunk_size(entries, dtype, monkeypatch):
     [(1024, 600, 16, 60), (1024, 350, 16, 35), (20000, 10, 10, 5), (300, 40, 520, 4)],
 )
 def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups, dtype):
-    # landmark-assignment shapes on ReLU codes, a Lloyd shape on spectral rows
+    # landmark-pick shapes on ReLU codes, a Lloyd shape on spectral rows
     # and a code wider than any OpenBLAS inner block; `dups` centers appear
     # twice and every center is also a point, so some rows hold several
     # slightly negative raw entries that the clamp ties

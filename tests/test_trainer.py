@@ -42,6 +42,13 @@ def test_schedule_validation():
         SnapshotSchedule(alpha0=0.1, total_epochs=3, cycles=4)
 
 
+@pytest.mark.parametrize("alpha0", [math.inf, -math.inf, math.nan])
+def test_schedule_rejects_a_non_finite_alpha0(alpha0):
+    # an infinite alpha0 would make every learning rate inf
+    with pytest.raises(ConfigError, match="alpha0"):
+        SnapshotSchedule(alpha0, 4, 2)
+
+
 def test_cycle_length_ceiling():
     assert SnapshotSchedule(0.1, 120, 6).cycle_length == 20
     assert SnapshotSchedule(0.1, 10, 4).cycle_length == 3
