@@ -80,6 +80,8 @@ def fuse(members, m: int | None = None, stage=contextlib.nullcontext) -> FusedAf
     for member in members:
         with stage():
             j, (rows, p), r = len(bounds) - 1, member.matrix.shape, member.params.r
+            if j == m:
+                raise DataError(f"fuse: expected m={m} members, got more")
             if j == 0:
                 n, r0 = rows, r
                 data = np.empty((n, m * r))

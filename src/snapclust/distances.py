@@ -5,39 +5,23 @@ vectors too: d(0, b) = 1 for b != 0, as for orthogonal vectors, and
 d(0, 0) = 0, which keeps d(x, x) = 0. Minkowski defaults to q=3 so it is a
 genuinely different metric from euclidean.
 
-The kernels are dtype-generic: `pairwise_distance` and `nearest_centers`
-work in float32 when their inputs are float32 and in float64 otherwise,
-with their buffers in that dtype and their BLAS routines (`sgemm`/`sger`
-or `dgemm`/`dger`) chosen for it. Row norms are the one exception: each
-row's squares are summed in float64 and rounded once to the working dtype
-(`sq_norms`). The ensemble members pick landmarks in float32; Lloyd
-and the final k-means call `nearest_centers` in float64.
+`nearest_rows` is the package's one nearest-row kernel: landmark
+assignment, the affinity's euclidean and cosine picks and Lloyd all
+call it. The nearest rows c of C to a row a are the smallest entries of
+||c||^2 - 2 a.c, to which ||a||^2 adds nothing: one product of [a, 1]
+and [-2 C^T; ||C||^2] per block of _CHUNK_ENTRIES // p rows, reduced to
+its r smallest entries while it is in L2. The block sizes depend on p
+alone, and no n x p matrix is written. The product runs in C's dtype:
+the ensemble members pick in float32, Lloyd in float64. Row norms are
+each row's squares summed in float64 and rounded once to the working
+dtype (`sq_norms`).
 
-Squared euclidean distances have one kernel, `_sq_euclidean`, shared by
-euclidean `pairwise_distance` and by `nearest_centers` (Lloyd). It
-prefills the (n, p) output with ||a||^2 + ||b||^2 in row chunks of
-_CHUNK_ENTRIES // p rows, so those passes run over an L2-sized block,
-and then subtracts 2 a.b with one unsplit gemm into the
-same buffer (C <- -2 A B^T + C). The gemm kernel accumulates each dot
-product in the working precision and then adds alpha times it to C, and
-scaling by -2 is exact in either precision, so the values equal
-(||a||^2 + ||b||^2) - 2 (A @ B.T) bit for bit, whatever the chunk size,
-in float32 as in float64. Shapes where one gemm would round differently
-(a GEMV in NumPy, or an inner sum that BLAS splits) run that two-pass
-form itself. `nearest_centers` takes the argmin of the unclamped values
-and clamps only rows whose minimum is negative; euclidean
-`pairwise_distance` clamps at 0 and takes the square root in place,
-chunk by chunk.
-
-Two passes add a row vector and a column vector without NumPy's
-broadcast add, which runs at about half the speed of a contiguous pass:
-the prefill sets each chunk to ||b||^2 and adds ||a||^2, and minkowski
-sets each chunk of differences to -b_j and adds a_j. The addition is a
-rank-1 BLAS update, `ger` with alpha 1 and a vector of ones, on the
-chunk's F-contiguous transpose, in place. A product with 1 is exact with
-or without FMA, in either precision, so each entry is the one rounded sum
-of the same two operands, bit for bit what the broadcast add or
-`np.subtract.outer` gives.
+`pairwise_distance` is the dense all-pairs form, in float32 for float32
+inputs and float64 otherwise. Minkowski sets each chunk of differences
+to -b_j and adds a_j with a rank-1 BLAS update, `ger` with alpha 1 and a
+vector of ones, on the chunk's F-contiguous transpose, in place: about
+twice as fast as NumPy's broadcast add, and a product with 1 is exact,
+so each entry is a_j - b_j rounded once.
 """
 
 from __future__ import annotations
@@ -56,14 +40,6 @@ DEFAULT_MINKOWSKI_Q = 3.0
 # row chunk size for elementwise passes: 2**15 entries (256 KiB in
 # float64, half that in float32) per buffer stays in L2
 _CHUNK_ENTRIES = 2**15
-
-# widest d for which one gemm rounds like the two-pass form: OpenBLAS
-# splits the inner sum into blocks and updates C after each one. dgemm's
-# blocks are 128 (generic x86-64 kernels), 256 (Nehalem to Zen) or 384
-# (Skylake-X) long. sgemm's are sized for entries half as wide, so they
-# are no shorter (448 against dgemm's 384 with the Skylake-X kernels of
-# OpenBLAS 0.3.31), and 128 bounds both precisions
-_FUSED_MAX_DIMS = 128
 
 
 @dataclass(frozen=True)
@@ -170,65 +146,87 @@ def unit_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A / norms[:, None], zero
 
 
-def _sq_euclidean(A: np.ndarray, B: np.ndarray, aa: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unclamped (aa + bb) - 2 A B^T into the C-contiguous (n, p) `out`.
+def _smallest(block: np.ndarray, index: np.ndarray, value: np.ndarray | None = None) -> None:
+    """The columns of each row's r smallest entries of `block` into `index`, (n, r).
 
-    A, B, `aa` and `out` share one dtype, float32 or float64, which picks
-    the BLAS routines. `aa` holds `sq_norms(A)`, which callers may compute
-    once and index. `out` is prefilled with bb + aa (the same sum as
-    aa + bb) in row chunks: each chunk is set to bb, then aa is added by
-    the rank-1 update rows^T <- 1 * ones aa^T + rows^T (see the module
-    docstring). Then one unsplit gemm computes out <- -2 A B^T + out. GEMV
-    shapes (n == 1 or p == 1) and widths d past _FUSED_MAX_DIMS would
-    round differently there, so they subtract 2 (A @ B.T) instead.
+    Ordered by (entry, column), as a stable argsort's first r columns are,
+    with the entries into `value` if it is given. With r = 1 this is a
+    plain argmin. Otherwise it takes r successive row-wise argmins, each
+    pick masked with +inf in the C-contiguous `block`, which is
+    overwritten; argmin breaks ties to the lower column, as the stable
+    sort does. A row whose picks include NaN or +-inf, where masking is
+    no longer exact, is restored and sorted in full instead.
     """
-    if not out.flags.c_contiguous:
-        # ger and gemm would update a copy and leave `out` unfilled
-        raise ValueError("_sq_euclidean needs a C-contiguous output buffer")
-    gemm, ger = get_blas_funcs(("gemm", "ger"), (out,))
-    n, p = out.shape
-    bb = sq_norms(B)
-    ones = np.ones(p, out.dtype)
-    step = max(1, _CHUNK_ENTRIES // max(1, p))
+    n, p = block.shape
+    r = index.shape[1]
+    if r == 1:
+        np.argmin(block, axis=1, out=index[:, 0])
+        if value is not None:
+            value[:] = np.take_along_axis(block, index, axis=1)
+        return
+    picked = np.empty((n, r), dtype=block.dtype) if value is None else value
+    # picks are read and masked through the flat view: half the cost of
+    # block[np.arange(n), columns]
+    flat = block.reshape(-1)
+    starts = np.arange(0, n * p, p)
+    for i in range(r):
+        np.argmin(block, axis=1, out=index[:, i])
+        at = index[:, i] + starts
+        picked[:, i] = flat[at]
+        flat[at] = np.inf
+    if not np.isfinite(picked).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(picked), axis=1))
+        # reverse order: a masked entry picked again holds +inf, the first pick the value
+        for i in reversed(range(r)):
+            block[bad, index[bad, i]] = picked[bad, i]
+        index[bad] = np.argsort(block[bad], axis=1, kind="stable")[:, :r]
+        picked[bad] = np.take_along_axis(block[bad], index[bad], axis=1)
+
+
+def nearest_rows(
+    X: np.ndarray,
+    C: np.ndarray,
+    r: int = 1,
+    shift: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
+    bias: np.ndarray | None = None,
+    value: np.ndarray | None = None,
+) -> np.ndarray:
+    """The indices, (n, r), of the r rows of C nearest to each row a of X / scale - shift.
+
+    Each row's picks are ordered by (bias_j - 2 a.c_j, j), so ties go to
+    the lower index; with the default bias, `sq_norms(C)`, that is the
+    squared distance less ||a||^2. If `value` is given, an (n, r) array of
+    C's dtype, it receives those entries. The product runs in C's dtype,
+    float32 or float64. Each block of _CHUNK_ENTRIES // p rows of X is
+    divided by its float64 `scale` entries and less the float64 `shift`,
+    in float64, rounded once into [a, 1] and multiplied by
+    [-2 C^T; bias]; `_smallest` then takes its r smallest entries. No
+    n x (d + 1) copy and no n x p matrix is made.
+    """
+    n, d = X.shape
+    p = C.shape[0]
+    C1 = np.empty((d + 1, p), dtype=C.dtype)
+    np.multiply(C.T, -2.0, out=C1[:d])
+    C1[d] = sq_norms(C) if bias is None else bias
+    step = max(1, _CHUNK_ENTRIES // p)
+    A1 = np.empty((min(n, step), d + 1), dtype=C.dtype)
+    A1[:, d] = 1.0
+    G = np.empty((A1.shape[0], p), dtype=C.dtype)
+    index = np.empty((n, r), dtype=np.intp)
     for start in range(0, n, step):
-        rows = out[start : start + step]
-        rows[:] = bb
-        ger(1.0, ones, aa[start : start + step], a=rows.T, overwrite_a=1)
-    if n > 1 and p > 1 and A.shape[1] <= _FUSED_MAX_DIMS:
-        gemm(-2.0, B.T, A.T, 1.0, out.T, trans_a=1, overwrite_c=1)
-    else:
-        gram = A @ B.T
-        gram *= 2.0
-        out -= gram
-    return out
-
-
-def nearest_centers(
-    X: np.ndarray, C: np.ndarray, xx: np.ndarray, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, squared distance) of each row of X to its nearest row of C.
-
-    Equals the argmin and minimum of the distances clamped at 0, ties to
-    the lower center index. X, C and `xx`, which holds `sq_norms(X)`,
-    share one dtype, float32 or float64, the kernel's; `gram` is an
-    optional C-contiguous (n, k) buffer of that dtype reused across calls.
-    The argmin runs on the unclamped values; only a row whose minimum is
-    negative is then fixed up: clamping would make every entry <= 0 of it
-    a tie at 0, so its label becomes the first such index.
-    """
-    n, k = X.shape[0], C.shape[0]
-    if gram is None:
-        gram = np.empty((n, k), dtype=X.dtype)
-    sq = _sq_euclidean(X, C, xx, gram)
-    labels = np.argmin(sq, axis=1)
-    # each row's minimum, read from the flattened buffer: half the cost of
-    # sq[np.arange(n), labels]
-    mind = np.take(sq, labels + np.arange(0, n * k, k))
-    neg = np.flatnonzero(mind < 0.0)
-    if neg.size:
-        labels[neg] = np.argmax(sq[neg] <= 0.0, axis=1)
-        mind[neg] = np.maximum(sq[neg, labels[neg]], 0.0)
-    return labels, mind
+        stop = min(n, start + step)
+        a, g = A1[: stop - start], G[: stop - start]
+        rows = X[start:stop]
+        if scale is not None:
+            rows = rows / scale[start:stop, None]
+        if shift is None:
+            a[:, :d] = rows
+        else:
+            np.subtract(rows, shift, out=a[:, :d])
+        np.matmul(a, C1, out=g)
+        _smallest(g, index[start:stop], None if value is None else value[start:stop])
+    return index
 
 
 def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarray:
@@ -236,14 +234,13 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
 
     Runs in and returns float32 when A and B are both float32, and
     float64 when neither is; a float32 operand with a float64 one is a
-    DataError. Euclidean clamps the `_sq_euclidean` output at 0 and takes
-    its square root in place, chunk by chunk; cosine normalizes nonzero
-    rows once; and minkowski accumulates |a_j - b_j|^q one
-    coordinate j at a time into the n x p output before taking the 1/q
-    root, working through row chunks of _CHUNK_ENTRIES // p rows with two
-    chunk-sized scratch buffers and no n x p x d one. Each chunk of
-    differences is set to -b_j and a_j is added by the rank-1 update,
-    which rounds exactly as a_j - b_j.
+    DataError. Euclidean is (aa + bb) - 2 (A @ B.T) clamped at 0 and
+    rooted; cosine normalizes nonzero rows once; and minkowski
+    accumulates |a_j - b_j|^q one coordinate j at a time into the n x p
+    output before taking the 1/q root, working through row chunks of
+    _CHUNK_ENTRIES // p rows with two chunk-sized scratch buffers and no
+    n x p x d one. Each chunk of differences is set to -b_j and a_j is
+    added by the rank-1 update, which rounds exactly as a_j - b_j.
     """
     A, B = as_float(A), as_float(B)
     dtype = A.dtype
@@ -253,14 +250,10 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
         raise DataError(f"pairwise dtypes differ: {A.dtype} vs {B.dtype}")
 
     if metric.name == "euclidean":
-        out = np.empty((A.shape[0], B.shape[0]), dtype=dtype)
-        _sq_euclidean(A, B, sq_norms(A), out)
-        step = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
-        for start in range(0, A.shape[0], step):
-            rows = out[start : start + step]
-            np.maximum(rows, 0.0, out=rows)
-            np.sqrt(rows, out=rows)
-        return out
+        out = np.add.outer(sq_norms(A), sq_norms(B))
+        out -= 2.0 * (A @ B.T)
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
 
     if metric.name == "minkowski":
         q = metric.q

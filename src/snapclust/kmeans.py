@@ -10,12 +10,12 @@ sample of that many rows, and one Lloyd over every row starts from the
 winning restart's centroids: the refinement of Bradley & Fayyad
 ("Refining initial points for k-means clustering", ICML 1998) in its
 simplest form.
-Assignment uses `distances.nearest_centers`, the fused squared-euclidean
-kernel, with row norms computed once and the distance buffer reused across
-Lloyd iterations. k-means++ computes each new center's distances as one
-GEMV in buffers allocated once and draws each D^2-weighted index with
-NumPy's own inverse-CDF rule, so it picks the centers `Generator.choice`
-would pick.
+Lloyd assigns each row by `distances.nearest_rows` in float64; its
+squared distance is the row's norm, computed once, plus the smallest
+||c||^2 - 2 x.c, clamped at 0. k-means++ computes each new center's
+distances as one GEMV in buffers allocated once and draws each
+D^2-weighted index with NumPy's own inverse-CDF rule, so it picks the
+centers `Generator.choice` would pick.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 from scipy.sparse import csc_array
 
-from .distances import nearest_centers, sq_norms
+from .distances import nearest_rows, sq_norms
 from .errors import ConfigError, DataError
 from .rng import STAGE_RESTART, STAGE_SAMPLE, SeedStream
 
@@ -77,9 +77,9 @@ def kmeans_pp_init(X: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarra
     NumPy repeats on every call: the same cumulative sum, normalized by
     its last entry, searched with the same one uniform draw, so the index
     and the generator state match. Distances to each new center are
-    (||c||^2 + ||x||^2) - 2 x.c clamped at 0, the arithmetic of
-    `distances.nearest_centers`: the row norms plus the chosen row's, then
-    one `dgemv` with alpha -2 added, in buffers allocated once.
+    (||c||^2 + ||x||^2) - 2 x.c clamped at 0: the row norms plus the
+    chosen row's, then one `dgemv` with alpha -2 added, in buffers
+    allocated once.
     """
     n = X.shape[0]
     if k > n:
@@ -125,13 +125,14 @@ def lloyd(
     k = centers.shape[0]
     centers = centers.copy()
     xx = sq_norms(X)
-    gram = np.empty((X.shape[0], k), dtype=np.float64)
+    low = np.empty((X.shape[0], 1))
     prev_labels = None
     labels = None
     inertia = float("inf")
     history: list[float] = []
     for _ in range(max_iters):
-        labels, mind = nearest_centers(X, centers, xx, gram)
+        labels = nearest_rows(X, centers, value=low).ravel()
+        mind = np.maximum(xx + low.ravel(), 0.0)
 
         counts = np.bincount(labels, minlength=k)
         dead = np.nonzero(counts == 0)[0]
@@ -176,8 +177,9 @@ def kmeans(
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"kmeans: k={k} outside [1, n={n}]")
-    if restarts < 1:
-        raise ConfigError("kmeans: restarts must be >= 1")
+    for name, value in (("restarts", restarts), ("max_iters", max_iters)):
+        if value < 1:
+            raise ConfigError(f"kmeans: {name} must be >= 1, got {value}")
 
     if k <= SAMPLE_ROWS < n:
         rows = rng.child(STAGE_SAMPLE).generator().choice(n, SAMPLE_ROWS, replace=False)

@@ -8,12 +8,8 @@ each batch is assigned in float32, with points and centers taken as
 offsets from one float64 shift, the mean of the k-means++ seeds,
 subtracted in float64 before the narrowing: distances do not change, but
 their float32 expansion rounds in proportion to the norms, so data far
-from the origin would otherwise be assigned by its rounding. A point a
-goes to the argmin over j of ||c_j||^2 - 2 a.c_j (||a||^2 adds nothing),
-one float32 product of [a, 1] and [-2 c_j; ||c_j||^2], each norm summed
-in float64 from the float32 offsets and rounded once. `_nearest_rows`
-takes it and its row argmins in L2-sized blocks of _CHUNK_ENTRIES // p
-rows, which depend on p alone, so no batch-by-p matrix is written.
+from the origin would otherwise be assigned by its rounding. Each batch
+point goes to its nearest center by `distances.nearest_rows`, in float32.
 The k-means++ seeding runs on the float64 widening of the subset, which
 is exact, and draws each center exactly as `Generator.choice` would.
 Per-batch center updates use the running-mean form, which is the
@@ -31,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _CHUNK_ENTRIES, as_float, sq_norms
+from .distances import as_float, nearest_rows
 from .errors import ConfigError, DataError
 from .kmeans import _center_sums, kmeans_pp_init
 from .rng import STAGE_BATCH, STAGE_INIT, SeedStream
@@ -60,17 +56,6 @@ class LandmarkSet:
         return self.centers.shape[0]
 
 
-def _nearest_rows(A1: np.ndarray, C1: np.ndarray, G: np.ndarray, labels: np.ndarray):
-    """labels[i] = argmin over j of (A1 @ C1)[i, j], the lower j on a tie,
-    one block of G's rows at a time, reduced while it is in cache."""
-    step = G.shape[0]
-    for start in range(0, A1.shape[0], step):
-        g = G[: min(step, A1.shape[0] - start)]
-        np.matmul(A1[start : start + step], C1, out=g)
-        np.argmin(g, axis=1, out=labels[start : start + step])
-    return labels
-
-
 def minibatch_kmeans(
     Y: np.ndarray,
     p: int,
@@ -95,6 +80,9 @@ def minibatch_kmeans(
     n, d = Y.shape
     if not 2 <= p < n:
         raise ConfigError(f"landmark count must satisfy 2 <= p < n, got p={p}, n={n}")
+    for name, value in (("batch_size", batch_size), ("max_iters", max_iters)):
+        if value < 1:
+            raise ConfigError(f"minibatch_kmeans: {name} must be >= 1, got {value}")
 
     init_gen = rng.child(STAGE_INIT).generator()
     subset_size = min(n, max(10 * p, 2048))
@@ -108,23 +96,16 @@ def minibatch_kmeans(
     # buffers reused by every batch; mode="clip" lets np.take write into
     # `out` directly (the indices are in range), "raise" would copy first
     B = np.empty((bsz, d), dtype=Y.dtype)
-    # [B - shift, 1] and [-2 (C - shift)^T; ||C - shift||^2] in float32
-    A1 = np.empty((bsz, d + 1), dtype=np.float32)
-    A1[:, d] = 1.0
+    B32 = np.empty((bsz, d), dtype=np.float32)
     C32 = np.empty((p, d), dtype=np.float32)
-    C1 = np.empty((d + 1, p), dtype=np.float32)
-    G = np.empty((min(bsz, max(1, _CHUNK_ENTRIES // p)), p), dtype=np.float32)
-    assign = np.empty(bsz, dtype=np.intp)
     num = np.empty_like(centers)
     for _ in range(max_iters):
         idx = batch_gen.choice(n, size=bsz, replace=False)
         np.take(Y, idx, axis=0, out=B, mode="clip")
         # float64 differences, each rounded once to float32
-        np.subtract(B, shift, out=A1[:, :d])
+        np.subtract(B, shift, out=B32)
         np.subtract(centers, shift, out=C32)
-        np.multiply(C32.T, -2.0, out=C1[:d])
-        C1[d] = sq_norms(C32)
-        _nearest_rows(A1, C1, G, assign)
+        assign = nearest_rows(B32, C32).ravel()
         batch_counts = np.bincount(assign, minlength=p)
         sums = _center_sums(B, assign, p)
         touched = batch_counts > 0

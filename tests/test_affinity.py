@@ -5,12 +5,11 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
-from snapclust import affinity
+from snapclust import affinity, distances
 from snapclust.affinity import (
     AffinityParams,
     SparseAffinity,
     _nearest_landmark_rows,
-    _nearest_rows,
     build_affinity,
     scott_bandwidth,
 )
@@ -240,51 +239,12 @@ def test_cosine_zero_point_takes_smallest_norm_landmarks(monkeypatch):
     nonzero = [0, 1, 3, 4, 6]
     rest = build_affinity(Y[nonzero], lm, AffinityParams(r=3, metric=COSINE, sigma=aff.bandwidth))
     assert np.array_equal(dense[nonzero], rest.matrix.toarray())
-    monkeypatch.setattr(affinity, "BLOCK_ENTRIES", 2 * lm.p)  # 2-row blocks
+    monkeypatch.setattr(distances, "_CHUNK_ENTRIES", 2 * lm.p)  # 2-row blocks
     assert np.array_equal(build_affinity(Y, lm, params).matrix.toarray(), dense)
 
 
 def stable_oracle(d, r):
     return np.argsort(d, axis=1, kind="stable")[:, :r]
-
-
-def test_nearest_rows_equals_stable_argsort_on_ties():
-    gen = np.random.default_rng(8)
-    for p in (2, 3, 5, 9, 16):
-        cases = [
-            gen.integers(0, 3, size=(40, p)).astype(np.float64),  # small integers
-            np.full((6, p), 2.5),  # all-equal rows
-            gen.normal(size=(40, p)),  # no ties
-        ]
-        for r in range(1, p):
-            # ties straddling the r-th position: r-1 clear winners, then a tied run
-            straddle = np.full((8, p), 7.0)
-            straddle[:, : r - 1] = np.arange(r - 1)
-            for row in straddle:
-                gen.shuffle(row)
-            for d in (*cases, straddle):
-                assert np.array_equal(_nearest_rows(d, r), stable_oracle(d, r)), (p, r)
-
-
-def test_nearest_rows_non_finite_rows_and_input_untouched():
-    gen = np.random.default_rng(10)
-    p = 9
-    d = gen.integers(0, 4, size=(40, p)).astype(np.float64)
-    d[0, 3] = np.nan
-    d[1, [2, 5]] = np.nan
-    d[2] = np.inf
-    d[2, 4] = 1.0  # one finite entry, then more than r +infs
-    d[3, [1, 6]] = -np.inf
-    d[4] = np.inf
-    d[5, [0, 3, 8]] = [np.inf, np.nan, -np.inf]
-    scatter = gen.random(size=(34, p))
-    d[6:][scatter < 0.1] = np.nan
-    d[6:][(scatter >= 0.1) & (scatter < 0.2)] = np.inf
-    d[6:][(scatter >= 0.2) & (scatter < 0.25)] = -np.inf
-    before = d.copy()
-    for r in range(1, p):
-        assert np.array_equal(_nearest_rows(d, r), stable_oracle(d, r)), r
-        assert np.array_equal(d, before, equal_nan=True), r
 
 
 def test_blocked_build_matches_one_block(monkeypatch):
@@ -295,8 +255,9 @@ def test_blocked_build_matches_one_block(monkeypatch):
     for metric in (EUCLIDEAN, COSINE, MINKOWSKI3):
         params = AffinityParams(r=r, metric=metric)
         whole = build_affinity(Y, lm, params)
-        assert n <= affinity.BLOCK_ENTRIES // p  # the default is one block here
+        assert n <= distances._CHUNK_ENTRIES // p  # the default is one block here
         for entries in (3 * p, 5 * p, 1):  # 3- and 5-row blocks, then 1-row blocks
+            monkeypatch.setattr(distances, "_CHUNK_ENTRIES", entries)
             monkeypatch.setattr(affinity, "BLOCK_ENTRIES", entries)
             blocked = build_affinity(Y, lm, params)
             monkeypatch.undo()
@@ -403,7 +364,7 @@ def test_data_far_from_the_origin_picks_like_float64(metric):
     assert got.tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
     if metric is not MINKOWSKI3:
         # float32 distances of the raw rows pick otherwise: the case has teeth
-        raw = _nearest_rows(pairwise_distance(Y32, lm.centers.astype(np.float32), metric), r)
+        raw = stable_oracle(pairwise_distance(Y32, lm.centers.astype(np.float32), metric), r)
         assert not np.array_equal(raw, nearest)
 
 

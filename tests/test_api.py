@@ -1,7 +1,10 @@
 """The public API: every name the package exports resolves, no module
-imports a name it never uses, and no private top-level name is dead."""
+imports a name it never uses, no private top-level name is dead, and
+every name the benchmark's tracer patches still exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -105,3 +108,23 @@ def test_no_private_top_level_name_is_dead():
     package = Path(snapclust.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_trace_hook_resolves_where_its_module_imports(monkeypatch):
+    # perfbench/trace.py patches the names its HOOKS list; a refactor that
+    # moves one would leave that layer reading 0 with no other test failing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, trace)  # for its dataclasses
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(trace)
+    unresolved = []
+    for name, module, attr in trace.HOOKS:
+        try:
+            importlib.import_module(module)
+        except ImportError:
+            continue  # a hook on a module the package no longer has
+        if trace._resolve(module, attr) is None:
+            unresolved.append(name)
+    assert unresolved == []

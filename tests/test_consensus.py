@@ -156,6 +156,8 @@ def test_fuse_names_the_mismatching_member():
         fuse([*good, random_affinity(gen, 10, 6, 3)])
     with pytest.raises(DataError, match="expected m=3 members, got 2"):
         fuse(iter(good), 3)
+    with pytest.raises(DataError, match="expected m=2 members, got more"):
+        fuse(iter([*good, good[0]]), 2)
 
 
 def test_identity_matrix_embedding():

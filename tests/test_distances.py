@@ -11,7 +11,7 @@ from snapclust.distances import (
     MINKOWSKI3,
     Metric,
     distance,
-    nearest_centers,
+    nearest_rows,
     pairwise_distance,
     parse_metric,
 )
@@ -150,7 +150,7 @@ def test_pairwise_nonnegative_under_cancellation():
     assert np.all(got >= 0.0)
 
 
-# --- the chunked squared-euclidean kernel against the unchunked formulation -
+# --- the nearest-row kernel against its buffer-free formulation -------------
 
 
 def oracle_norms(X):
@@ -158,62 +158,49 @@ def oracle_norms(X):
     return np.sum(np.square(X, dtype=np.float64), axis=1).astype(X.dtype)
 
 
-def oracle_raw_sq_dists(X, C):
-    """Unclamped squared distances in X's dtype, by the two-pass formula."""
-    return (oracle_norms(X)[:, None] + oracle_norms(C)[None, :]) - 2.0 * (X @ C.T)
-
-
 def oracle_sq_dists(X, C):
-    sq = oracle_raw_sq_dists(X, C)
+    """Squared distances in X's dtype, by the two-pass formula, clamped at 0."""
+    sq = (oracle_norms(X)[:, None] + oracle_norms(C)[None, :]) - 2.0 * (X @ C.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
-def assert_kernel_matches_oracle(X, C):
-    want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, oracle_norms(X))
-    assert np.array_equal(labels, np.argmin(want, axis=1))
-    assert np.array_equal(mind, want[np.arange(X.shape[0]), labels])
-    assert np.array_equal(pairwise_distance(X, C, EUCLIDEAN), np.sqrt(want))
-    return want
+def oracle_nearest_rows(X, C, r, shift=None, scale=None, bias=None):
+    """`nearest_rows` by its arithmetic, without its buffers or masked argmins.
+
+    Fresh products of [X / scale - shift, 1], computed in float64 and
+    rounded once to C's dtype, and [-2 C^T; bias] on the kernel's row
+    blocks of _CHUNK_ENTRIES // p rows, then a stable sort of each row.
+    """
+    dtype = C.dtype
+    X = X.astype(np.float64)
+    if scale is not None:
+        X = X / scale[:, None]
+    if shift is not None:
+        X = X - shift
+    X1 = np.hstack([X.astype(dtype), np.ones((len(X), 1), dtype)])
+    # C-contiguous as the kernel's: a one-row product is a GEMV, whose
+    # summation order follows the layout
+    C1 = np.ascontiguousarray(np.vstack([-2.0 * C.T, oracle_norms(C) if bias is None else bias]))
+    assert X1.dtype == C1.dtype == dtype
+    step = max(1, distances._CHUNK_ENTRIES // len(C))
+    G = np.concatenate([X1[start : start + step] @ C1 for start in range(0, len(X), step)])
+    index = np.argsort(G, axis=1, kind="stable")[:, :r]
+    return index, np.take_along_axis(G, index, axis=1)
 
 
-def test_kernel_clamp_ties_on_duplicates_and_points_on_centers():
-    gen = np.random.default_rng(20)
-    C = gen.normal(size=(6, 4)) + 10.0
-    # every point repeats and sits on a center; centers 0 and 6 coincide
-    X = np.concatenate([C, C[::-1], np.repeat(C[:1], 5, axis=0)])
-    C = np.concatenate([C, C[:1]])
-    want = assert_kernel_matches_oracle(X, C)
-    raw = np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
-    assert np.any(raw < 0.0)  # the clamp ran and made more ties at 0
-    assert np.count_nonzero(want == 0.0) > np.count_nonzero(raw == 0.0)
-    labels, _ = nearest_centers(X, C, np.sum(X * X, axis=1))
-    assert not np.any(labels == 6)  # ties go to the lower index
+def with_values(X, C, r, **kwargs):
+    """`nearest_rows`' picks and the entries it writes into `value`."""
+    value = np.empty((len(X), r), dtype=C.dtype)
+    return nearest_rows(X, C, r, value=value, **kwargs), value
 
 
-def test_kernel_single_center():
-    gen = np.random.default_rng(21)
-    X = gen.normal(size=(500, 3))
-    labels, mind = nearest_centers(X, X[7:8], np.sum(X * X, axis=1))
-    assert np.array_equal(labels, np.zeros(500, dtype=np.int64))
-    assert np.array_equal(mind, oracle_sq_dists(X, X[7:8])[:, 0])
-
-
-@pytest.mark.parametrize("n", [1, 50, 93, 2995])
-def test_kernel_row_counts_around_the_chunk(n):
-    # p = 350 gives 93-row chunks: n below, at and off a multiple of one chunk
-    gen = np.random.default_rng(n)
-    X = np.maximum(gen.normal(size=(n, 16)), 0.0)
-    C = np.maximum(gen.normal(size=(350, 16)), 0.0)
-    assert_kernel_matches_oracle(X, C)
-
-
-def test_kernel_one_row_per_chunk_when_p_exceeds_chunk():
-    gen = np.random.default_rng(22)
-    C = gen.normal(size=(2**15 + 5, 3))
-    X = np.concatenate([gen.normal(size=(4, 3)), C[-2:]])
-    assert_kernel_matches_oracle(X, C)
+def assert_matches_oracle(X, C, r, **kwargs):
+    index, value = with_values(X, C, r, **kwargs)
+    want = oracle_nearest_rows(X, C, r, **kwargs)
+    assert np.array_equal(index, want[0]) and np.array_equal(nearest_rows(X, C, r, **kwargs), index)
+    assert value.tobytes() == want[1].tobytes()
+    return index, value
 
 
 DTYPES = [np.float64, np.float32]
@@ -231,73 +218,263 @@ def test_sq_norms_sum_in_float64_and_round_once():
     assert not np.array_equal(want, np.sum(X32 * X32, axis=1))
 
 
+def test_kernel_single_center():
+    gen = np.random.default_rng(21)
+    X = gen.normal(size=(500, 3))
+    index, value = assert_matches_oracle(X, X[7:8], 1)
+    assert np.array_equal(index, np.zeros((500, 1), dtype=np.intp))
+    np.testing.assert_allclose(
+        value[:, 0] + np.sum(X * X, axis=1), oracle_sq_dists(X, X[7:8])[:, 0], atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("n", [1, 50, 93, 2995])
+def test_kernel_row_counts_around_the_block(n, r):
+    # p = 350 gives 93-row blocks: n below, at and off a multiple of one block
+    gen = np.random.default_rng(n)
+    X = np.maximum(gen.normal(size=(n, 16)), 0.0).astype(np.float32)
+    C = np.maximum(gen.normal(size=(350, 16)), 0.0).astype(np.float32)
+    assert_matches_oracle(X, C, r)
+
+
+def test_kernel_one_row_per_block_when_p_exceeds_the_chunk():
+    gen = np.random.default_rng(22)
+    C = gen.normal(size=(2**15 + 5, 3))
+    X = np.concatenate([gen.normal(size=(4, 3)), C[-2:]])
+    index, _ = assert_matches_oracle(X, C, 2)
+    assert np.array_equal(index[4:, 0], [2**15 + 3, 2**15 + 4])  # points on centers
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("entries", [1, 7, 100, 2**20])
-def test_kernel_bits_do_not_depend_on_chunk_size(entries, dtype, monkeypatch):
+def test_kernel_matches_oracle_at_every_block_size(entries, dtype, monkeypatch):
     gen = np.random.default_rng(23)
-    X = gen.normal(size=(301, 8)).astype(dtype)
-    C = np.concatenate([gen.normal(size=(11, 8)).astype(dtype), X[:2]])
-    xx = oracle_norms(X)
-    want = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
+    X = gen.normal(size=(301, 8))
+    C = np.concatenate([gen.normal(size=(11, 8)), X[:2]]).astype(dtype)
+    shift = C.mean(axis=0, dtype=np.float64)
     monkeypatch.setattr(distances, "_CHUNK_ENTRIES", entries)
-    (labels, mind), dist = nearest_centers(X, C, xx), pairwise_distance(X, C, EUCLIDEAN)
-    assert np.array_equal(labels, want[0][0]) and np.array_equal(mind, want[0][1])
-    assert np.array_equal(dist, want[1])
-    assert mind.dtype == dist.dtype == dtype
+    for r in (1, 4):
+        assert_matches_oracle(X.astype(dtype), C, r)
+        assert_matches_oracle(X, C, r, shift=shift)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize(
     "n, p, d, dups",
-    [(1024, 600, 16, 60), (1024, 350, 16, 35), (20000, 10, 10, 5), (300, 40, 520, 4)],
+    [
+        (1024, 600, 16, 60),
+        (1024, 350, 16, 35),
+        (20000, 10, 10, 5),
+        (300, 40, 520, 4),
+        (1, 600, 16, 0),
+        (1024, 1, 16, 0),
+        (1, 1, 16, 0),
+    ],
 )
 def test_kernel_bit_identical_at_benchmark_shapes(n, p, d, dups, dtype):
-    # landmark-pick shapes on ReLU codes, a Lloyd shape on spectral rows
-    # and a code wider than any OpenBLAS inner block; `dups` centers appear
-    # twice and every center is also a point, so some rows hold several
-    # slightly negative raw entries that the clamp ties
-    gen = np.random.default_rng(n + p)
+    # landmark-pick shapes on ReLU codes, a Lloyd shape on spectral rows, a
+    # code wider than any OpenBLAS inner block, and one-row and one-center
+    # products; `dups` centers appear twice and every center is also a
+    # point, so exact ties occur
+    gen = np.random.default_rng(n + p + d)
     relu = d != 10
     if relu:
         C = 4.0 * np.maximum(gen.normal(size=(p, d)), 0.0)
     else:
         C = gen.normal(size=(p, d)) + 8.0
     C[p - dups :] = C[:dups]
-    X = np.concatenate([C, C[0] + 0.5 * gen.standard_normal(size=(n - p, d))])
+    X = np.concatenate([C, C[0] + 0.5 * gen.standard_normal(size=(max(0, n - p), d))])[:n]
     if relu:
         X = np.maximum(X, 0.0)
     X, C = X.astype(dtype), C.astype(dtype)
-    raw = oracle_raw_sq_dists(X, C)
-    assert np.count_nonzero(np.count_nonzero(raw < 0.0, axis=1) >= 2) > 0
-    want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, oracle_norms(X))
-    assert np.array_equal(labels, np.argmin(want, axis=1))
-    assert mind.tobytes() == want[np.arange(n), labels].tobytes()
-    assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
+    r = min(p, 1 if d == 10 else 7)
+    index, _ = assert_matches_oracle(X, C, r)
+    if dups:
+        # on a row that sits on a center with a second copy, the two tie
+        # exactly and the lower index comes first
+        rows = np.arange(dups)
+        pair = np.stack([rows, rows + p - dups], axis=1)
+        assert np.array_equal(index[rows, :2], pair[:, :r])
+    # the dense euclidean form is the plain clamped and rooted expansion
+    assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(oracle_sq_dists(X, C)).tobytes()
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("n, p, d", [(1, 600, 16), (1024, 1, 16), (1, 1, 16), (300, 40, 520)])
-def test_prefill_gemv_and_two_pass_shapes_match_oracle_bytes(n, p, d, dtype):
-    # n = 1 or p = 1 is a GEMV and d = 520 is past the fused width: both
-    # subtract 2 A B^T from the rank-1 prefill in a second pass
-    gen = np.random.default_rng(n + p + d)
-    C = np.maximum(gen.normal(size=(p, d)), 0.0).astype(dtype)
-    X = np.maximum(gen.normal(size=(n, d)), 0.0).astype(dtype)
-    X[0] = C[0]  # a point on a center
-    raw = oracle_raw_sq_dists(X, C)
-    out = distances._sq_euclidean(X, C, oracle_norms(X), np.empty((n, p), dtype))
-    assert out.tobytes() == raw.tobytes()
-    want = oracle_sq_dists(X, C)
-    labels, mind = nearest_centers(X, C, oracle_norms(X))
-    assert mind.tobytes() == want[np.arange(n), labels].tobytes()
-    assert pairwise_distance(X, C, EUCLIDEAN).tobytes() == np.sqrt(want).tobytes()
+def assert_within_float32_rounding(A, C, index):
+    """Each pick's float64 squared distance is within the bound of the true one.
+
+    With u = 2**-24, the float32 value ||c||^2 - 2 a.c, a sum of d + 1
+    products, is off by at most E = gamma_(d+1) (2 |a|.|c| + ||c||^2) plus
+    u ||c||^2 for rounding the norm, gamma_m = m u / (1 - m u). Among the
+    true j nearest centers one at least is not among the first j - 1
+    picks, so the j-th pick's squared distance exceeds the true j-th
+    smallest by at most its own E plus the largest E among the true j
+    nearest, to which the float64 evaluation below adds a relative
+    d 2**-52.
+    """
+    A64, C64 = A.astype(np.float64), C.astype(np.float64)
+    d = A.shape[1]
+    sq = np.square(A64[:, None, :] - C64[None, :, :]).sum(axis=2)
+    u = 2.0**-24
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    cc = np.sum(C64 * C64, axis=1)
+    err = gamma * (2.0 * np.abs(A64) @ np.abs(C64).T + cc) + u * cc
+    best = np.argsort(sq, axis=1, kind="stable")[:, : index.shape[1]]
+    excess = np.take_along_axis(sq, index, axis=1) - np.take_along_axis(sq, best, axis=1)
+    near = np.maximum.accumulate(np.take_along_axis(err, best, axis=1), axis=1)
+    bound = np.take_along_axis(err, index, axis=1) + near + d * 2.0**-52 * sq.max(axis=1)[:, None]
+    assert np.all(excess <= bound)
+    # the picks are distinct columns
+    assert np.all(np.diff(np.sort(index, axis=1), axis=1) > 0)
+    return excess, bound
 
 
-def test_prefill_refuses_a_buffer_it_cannot_update_in_place():
-    X, C = np.ones((4, 3)), np.ones((5, 3))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        distances._sq_euclidean(X, C, np.sum(X * X, axis=1), np.empty((5, 4)).T)
+@pytest.mark.parametrize("r", [1, 7])
+def test_nearest_rows_within_float32_rounding_of_float64(r):
+    gen = np.random.default_rng(21)
+    # p = 600 > the 54 rows of a block, 1 000 rows leaving a short last block
+    A = gen.normal(size=(1000, 16)).astype(np.float32)
+    C = gen.normal(size=(600, 16)).astype(np.float32)
+    index = nearest_rows(A, C, r)
+    excess, bound = assert_within_float32_rounding(A, C, index)
+    # unit spread: the bound is far below the gaps between centers, and
+    # most picks are float64's own
+    assert bound.max() < 1e-3
+    assert np.mean(excess == 0.0) > 0.99
+    # p past _CHUNK_ENTRIES: blocks of one row
+    C = gen.normal(size=(distances._CHUNK_ENTRIES + 1, 2)).astype(np.float32)
+    assert_within_float32_rounding(A[:20, :2], C, nearest_rows(A[:20, :2], C, r))
+
+
+@pytest.mark.parametrize("r", [1, 7])
+def test_nearest_rows_far_from_the_origin_rounds_with_the_norms(r):
+    # raw points 1e3 from the origin: the bound grows with ||a|| ||c||,
+    # the rounding the offsets avoid, yet still holds
+    gen = np.random.default_rng(22)
+    A = (1e3 + gen.normal(size=(700, 16))).astype(np.float32)
+    C = (1e3 + gen.normal(size=(40, 16))).astype(np.float32)
+    excess, bound = assert_within_float32_rounding(A, C, nearest_rows(A, C, r))
+    assert bound.min() > 1.0
+    # the same rows as offsets from the centers' mean round like the spread
+    shift = C.mean(axis=0, dtype=np.float64)
+    A0, C0 = (A - shift).astype(np.float32), (C - shift).astype(np.float32)
+    index, value = with_values(A0, C0, r)
+    excess, bound = assert_within_float32_rounding(A0, C0, index)
+    assert bound.max() < 1e-3
+    # and the kernel narrows them itself, bit for bit, when given the shift
+    got = with_values(A, C0, r, shift=shift)
+    assert np.array_equal(got[0], index) and got[1].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 7])
+def test_nearest_rows_duplicates_and_exact_ties(r):
+    gen = np.random.default_rng(23)
+    A = np.repeat(gen.normal(size=(150, 8)).astype(np.float32), 3, axis=0)
+    C = gen.normal(size=(300, 8)).astype(np.float32)
+    index = nearest_rows(A, C, r)
+    # duplicate points, in the same block or not, get the same picks
+    assert np.all(index.reshape(-1, 3, r) == index[::3, None])
+    assert_within_float32_rounding(A, C, index)
+    # a duplicate center ties exactly with its first copy and follows it
+    twice = nearest_rows(A, np.vstack([C, C]), r)
+    base = nearest_rows(A, C, (r + 1) // 2)
+    assert np.array_equal(twice[:, ::2], base)
+    assert np.array_equal(twice[:, 1::2], base[:, : r // 2] + 300)
+    copies = nearest_rows(A, np.repeat(C[:1], r + 2, axis=0), r)
+    assert np.all(copies == np.arange(r))
+    # 0 is as far from (1, 0) as from (-1, 0), in either order
+    C2 = np.array([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0]], np.float32)
+    origin = np.zeros((4, 2), np.float32)
+    k = min(r, 3)
+    assert np.all(nearest_rows(origin, C2, k) == [0, 1, 2][:k])
+    assert np.all(nearest_rows(origin, C2[::-1].copy(), k) == [1, 2, 0][:k])
+
+
+def test_cosine_zero_landmark_bias_and_zero_rows():
+    # the affinity's cosine picks: unit rows and unit landmarks as float32
+    # offsets from the landmarks' mean; 1 added to a zero landmark's bias
+    # entry puts it at squared distance 2 from every unit row
+    gen = np.random.default_rng(26)
+    Y = np.maximum(gen.normal(size=(300, 8)), 0.0).astype(np.float32)
+    Y[:3] = 0.0
+    centers = np.maximum(gen.normal(size=(20, 8)), 0.0)
+    centers[[4, 11]] = 0.0
+    units, zero_c = distances.unit_rows(centers)
+    norms = np.sqrt(distances.sq_norms(Y, np.float64))
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    shift = units.mean(axis=0)
+    offsets = (units - shift).astype(np.float32)
+    bias = distances.sq_norms(offsets) + zero_c
+    index, value = assert_matches_oracle(Y, offsets, 20, shift=shift, scale=norms, bias=bias)
+    rows = (Y / norms[:, None]).astype(np.float64)
+    full = value + np.sum(np.square(rows - shift), axis=1)[:, None]
+    unit_sq = np.square(rows[:, None, :] - units[None, :, :]).sum(axis=2)
+    unit_sq[:, zero_c] = 2.0
+    want = np.take_along_axis(unit_sq, index, axis=1)
+    np.testing.assert_allclose(full[~zero], want[~zero], rtol=0, atol=1e-5)
+    # a zero row is divided by 1 and ranks from -shift: finite, distinct picks
+    assert np.all(np.isfinite(value[zero]))
+    assert np.all(np.diff(np.sort(index[zero], axis=1), axis=1) > 0)
+    # in float64 every unit row puts the zero landmarks at exactly sqrt(2)
+    d64 = pairwise_distance(rows[~zero], units, COSINE)
+    assert np.array_equal(d64[:, zero_c], np.ones((len(d64), 2)))
+
+
+def stable_oracle(d, r):
+    return np.argsort(d, axis=1, kind="stable")[:, :r]
+
+
+def smallest(d, r):
+    """`_smallest` on a copy of d: (index, value)."""
+    index = np.empty((d.shape[0], r), dtype=np.intp)
+    value = np.empty((d.shape[0], r), dtype=d.dtype)
+    distances._smallest(d.copy(), index, value)
+    return index, value
+
+
+def test_smallest_equals_stable_argsort_on_ties():
+    gen = np.random.default_rng(8)
+    for p in (2, 3, 5, 9, 16):
+        cases = [
+            gen.integers(0, 3, size=(40, p)).astype(np.float64),  # small integers
+            np.full((6, p), 2.5),  # all-equal rows
+            gen.normal(size=(40, p)),  # no ties
+        ]
+        for r in range(1, p):
+            # ties straddling the r-th position: r-1 clear winners, then a tied run
+            straddle = np.full((8, p), 7.0)
+            straddle[:, : r - 1] = np.arange(r - 1)
+            for row in straddle:
+                gen.shuffle(row)
+            for d in (*cases, straddle):
+                index, value = smallest(d, r)
+                assert np.array_equal(index, stable_oracle(d, r)), (p, r)
+                assert np.array_equal(value, np.take_along_axis(d, index, axis=1))
+
+
+def test_smallest_sorts_non_finite_rows_in_full_past_one_pick():
+    gen = np.random.default_rng(10)
+    p = 9
+    d = gen.integers(0, 4, size=(40, p)).astype(np.float64)
+    d[0, 3] = np.nan
+    d[1, [2, 5]] = np.nan
+    d[2] = np.inf
+    d[2, 4] = 1.0  # one finite entry, then more than r +infs
+    d[3, [1, 6]] = -np.inf
+    d[4] = np.inf
+    d[5, [0, 3, 8]] = [np.inf, np.nan, -np.inf]
+    scatter = gen.random(size=(34, p))
+    d[6:][scatter < 0.1] = np.nan
+    d[6:][(scatter >= 0.1) & (scatter < 0.2)] = np.inf
+    d[6:][(scatter >= 0.2) & (scatter < 0.25)] = -np.inf
+    for r in range(1, p):
+        index, value = smallest(d, r)
+        # r = 1 is a plain argmin: a row holding NaN takes its first NaN,
+        # which a stable sort would put last
+        want = np.argmin(d, axis=1)[:, None] if r == 1 else stable_oracle(d, r)
+        assert np.array_equal(index, want), r
+        assert np.array_equal(value, np.take_along_axis(d, index, axis=1), equal_nan=True), r
 
 
 def oracle_minkowski(A, B, q):

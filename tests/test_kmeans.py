@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from snapclust.distances import _CHUNK_ENTRIES
 from snapclust.errors import ConfigError, DataError
 from snapclust.kmeans import (
     DEFAULT_RESTARTS,
@@ -113,6 +114,12 @@ def test_kmeans_splits_separated_line():
 def test_kmeans_k_exceeds_n():
     with pytest.raises(ConfigError):
         kmeans(np.zeros((3, 1)), 4, SeedStream(0))
+
+
+def test_kmeans_rejects_zero_lloyd_iterations():
+    X = np.random.default_rng(3).normal(size=(20, 2))
+    with pytest.raises(ConfigError, match="max_iters"):
+        kmeans(X, 3, SeedStream(0), max_iters=0)
 
 
 def test_kmeans_rejects_nonfinite():
@@ -272,6 +279,22 @@ def oracle_pp_init(X, k, gen):
     return centers
 
 
+def oracle_nearest(X, C):
+    """(labels, squared distance) of each row of X by the kernel's arithmetic.
+
+    The argmin and minimum of ||c||^2 - 2 x.c, read from fresh products
+    of the augmented [X, 1] and [-2 C^T; ||C||^2] on row blocks of
+    _CHUNK_ENTRIES // k rows, plus ||x||^2, clamped at 0.
+    """
+    X1 = np.hstack([X, np.ones((len(X), 1))])
+    C1 = np.ascontiguousarray(np.vstack([-2.0 * C.T, np.sum(C * C, axis=1)]))
+    step = max(1, _CHUNK_ENTRIES // len(C))
+    G = np.concatenate([X1[start : start + step] @ C1 for start in range(0, len(X), step)])
+    labels = np.argmin(G, axis=1)
+    mind = np.maximum(np.sum(X * X, axis=1) + G[np.arange(len(X)), labels], 0.0)
+    return labels, mind
+
+
 def oracle_lloyd(X, centers, max_iters=300):
     k = centers.shape[0]
     centers = centers.copy()
@@ -280,9 +303,7 @@ def oracle_lloyd(X, centers, max_iters=300):
     inertia = float("inf")
     history = []
     for _ in range(max_iters):
-        sq = oracle_sq_dists(X, centers)
-        labels = np.argmin(sq, axis=1)
-        mind = sq[np.arange(X.shape[0]), labels]
+        labels, mind = oracle_nearest(X, centers)
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):
             taken = set()
@@ -326,7 +347,8 @@ def test_pp_init_bit_identical_to_oracle():
 
 def test_lloyd_bit_identical_to_oracle():
     gen = np.random.default_rng(11)
-    for n, d, k in ((400, 6, 10), (1500, 10, 10), (60, 2, 5)):
+    # 7 000 rows at k = 10 make two full 3 276-row blocks and a short one
+    for n, d, k in ((400, 6, 10), (1500, 10, 10), (60, 2, 5), (7000, 4, 10)):
         X = gen.normal(size=(n, d)) + gen.integers(0, 4, size=(n, 1))
         init = oracle_pp_init(X, k, SeedStream(n).generator())
         got = lloyd(X, init)

@@ -9,7 +9,7 @@ import pytest
 from snapclust.affinity import AffinityParams, build_affinity
 from snapclust.distances import _CHUNK_ENTRIES, COSINE, EUCLIDEAN, MINKOWSKI3
 from snapclust.errors import ConfigError, DataError
-from snapclust.landmarks import LandmarkSet, _nearest_rows, minibatch_kmeans
+from snapclust.landmarks import LandmarkSet, minibatch_kmeans
 from snapclust.kmeans import kmeans_pp_init
 from snapclust.rng import STAGE_BATCH, STAGE_INIT, SeedStream
 
@@ -58,6 +58,19 @@ def test_p_bounds_enforced():
         minibatch_kmeans(Y, 10, SeedStream(0))  # p < n required
     with pytest.raises(ConfigError):
         minibatch_kmeans(Y, 1, SeedStream(0))  # p >= 2
+
+
+def test_empty_batches_rejected():
+    Y = np.random.default_rng(3).normal(size=(50, 2))
+    with pytest.raises(ConfigError, match="batch_size"):
+        minibatch_kmeans(Y, 5, SeedStream(0), batch_size=0)
+
+
+def test_zero_batch_count_rejected():
+    # no batch would run, and every center would come back unreached
+    Y = np.random.default_rng(3).normal(size=(50, 2))
+    with pytest.raises(ConfigError, match="max_iters"):
+        minibatch_kmeans(Y, 5, SeedStream(0), max_iters=0)
 
 
 def test_deterministic_for_fixed_seed():
@@ -201,91 +214,6 @@ def test_data_far_from_the_origin_is_assigned_as_in_float64():
         centers64, counts64 = oracle_minibatch(Y, 60, SeedStream(seed), 512, dtype=np.float64)
         assert np.array_equal(lm.centers, centers64)
         assert lm.meta["occupancy"]["max"] == counts64.max()
-
-
-def nearest_rows(A, C):
-    """`_nearest_rows` on float32 A and C, with its operands built here."""
-    n, p = len(A), len(C)
-    A1 = np.hstack([A, np.ones((n, 1), np.float32)])
-    C1 = np.vstack([-2.0 * C.T, np.sum(np.square(C, dtype=np.float64), axis=1)])
-    G = np.empty((min(n, max(1, _CHUNK_ENTRIES // p)), p), np.float32)
-    return _nearest_rows(A1, C1.astype(np.float32), G, np.empty(n, np.intp))
-
-
-def assert_within_float32_rounding(A, C, labels):
-    """The chosen center's float64 squared distance is within the bound.
-
-    With u = 2**-24, the float32 value ||c||^2 - 2 a.c, a sum of d + 1
-    products, is off by at most E = gamma_(d+1) (2 |a|.|c| + ||c||^2) plus
-    u ||c||^2 for rounding the norm, gamma_m = m u / (1 - m u). So the
-    chosen center's squared distance exceeds the minimum by at most the
-    chosen center's E plus the nearest one's, to which the float64
-    evaluation below adds a relative d 2**-52.
-    """
-    A64, C64 = A.astype(np.float64), C.astype(np.float64)
-    d = A.shape[1]
-    sq = np.square(A64[:, None, :] - C64[None, :, :]).sum(axis=2)
-    u = 2.0**-24
-    gamma = (d + 1) * u / (1 - (d + 1) * u)
-    cc = np.sum(C64 * C64, axis=1)
-    err = gamma * (2.0 * np.abs(A64) @ np.abs(C64).T + cc) + u * cc
-    rows = np.arange(len(A))
-    best = np.argmin(sq, axis=1)
-    excess = sq[rows, labels] - sq[rows, best]
-    bound = err[rows, labels] + err[rows, best] + d * 2.0**-52 * sq.max(axis=1)
-    assert np.all(excess <= bound)
-    return excess, bound
-
-
-def test_nearest_rows_within_float32_rounding_of_float64():
-    gen = np.random.default_rng(21)
-    # p = 600 > the 54 rows of a block, 1 000 rows leaving a short last block
-    A = gen.normal(size=(1000, 16)).astype(np.float32)
-    C = gen.normal(size=(600, 16)).astype(np.float32)
-    labels = nearest_rows(A, C)
-    excess, bound = assert_within_float32_rounding(A, C, labels)
-    # unit spread: the bound is far below the gaps between centers, and
-    # most rows get float64's own nearest center
-    assert bound.max() < 1e-3
-    assert np.mean(excess == 0.0) > 0.99
-    # p past _CHUNK_ENTRIES: blocks of one row
-    C = gen.normal(size=(_CHUNK_ENTRIES + 1, 2)).astype(np.float32)
-    labels = nearest_rows(A[:20, :2], C)
-    assert_within_float32_rounding(A[:20, :2], C, labels)
-
-
-def test_nearest_rows_far_from_the_origin_rounds_with_the_norms():
-    # raw points 1e3 from the origin: the bound grows with ||a|| ||c||,
-    # the rounding the landmark loop's offsets avoid, yet still holds
-    gen = np.random.default_rng(22)
-    A = (1e3 + gen.normal(size=(700, 16))).astype(np.float32)
-    C = (1e3 + gen.normal(size=(40, 16))).astype(np.float32)
-    excess, bound = assert_within_float32_rounding(A, C, nearest_rows(A, C))
-    assert bound.min() > 1.0
-    # the same rows as offsets from the centers' mean round like the spread
-    shift = C.mean(axis=0, dtype=np.float64)
-    A0, C0 = (A - shift).astype(np.float32), (C - shift).astype(np.float32)
-    excess, bound = assert_within_float32_rounding(A0, C0, nearest_rows(A0, C0))
-    assert bound.max() < 1e-3
-
-
-def test_nearest_rows_duplicates_and_exact_ties():
-    gen = np.random.default_rng(23)
-    A = np.repeat(gen.normal(size=(150, 8)).astype(np.float32), 3, axis=0)
-    C = gen.normal(size=(300, 8)).astype(np.float32)
-    labels = nearest_rows(A, C)
-    # duplicate points, in the same block or not, get the same center
-    assert np.all(labels.reshape(-1, 3) == labels[::3, None])
-    assert_within_float32_rounding(A, C, labels)
-    # a duplicate center ties exactly with its first copy: the lower index wins
-    twice = np.vstack([C, C])
-    assert np.array_equal(nearest_rows(A, twice), labels)
-    assert np.all(nearest_rows(A, np.repeat(C[:1], 5, axis=0)) == 0)
-    # 0 is as far from (1, 0) as from (-1, 0), in either order
-    C2 = np.array([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0]], np.float32)
-    origin = np.zeros((4, 2), np.float32)
-    assert np.all(nearest_rows(origin, C2) == 0)
-    assert np.all(nearest_rows(origin, C2[::-1].copy()) == 1)
 
 
 def traced_peak(fn, *args):
