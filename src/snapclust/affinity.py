@@ -21,10 +21,11 @@ whatever the spread of the directions. Minkowski picks the r smallest
 of each float32 `pairwise_distance` row, in blocks of BLOCK_ENTRIES // p
 rows. Only where float32 rounding flips a near tie does a pick differ
 from float64's. The r picked distances are then recomputed in float64
-from each row and its float64 landmarks, a chunk of rows at a time, and
-the kernel's squares, shift, exp and normalization run on those. The result is a scipy `csr_array` with
-sorted columns in each row and int32 indices and offsets, unless n * r
-or p needs int64 (`index_dtype`).
+by `distances.exact_distances`, where every metric's exact formula
+lives, and the kernel's squares, shift, exp and normalization run on
+those. The result is a scipy `csr_array` with sorted columns in each row
+and int32 indices and offsets, unless n * r or p needs int64
+(`index_dtype`).
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .distances import (
     Metric,
     _smallest,
     as_float,
+    exact_distances,
     nearest_rows,
     pairwise_distance,
+    row_norms,
     sq_norms,
     unit_rows,
 )
@@ -119,9 +122,7 @@ def _nearest_landmark_rows(
     """
     if metric.name == "cosine":
         units, zero_c = unit_rows(centers)
-        norms = np.sqrt(sq_norms(Y, np.float64))
-        zero = norms == 0.0
-        norms[zero] = 1.0
+        norms, zero = row_norms(Y)
         shift = units.mean(axis=0)
         offsets = (units - shift).astype(np.float32)
         nearest = nearest_rows(Y, offsets, r, shift, norms, sq_norms(offsets) + zero_c)
@@ -140,50 +141,6 @@ def _nearest_landmark_rows(
         rows = np.subtract(block, shift, out=np.empty(block.shape, np.float32))
         _smallest(pairwise_distance(rows, offsets, metric), nearest[start : start + step])
     return nearest
-
-
-def _picked_distances(
-    Y: np.ndarray, centers: np.ndarray, nearest: np.ndarray, metric: Metric
-) -> np.ndarray:
-    """float64 distances from each row of Y to the landmarks `nearest` names.
-
-    Computed from the float64 widening of each row and the float64
-    centers, a chunk of _CHUNK_ENTRIES // (r * d) rows at a time: euclidean
-    and minkowski from the differences row - center, cosine from the unit
-    vectors, with the conventions of `pairwise_distance` for zero rows. A
-    row's values do not depend on the chunk it falls in.
-    """
-    n, r = nearest.shape
-    out = np.empty((n, r))
-    if metric.name == "cosine":
-        units, zero_c = unit_rows(centers)
-    step = max(1, _CHUNK_ENTRIES // max(1, r * centers.shape[1]))
-    for start in range(0, n, step):
-        rows = Y[start : start + step].astype(np.float64, copy=False)
-        picks = nearest[start : start + step]
-        dist = out[start : start + step]
-        if metric.name == "cosine":
-            unit, zero = unit_rows(rows)
-            sim = np.sum(units[picks] * unit[:, None], axis=2)
-            np.clip(sim, -1.0, 1.0, out=sim)
-            np.subtract(1.0, sim, out=dist)
-            dist[zero[:, None] & zero_c[picks]] = 0.0
-            continue
-        diff = centers[picks]
-        diff -= rows[:, None]
-        if metric.name == "euclidean":
-            diff *= diff
-            np.sqrt(np.sum(diff, axis=2), out=dist)
-            continue
-        np.abs(diff, out=diff)
-        if metric.q == 3.0:
-            # libm pow(x, 3.0) is slow on exact zeros, as in pairwise_distance
-            terms = diff * diff
-            terms *= diff
-        else:
-            terms = np.power(diff, metric.q, out=diff)
-        np.power(np.sum(terms, axis=2), 1.0 / metric.q, out=dist)
-    return out
 
 
 @dataclass
@@ -251,7 +208,7 @@ def build_affinity(
     sigma = scott_bandwidth(Y) if params.sigma is None else float(params.sigma)
 
     nearest = _nearest_landmark_rows(Y, centers, r, params.metric)
-    sel = _picked_distances(Y, centers, nearest, params.metric)
+    sel = exact_distances(Y, centers, nearest, params.metric)
     sel_sq = sel**2
     shifted = sel_sq - sel_sq.min(axis=1, keepdims=True)
     weights = np.exp(-shifted / (2.0 * sigma * sigma))

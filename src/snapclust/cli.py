@@ -33,12 +33,13 @@ from .errors import ConfigError, SnapclustError
 from .evaluation import score
 from .pipeline import (
     BASELINES,
+    _one_blas_thread,
     footprint_report,
     run_model,
     sweep,
     train_ensemble,
 )
-from .trainer import save_snapshot
+from .trainer import embed_snapshot, save_snapshot
 
 _FLAG_HELP = {
     "dataset": "input data matrix",
@@ -93,22 +94,25 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+# one embedding alive at a time, embedded at one OpenBLAS thread as in training
+@_one_blas_thread()
 def _cmd_train(args) -> int:
     config = _merge_config(args).validate()
     X = _require_dataset(config)
     with writing_to(args.out):
         os.makedirs(args.out, exist_ok=True)
-    snapshots, embeddings = train_ensemble(X, config)
+    snapshots: list = []
+    _, embeddings = train_ensemble(X, config, on_capture=snapshots.append)
     paths = []
     written: list = []
     with writing_to(args.out, written):
-        for i, (snap, emb) in enumerate(zip(snapshots, embeddings.members)):
+        for i, snap in enumerate(snapshots):
             weight_path = os.path.join(args.out, f"snapshot_cycle{i + 1}.npz")
             written.append(weight_path)
             save_snapshot(weight_path, snap, embeddings.provenance)
             emb_path = os.path.join(args.out, f"embedding_member{i + 1}.rawf32")
             written.append(emb_path)
-            save_rawf32(emb_path, emb)
+            save_rawf32(emb_path, embed_snapshot(X, snap))
             paths.append({"snapshot": weight_path, "embedding": emb_path, "loss": snap.train_loss})
     _print_json(
         {

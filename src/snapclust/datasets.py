@@ -30,10 +30,11 @@ IDX_LABELS_MAGIC = 2049
 RAWF32_MAGIC = b"SSCD"
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path, size: int = -1) -> bytes:
+    """The file's first `size` bytes, all of them by default."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return fh.read(size)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -42,16 +43,19 @@ def _read_bytes(path) -> bytes:
 def writing_to(out_dir, written=(), what: str = ""):
     """An OSError from creating or filling `out_dir` is a DataError (exit 3).
 
-    Each path listed in `written` by then is removed first, so a caller
-    that lists every file just before it writes it leaves none of them
-    behind, not even one cut short. `what` names the files in the message.
+    On any error, each path listed in `written` by then is removed first,
+    so a caller that lists every file just before it writes it leaves none
+    of them behind, not even one cut short. `what` names the files in the
+    message.
     """
     try:
         yield
-    except OSError as exc:
+    except Exception as exc:
         for path in written:
             with contextlib.suppress(OSError):
                 os.remove(path)
+        if not isinstance(exc, OSError):
+            raise
         target = f"{what} to {out_dir}" if what else f"to {out_dir}"
         raise DataError(f"cannot write {target}: {exc}") from None
 
@@ -121,7 +125,7 @@ def load_rawf32(path) -> np.ndarray:
 
 def detect_format(path) -> str:
     """Sniff idx/rawf32 by magic, falling back to csv."""
-    head = _read_bytes(path)[:4]
+    head = _read_bytes(path, 4)
     if head == RAWF32_MAGIC:
         return "rawf32"
     if len(head) == 4:
@@ -176,7 +180,7 @@ def check_matrix(X, what: str = "dataset") -> np.ndarray:
 
 def load_labels(path) -> np.ndarray:
     """Ground-truth labels: an idx label file or one integer per line."""
-    head = _read_bytes(path)[:4]
+    head = _read_bytes(path, 4)
     if len(head) == 4 and struct.unpack(">I", head)[0] == IDX_LABELS_MAGIC:
         return load_idx_labels(path)
     try:

@@ -16,6 +16,10 @@ the ensemble members pick in float32, Lloyd in float64. Row norms are
 each row's squares summed in float64 and rounded once to the working
 dtype (`sq_norms`).
 
+`exact_distances` is the package's one exact definition of each metric:
+float64 distances from each row to the rows it names, as the affinity's
+kernel weights take them. `distance` is its one-row case.
+
 `pairwise_distance` is the dense all-pairs form, in float32 for float32
 inputs and float64 otherwise. Minkowski sets each chunk of differences
 to -b_j and adds a_j with a rank-1 BLAS update, `ger` with alpha 1 and a
@@ -26,6 +30,7 @@ so each entry is a_j - b_j rounded once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +57,8 @@ class Metric:
     def __post_init__(self):
         if self.name not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.name!r}; expected one of {METRIC_NAMES}")
-        if self.name == "minkowski" and not self.q > 0:
-            raise ConfigError(f"minkowski exponent must be > 0, got {self.q}")
+        if self.name == "minkowski" and not 0 < self.q < math.inf:
+            raise ConfigError(f"minkowski exponent must be finite and > 0, got {self.q}")
 
     def label(self) -> str:
         if self.name == "minkowski":
@@ -80,33 +85,15 @@ def parse_metric(text: str, q: float = DEFAULT_MINKOWSKI_Q) -> Metric:
     return Metric(text)
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
+    """Distance between two vectors under `metric`: `exact_distances` of one row."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise DataError("distance expects 1-D vectors")
     if a.shape[0] != b.shape[0]:
         raise DataError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
-def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
-    """Distance between two vectors under `metric`. Always >= 0."""
-    a, b = _check_pair(a, b)
-    if metric.name == "euclidean":
-        d = a - b
-        return float(np.sqrt(np.dot(d, d)))
-    if metric.name == "minkowski":
-        d = np.abs(a - b)
-        return float(np.sum(d**metric.q) ** (1.0 / metric.q))
-    # cosine
-    na = float(np.sqrt(np.dot(a, a)))
-    nb = float(np.sqrt(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        return 0.0 if na == nb else 1.0
-    sim = float(np.dot(a, b)) / (na * nb)
-    sim = min(1.0, max(-1.0, sim))
-    return 1.0 - sim
+    return float(exact_distances(a[None], b[None], np.zeros((1, 1), np.intp), metric)[0, 0])
 
 
 def as_float(A) -> np.ndarray:
@@ -140,10 +127,63 @@ def unit_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when its row is: it is at least the row's largest entry, which its
     rounding cannot go below.
     """
-    norms = np.sqrt(sq_norms(A, np.float64)).astype(A.dtype, copy=False)
+    norms, zero = row_norms(A)
+    return A / norms.astype(A.dtype, copy=False)[:, None], zero
+
+
+def row_norms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A's float64 row norms with each zero set to 1, which rows are zero)."""
+    norms = np.sqrt(sq_norms(A, np.float64))
     zero = norms == 0.0
     norms[zero] = 1.0
-    return A / norms[:, None], zero
+    return norms, zero
+
+
+def _power(x: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x**q, into `out` if given, which must not be x."""
+    if q != 3.0:
+        return np.power(x, q, out=out)
+    # libm pow(x, 3.0) is slow on exact zeros, which ReLU codes make many of
+    square = np.multiply(x, x, out=out)
+    return np.multiply(square, x, out=square)
+
+
+def exact_distances(
+    Y: np.ndarray, centers: np.ndarray, nearest: np.ndarray, metric: Metric
+) -> np.ndarray:
+    """float64 (n, r) distances from each row of Y to the rows of `centers` it names in `nearest`.
+
+    Computed from the float64 widening of each row and the float64
+    centers, a chunk of _CHUNK_ENTRIES // (r * d) rows at a time: euclidean
+    and minkowski from the differences row - center, cosine from the unit
+    vectors, with the conventions of `pairwise_distance` for zero rows. A
+    row's values do not depend on the chunk it falls in.
+    """
+    n, r = nearest.shape
+    out = np.empty((n, r))
+    if metric.name == "cosine":
+        units, zero_c = unit_rows(centers)
+    step = max(1, _CHUNK_ENTRIES // max(1, r * centers.shape[1]))
+    for start in range(0, n, step):
+        rows = Y[start : start + step].astype(np.float64, copy=False)
+        picks = nearest[start : start + step]
+        dist = out[start : start + step]
+        if metric.name == "cosine":
+            unit, zero = unit_rows(rows)
+            sim = np.sum(units[picks] * unit[:, None], axis=2)
+            np.clip(sim, -1.0, 1.0, out=sim)
+            np.subtract(1.0, sim, out=dist)
+            dist[zero[:, None] & zero_c[picks]] = 0.0
+            continue
+        diff = centers[picks]
+        diff -= rows[:, None]
+        if metric.name == "euclidean":
+            diff *= diff
+            np.sqrt(np.sum(diff, axis=2), out=dist)
+            continue
+        np.abs(diff, out=diff)
+        np.power(np.sum(_power(diff, metric.q), axis=2), 1.0 / metric.q, out=dist)
+    return out
 
 
 def _smallest(block: np.ndarray, index: np.ndarray, value: np.ndarray | None = None) -> None:
@@ -271,13 +311,7 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, metric: Metric) -> np.ndarra
                 d[:] = negb
                 ger(1.0, ones, a, a=d.T, overwrite_a=1)
                 np.abs(d, out=d)
-                if q == 3.0:
-                    # libm pow(x, 3.0) is slow on exact zeros, which ReLU codes make many of
-                    np.multiply(d, d, out=t)
-                    t *= d
-                else:
-                    np.power(d, q, out=t)
-                acc += t
+                acc += _power(d, q, out=t)
         return np.power(out, 1.0 / q, out=out)
 
     # cosine; a zero row stays zero and so has similarity 0 (distance 1) to

@@ -13,7 +13,7 @@ from snapclust.affinity import (
     build_affinity,
     scott_bandwidth,
 )
-from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3, pairwise_distance
+from snapclust.distances import COSINE, EUCLIDEAN, MINKOWSKI3, Metric, pairwise_distance
 from snapclust.errors import ConfigError, DataError, NumericalError
 from snapclust.landmarks import LandmarkSet
 from snapclust.rng import SeedStream
@@ -294,10 +294,10 @@ def oracle_picked_weights(Y, centers, nearest, metric, sigma):
                 dist[j] = np.sqrt(np.sum((c - y) * (c - y)))
             else:
                 a = np.abs(c - y)
-                dist[j] = np.sum(a * a * a)
-        if metric is MINKOWSKI3:
+                dist[j] = np.sum(a * a * a if metric.q == 3.0 else np.power(a, metric.q))
+        if metric.name == "minkowski":
             # one array call: NumPy's vectorized pow can round unlike the scalar one
-            dist = np.power(dist, 1.0 / 3.0)
+            dist = np.power(dist, 1.0 / metric.q)
         sq = dist**2
         w = np.exp(-(sq - sq.min()) / (2.0 * sigma * sigma))
         weights[i] = w / w.sum()
@@ -314,7 +314,11 @@ def separated_code(seed, n=400, d=16, k=5):
     return Y32, landmarks_from(Y32[gen.choice(n, size=24, replace=False)] + 0.25)
 
 
-@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE, MINKOWSKI3], ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    "metric",
+    [EUCLIDEAN, COSINE, MINKOWSKI3, Metric("minkowski", 1.0), Metric("minkowski", 2.5)],
+    ids=["euclidean", "cosine", "minkowski", "minkowski-q1", "minkowski-q2.5"],
+)
 def test_float32_code_picks_like_float64_and_weighs_in_float64(metric):
     Y32, lm = separated_code(11)
     r = 5
@@ -322,7 +326,7 @@ def test_float32_code_picks_like_float64_and_weighs_in_float64(metric):
     assert aff.matrix.data.dtype == np.float64
     assert aff.bandwidth == scott_bandwidth(Y32)
     # the picks equal float64's: a stable sort of float64 distances
-    kwargs = {"p": 3.0} if metric is MINKOWSKI3 else {}
+    kwargs = {"p": metric.q} if metric.name == "minkowski" else {}
     d64 = cdist(Y32.astype(np.float64), lm.centers, metric.name, **kwargs)
     nearest = np.argsort(d64, axis=1, kind="stable")[:, :r]
     order = np.argsort(nearest, axis=1)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +178,43 @@ def test_synth_removes_the_data_it_wrote_when_the_labels_cannot_be_written(capsy
     assert code == 3
     assert f"error: cannot write to {tmp_path}: " in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt"]
+
+
+def test_train_holds_one_embedding_at_a_time(blob_files, capsys, tmp_path, monkeypatch):
+    data, _ = blob_files
+    embed_snapshot = cli.embed_snapshot
+    alive = []
+
+    def tracked(X, snapshot):
+        assert all(ref() is None for ref in alive), "an earlier embedding is still alive"
+        emb = embed_snapshot(X, snapshot)
+        alive.append(weakref.ref(emb))
+        return emb
+
+    monkeypatch.setattr(cli, "embed_snapshot", tracked)
+    code, out, _ = run_cli(["train", "--dataset", data, "--out", str(tmp_path), *FAST], capsys)
+    assert code == 0 and len(alive) == len(json.loads(out)["members"]) == 2
+
+
+def test_train_removes_its_files_when_an_embedding_fails(
+    blob_files, capsys, tmp_path, monkeypatch
+):
+    data, _ = blob_files
+    embed_snapshot = cli.embed_snapshot
+    calls = []
+
+    def second_fails(X, snapshot):
+        calls.append(snapshot)
+        if len(calls) == 2:
+            raise MemoryError("no room for the second embedding")
+        return embed_snapshot(X, snapshot)
+
+    monkeypatch.setattr(cli, "embed_snapshot", second_fails)
+    out = tmp_path / "out"
+    with pytest.raises(MemoryError):
+        run_cli(["train", "--dataset", data, "--out", str(out), *FAST], capsys)
+    # three files were written, the second snapshot last, and all were removed
+    assert len(calls) == 2 and list(out.iterdir()) == []
 
 
 def test_train_writes_the_same_files_with_and_without_the_batch_producer(

@@ -74,7 +74,11 @@ def test_member_metric_round_robin():
         {"hidden": (64, 0)},
         {"activation": "tanh"},
         {"metric": "hamming"},
+        {"metric": "minkowski:0"},
+        {"metric": "minkowski:inf"},
+        {"metric": "minkowski:1e400"},
         {"metrics": ("euclidean", "nope")},
+        {"metrics": ("euclidean", "minkowski:inf")},
     ],
 )
 def test_validate_rejects(changes):

@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from snapclust import datasets
 from snapclust.datasets import (
+    check_matrix,
     detect_format,
     load_dataset,
     load_idx_images,
@@ -148,6 +150,48 @@ def test_detect_format(tmp_path):
     csv = tmp_path / "c.csv"
     csv.write_text("1,2\n")
     assert detect_format(csv) == "csv"
+
+
+def test_format_sniff_reads_only_the_magic(tmp_path, monkeypatch):
+    images = tmp_path / "images.idx"
+    write_idx_images(images, np.zeros((40, 28, 28), dtype=np.uint8))
+    labels = tmp_path / "labels.txt"
+    save_labels(labels, np.arange(1000) % 7)
+    reads = []
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            data = self.fh.read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(datasets, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
+    assert detect_format(images) == "idx"
+    assert reads == [4]
+    # a text label file is sniffed, then parsed by NumPy's own reader
+    assert load_labels(labels).tolist() == (np.arange(1000) % 7).tolist()
+    assert reads == [4, 4]
+    with pytest.raises(DataError, match="^cannot read "):
+        detect_format(tmp_path / "missing.bin")
+
+
+def test_check_matrix_widens_other_dtypes_and_keeps_floats():
+    ints = np.arange(6, dtype=np.int32).reshape(2, 3)
+    got = check_matrix(ints)
+    assert got.dtype == np.float64 and np.array_equal(got, ints)
+    for dtype in (np.float32, np.float64):
+        X = np.ones((2, 3), dtype)
+        got = check_matrix(X)
+        assert got.dtype == dtype and np.shares_memory(got, X)
 
 
 def test_load_dataset_auto(tmp_path):

@@ -18,6 +18,27 @@ from snapclust.distances import (
 from snapclust.errors import ConfigError, DataError
 
 
+def scalar_oracle(a, b, metric):
+    """The textbook formula for one pair, written apart from `distances`.
+
+    Cosine puts a zero vector at 1 from any other vector and at 0 from a
+    zero vector, as `pairwise_distance` does.
+    """
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    if metric.name == "euclidean":
+        return float(np.sqrt(np.dot(d, d)))
+    if metric.name == "minkowski":
+        return float(np.sum(np.abs(d) ** metric.q) ** (1.0 / metric.q))
+    na, nb = float(np.sqrt(np.dot(a, a))), float(np.sqrt(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0 if na == nb else 1.0
+    return 1.0 - min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+
+
+def scalar_table(A, B, metric, fn=scalar_oracle):
+    return np.array([[fn(a, b, metric) for b in B] for a in A])
+
+
 def test_euclidean_pythagorean():
     assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]), EUCLIDEAN) == 5.0
 
@@ -43,6 +64,12 @@ def test_parse_metric():
         parse_metric("manhattan")
     with pytest.raises(ConfigError):
         parse_metric("minkowski:0")
+    # an infinite exponent would put every pair, x and x included, at distance 1
+    for text in ("minkowski:inf", "minkowski:1e400"):
+        with pytest.raises(ConfigError, match="must be finite and > 0, got inf$"):
+            parse_metric(text)
+    with pytest.raises(ConfigError, match="got nan$"):
+        parse_metric("minkowski:nan")
 
 
 def test_metric_labels():
@@ -65,8 +92,9 @@ def test_cosine_zero_norm_rows_are_defined():
     A[[1, 4]] = 0.0
     B = np.concatenate([A, np.maximum(gen.normal(size=(3, 4)), 0.0) + 0.1])
     got = pairwise_distance(A, B, COSINE)
-    want = np.array([[distance(a, b, COSINE) for b in B] for a in A])
+    want = scalar_table(A, B, COSINE)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.allclose(scalar_table(A, B, COSINE, distance), want, rtol=0, atol=1e-12)
     assert np.all(got[[1, 4]][:, [1, 4]] == 0.0)
     assert np.all(np.delete(got[[1, 4]], [1, 4], axis=1) == 1.0)
     assert np.all(np.diag(got) <= 1e-12)
@@ -120,9 +148,9 @@ def test_pairwise_matches_scalar_loop():
     A = gen.normal(size=(7, 4))
     B = gen.normal(size=(5, 4))
     for metric in (EUCLIDEAN, COSINE, MINKOWSKI3):
-        got = pairwise_distance(A, B, metric)
-        want = np.array([[distance(a, b, metric) for b in B] for a in A])
-        assert np.allclose(got, want, atol=1e-10)
+        want = scalar_table(A, B, metric)
+        assert np.allclose(pairwise_distance(A, B, metric), want, atol=1e-10)
+        assert np.allclose(scalar_table(A, B, metric, distance), want, atol=1e-10)
 
 
 def test_minkowski_pairwise_matches_scalar_on_relu_codes(monkeypatch):
@@ -135,8 +163,10 @@ def test_minkowski_pairwise_matches_scalar_on_relu_codes(monkeypatch):
         for q in (3.0, 1.5, 1.0, 0.5):
             metric = Metric("minkowski", q)
             got = pairwise_distance(A, B, metric)
-            want = np.array([[distance(a, b, metric) for b in B] for a in A])
+            want = scalar_table(A, B, metric)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            got_scalar = scalar_table(A, B, metric, distance)
+            np.testing.assert_allclose(got_scalar, want, rtol=1e-12, atol=0)
             # 3-row chunks, the last one short, give the same bits as one chunk
             monkeypatch.setattr(distances, "_CHUNK_ENTRIES", 3 * m)
             assert np.array_equal(pairwise_distance(A, B, metric), got)

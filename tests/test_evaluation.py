@@ -253,6 +253,14 @@ def test_score_equals_the_single_metric_functions():
         assert score(pred, truth) == want
 
 
+def test_score_takes_float_labels_that_hold_whole_numbers():
+    pred = np.array([2.0, 0.0, 2.0, 1.0, 1.0])
+    truth = [1, 0, 1, 2, 2]
+    assert score(pred, truth) == score(pred.astype(np.int64), truth)
+    with pytest.raises(DataError, match="^labels must be integers$"):
+        score(np.array([0.0, 0.5]), [0, 1])
+
+
 def test_aggregate_mean_and_sample_std():
     runs = [{"nmi": 0.5, "ari": 0.4}, {"nmi": 0.7, "ari": 0.6}]
     agg = aggregate(runs)

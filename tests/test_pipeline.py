@@ -897,8 +897,18 @@ def test_a_run_holds_every_openblas_at_one_thread(tmp_path, monkeypatch):
             assert [get() for get, _ in controls] == [2] * len(controls)
             run_doc = json.loads((tmp_path / str(workers) / "run.json").read_text())
             assert run_doc["diagnostics"][0]["workers"] == workers
-        # `snapclust train` calls this on its own
+        # `snapclust train` trains through this, then embeds each snapshot
         train_ensemble(X, cfg)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        pin_checked(cli, "embed_snapshot")
+        data = tmp_path / "data.rawf32"
+        save_rawf32(data, X)
+        argv = [
+            "train", "--dataset", str(data), "--out", str(tmp_path / "train"), "--m", "2",
+            "--cycle-length", "2", "--alpha0", "0.001", "--encoding-size", "3",
+            "--hidden", "8", "--batch-size", "32", "--activation", "identity",
+        ]
+        assert cli.main(argv) == 0
         assert [get() for get, _ in controls] == [2] * len(controls)
         monkeypatch.setattr(pipeline, "fuse", fuse_failed)
         with pytest.raises(NumericalError, match="fuse failed"):
@@ -907,7 +917,9 @@ def test_a_run_holds_every_openblas_at_one_thread(tmp_path, monkeypatch):
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)
-    assert seen == {"backward", "minibatch_kmeans", "left_singular_vectors", "lloyd"}
+    assert seen == {
+        "backward", "minibatch_kmeans", "left_singular_vectors", "lloyd", "embed_snapshot"
+    }
 
 
 def test_workers_are_sent_only_the_members(monkeypatch):
